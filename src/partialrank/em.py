@@ -34,7 +34,7 @@ from .errors import (
 )
 from .mallows import MallowsParams, MixtureParams, component_log_pmf, log_normalizer
 from .missing import Dataset, MissingTable, ObservationGroups
-from .perms import DEFAULT_CAP, Permutation, build_cayley_graph, distance_matrix, index_of, perm_table, unindex
+from .perms import DEFAULT_CAP, Permutation, build_cayley_graph, index_of, perm_table, unindex
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,6 @@ class Responsibilities:
     q_table: np.ndarray        # (V, r-1): sum over observations of length t
     cluster_vertex: np.ndarray  # (K, V): sum over observations per component
     cluster_mass: np.ndarray   # (K,)
-    gamma: np.ndarray          # (n, K) per-observation component posteriors
     groups: ObservationGroups = field(repr=False)
     block_weights: list[np.ndarray] = field(repr=False)  # per block, (K, G, m)
 
@@ -87,6 +86,14 @@ class Responsibilities:
         b = int(self.groups.obs_block[i])
         pos = int(self.groups.obs_pos[i])
         return self.groups.blocks[b].members[pos], self.block_weights[b][:, pos, :]
+
+    def posteriors(self) -> np.ndarray:
+        """Per-observation component posteriors, shape (n, K)."""
+        gamma = np.empty((self.n, self.n_clusters))
+        for b, weights in enumerate(self.block_weights):
+            mask = self.groups.obs_block == b
+            gamma[mask] = weights.sum(axis=2)[:, self.groups.obs_pos[mask]].T
+        return gamma
 
 
 def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int = DEFAULT_CAP) -> Responsibilities:
@@ -102,7 +109,6 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int =
 
     q_table = np.zeros((n_vertices, dataset.r - 1))
     cluster_vertex = np.zeros((k, n_vertices))
-    gamma = np.empty((len(dataset), k))
     block_weights: list[np.ndarray] = []
     for b, block in enumerate(groups.blocks):
         logits = log_comp[:, block.members] + log_phi[block.members, block.t - 1][None, :, :]
@@ -120,9 +126,6 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int =
         np.add.at(q_table, (block.members, block.t - 1), scaled.sum(axis=0))
         for kk in range(k):
             np.add.at(cluster_vertex[kk], block.members, scaled[kk])
-        block_gamma = weights.sum(axis=2)  # (K, G)
-        mask = groups.obs_block == b
-        gamma[mask] = block_gamma[:, groups.obs_pos[mask]].T
     return Responsibilities(
         r=dataset.r,
         n=len(dataset),
@@ -130,7 +133,6 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int =
         q_table=q_table,
         cluster_vertex=cluster_vertex,
         cluster_mass=cluster_vertex.sum(axis=1),
-        gamma=gamma,
         groups=groups,
         block_weights=block_weights,
     )
@@ -168,19 +170,24 @@ def m_step_theta(
     The location is the exhaustive minimizer of the expected distance
     (lexicographically smallest on ties); the concentration solves the 1-D
     convex problem on [c_min, c_max] by golden section.
+
+    Expected distances come from per-pair masses: with ``m[p]`` the mass on
+    rankings that put pair p in ascending order, a candidate that does too
+    disagrees with mass ``total - m[p]`` on that pair, otherwise with ``m[p]``.
     """
     if n_clusters is not None and n_clusters != q.n_clusters:
         raise DimensionError(f"responsibilities carry K={q.n_clusters}, requested {n_clusters}")
     if dataset.r != q.r:
         raise DimensionError("responsibilities and data disagree on item count")
-    dist = distance_matrix(q.r, cap)
+    pair_order = perm_table(q.r, cap).pair_order
     components = []
     total = q.cluster_mass.sum()
     for k in range(q.n_clusters):
         mass = float(q.cluster_mass[k])
         if mass <= 0:
             raise DegenerateClusterError(f"component {k} received no posterior mass")
-        scores = q.cluster_vertex[k] @ dist
+        pair_mass = q.cluster_vertex[k] @ pair_order
+        scores = np.where(pair_order, mass - pair_mass, pair_mass).sum(axis=1)
         sigma_idx = int(np.argmin(scores))
         expected_dist = float(scores[sigma_idx])
         c_hat = _golden_section(
@@ -215,20 +222,13 @@ def observable_nll(theta: MixtureParams, phi: MissingTable, dataset: Dataset, ca
     return total
 
 
-def phi_penalty(phi_probs: np.ndarray, r: int, cap: int = DEFAULT_CAP) -> float:
-    """Sum over graph edges of the squared row difference."""
-    graph = build_cayley_graph(r, cap)
-    eu, ev = graph.edges[:, 0], graph.edges[:, 1]
-    return float(((phi_probs[eu] - phi_probs[ev]) ** 2).sum())
-
-
 def penalized_nll(
     theta: MixtureParams, phi: MissingTable, dataset: Dataset, lam: float, cap: int = DEFAULT_CAP
 ) -> float:
     """The estimation objective: observable NLL plus lam times the penalty."""
     value = observable_nll(theta, phi, dataset, cap)
     if lam > 0:
-        value += lam * phi_penalty(phi.probs, dataset.r, cap)
+        value += lam * admm.edge_penalty(phi.probs, build_cayley_graph(dataset.r, cap))
     return value
 
 
@@ -421,7 +421,7 @@ def _fit_common(dataset: Dataset, config: FitConfig, mode: str, cap: int) -> Fit
             best = (j, theta, phi, trace[-1], trace, converged)
 
     restart, theta, phi, nll, trace, converged = best
-    posteriors = e_step(theta, phi, dataset, cap).gamma
+    posteriors = e_step(theta, phi, dataset, cap).posteriors()
     if mode == "me":
         method = "ME"
     elif config.lam > 0:

@@ -5,6 +5,12 @@ vertex index of a permutation is the lexicographic position of its rank
 sequence among all permutations of ``(1, ..., r)``, so ``index_of(identity)``
 is 0 and ``unindex(factorial(r) - 1, r)`` is the full reversal.
 
+Two cached per-r tables hold the Kendall structure of S_r that the estimator
+uses. ``PermTable.pair_order`` records, per vertex and item pair, which item
+ranks ahead; Kendall distance counts the pairs where two rows disagree
+(Fligner & Verducci 1986), so distances come from it without a V x V matrix.
+``CayleyGraph.neighbors`` lists the distance-1 neighbors by swapped position.
+
 Everything here is exponential in ``r`` by construction; enumeration-backed
 helpers refuse ``r`` above a cap (default 7, override per call).
 """
@@ -163,11 +169,12 @@ def compatible_set(tau: TopTRanking) -> list[Permutation]:
 
 @dataclass(frozen=True)
 class PermTable:
-    """Enumerated S_r: row v of ``ranks`` / ``orderings`` is vertex v."""
+    """Enumerated S_r: row v of ``ranks`` / ``orderings`` / ``pair_order`` is vertex v."""
 
     r: int
     ranks: np.ndarray       # (V, r) int16, lexicographic order
     orderings: np.ndarray   # (V, r) int16, items by rank (the inverses)
+    pair_order: np.ndarray  # (V, r(r-1)/2) bool, ranks[v, i] < ranks[v, j] for item pairs i < j
     ordering_index: dict    # ordering tuple -> vertex
 
     @property
@@ -187,7 +194,6 @@ class PrefixTable:
 
 _PERM_TABLES: dict[int, PermTable] = {}
 _PREFIX_TABLES: dict[int, list[PrefixTable]] = {}
-_DISTANCE_MATRICES: dict[int, np.ndarray] = {}
 _GRAPHS: dict[int, "CayleyGraph"] = {}
 
 
@@ -208,9 +214,11 @@ def perm_table(r: int, cap: int = DEFAULT_CAP) -> PermTable:
         ranks = np.array(list(itertools.permutations(range(1, r + 1))), dtype=np.int16)
         orderings = np.argsort(ranks, axis=1).astype(np.int16) + 1
         ordering_index = {tuple(int(x) for x in row): v for v, row in enumerate(orderings)}
-        ranks.flags.writeable = False
-        orderings.flags.writeable = False
-        table = PermTable(r, ranks, orderings, ordering_index)
+        first, second = np.triu_indices(r, k=1)
+        pair_order = ranks[:, first] < ranks[:, second]
+        for arr in (ranks, orderings, pair_order):
+            arr.flags.writeable = False
+        table = PermTable(r, ranks, orderings, pair_order, ordering_index)
         _PERM_TABLES[r] = table
     return table
 
@@ -243,32 +251,8 @@ def prefix_tables(r: int, cap: int = DEFAULT_CAP) -> list[PrefixTable]:
 
 def distances_from(r: int, vertex: int, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Kendall distances from one vertex to every vertex, shape (V,)."""
-    tab = perm_table(r, cap)
-    ordering = tab.orderings[vertex]
-    # ranks of every permutation restricted to this vertex's preference order;
-    # discordant pairs against the ascending reference count the distance
-    seq = tab.ranks[:, np.asarray(ordering) - 1].astype(np.int16)
-    out = np.zeros(tab.n_vertices, dtype=np.int64)
-    for i in range(r - 1):
-        for j in range(i + 1, r):
-            out += seq[:, i] > seq[:, j]
-    return out
-
-
-def distance_matrix(r: int, cap: int = DEFAULT_CAP) -> np.ndarray:
-    """Full pairwise Kendall distance matrix, shape (V, V), float64."""
-    mat = _DISTANCE_MATRICES.get(r)
-    if mat is None:
-        tab = perm_table(r, cap)
-        v = tab.n_vertices
-        mat = np.zeros((v, v))
-        for i in range(r - 1):
-            for j in range(i + 1, r):
-                signs = tab.ranks[:, i] < tab.ranks[:, j]
-                mat += signs[:, None] != signs[None, :]
-        mat.flags.writeable = False
-        _DISTANCE_MATRICES[r] = mat
-    return mat
+    pair_order = perm_table(r, cap).pair_order
+    return (pair_order != pair_order[vertex]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +266,7 @@ class CayleyGraph:
 
     r: int
     edges: np.ndarray      # (E, 2) int32, u < v, lexicographically ordered rows
-    neighbors: np.ndarray  # (V, r-1) int32
+    neighbors: np.ndarray  # (V, r-1) int32, slot j swaps the items at positions j and j+1
 
     @property
     def n_vertices(self) -> int:
@@ -291,9 +275,6 @@ class CayleyGraph:
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
-
-    def vertex_permutation(self, v: int) -> Permutation:
-        return unindex(v, self.r)
 
 
 def build_cayley_graph(r: int, cap: int = DEFAULT_CAP) -> CayleyGraph:

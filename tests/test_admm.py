@@ -8,6 +8,7 @@ from partialrank import DomainError, build_cayley_graph
 from partialrank.admm import (
     augmented_lagrangian,
     dual_sweep,
+    edge_penalty,
     edge_sweep,
     edge_update,
     init_state,
@@ -189,8 +190,7 @@ class TestSweepInvariants:
     def test_state_slot_shapes(self):
         graph = build_cayley_graph(3)
         state = init_state(graph, np.full((6, 2), 0.5))
-        assert state.copies_uv.shape == state.copies_vu.shape == (graph.n_edges, 2)
-        assert state.duals_uv.shape == state.duals_vu.shape == (graph.n_edges, 2)
+        assert state.copies.shape == state.duals.shape == (graph.n_vertices, 2, 2)
 
     def test_vertex_and_edge_steps_never_raise_the_lagrangian(self):
         graph = build_cayley_graph(3)
@@ -215,6 +215,14 @@ class TestSweepInvariants:
         q[0, 1] = 0.0
         result = solve_phi(q, graph, 1.0, 1.0, eps_primal=1e-8, eps_dual=1e-8, max_iter=5000)
         assert np.all(result.phi.probs[q > 0] > 0)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_slot_penalty_matches_edge_list_sum(r):
+    graph = build_cayley_graph(r)
+    phi = np.random.default_rng(r).dirichlet(np.ones(r - 1), size=graph.n_vertices)
+    expected = sum(float(((phi[u] - phi[v]) ** 2).sum()) for u, v in graph.edges)
+    assert edge_penalty(phi, graph) == pytest.approx(expected, rel=1e-12)
 
 
 def test_phi_objective_zero_log_zero_convention():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from partialrank import (
+    Dataset,
     FitConfig,
     MixtureParams,
     Permutation,
@@ -13,7 +14,7 @@ from partialrank import (
     l_comp,
     tilt_concentration_mechanism,
 )
-from partialrank.cli import ingest_rankings, main
+from partialrank.cli import main
 from partialrank.em import load_fit_json
 from partialrank.experiments import _replicate_seeds
 from partialrank.missing import MissingTable
@@ -40,20 +41,20 @@ class TestIngest:
     def test_basic_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("t,items\n2,3>1\n")
-        ds = ingest_rankings(path, r=4)
+        ds = Dataset.load_csv(path, r=4)
         assert ds.rankings == [TopTRanking((3, 1), 4)]
 
     def test_duplicate_items_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("t,items\n4,1>1>2>3\n")
         with pytest.raises(Exception, match="line 2"):
-            ingest_rankings(path, r=5)
+            Dataset.load_csv(path, r=5)
 
     def test_empty_file_warns(self, tmp_path, caplog):
         path = tmp_path / "d.csv"
         path.write_text("")
         with caplog.at_level("WARNING"):
-            ds = ingest_rankings(path, r=4)
+            ds = Dataset.load_csv(path, r=4)
         assert len(ds) == 0
 
 
@@ -110,7 +111,7 @@ class TestSimulateCommand:
         mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, Permutation.identity(4))
         for index, (data_seed, _) in enumerate(_replicate_seeds(3, 2)):
             expected = generate_dataset(theta, mech, 40, data_seed)
-            loaded = ingest_rankings(out / f"dataset_{index:03d}.csv", 4)
+            loaded = Dataset.load_csv(out / f"dataset_{index:03d}.csv", 4)
             assert loaded.rankings == expected.rankings
             assert loaded.true_perms == expected.true_perms
             assert np.array_equal(loaded.true_clusters, expected.true_clusters)
@@ -276,9 +277,9 @@ class TestSplitCommand:
         )
         assert run_cli(cfg) == 0
         for s in range(3):
-            assert len(ingest_rankings(out / f"test_{s:02d}.csv", 3)) == 50
-            assert len(ingest_rankings(out / f"train_20_{s:02d}.csv", 3)) == 20
-            assert len(ingest_rankings(out / f"train_100_{s:02d}.csv", 3)) == 100
+            assert len(Dataset.load_csv(out / f"test_{s:02d}.csv", 3)) == 50
+            assert len(Dataset.load_csv(out / f"train_20_{s:02d}.csv", 3)) == 20
+            assert len(Dataset.load_csv(out / f"train_100_{s:02d}.csv", 3)) == 100
 
 
 class TestExperimentCommand:

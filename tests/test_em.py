@@ -25,7 +25,7 @@ from partialrank import (
 )
 from partialrank.em import Responsibilities, load_fit_json, observable_nll, penalized_nll
 from partialrank.mallows import mixture_pmf
-from partialrank.perms import compatible_set, index_of
+from partialrank.perms import build_cayley_graph, compatible_set, index_of, kendall_distance, unindex
 
 
 def uniform_theta(r, c=1e-12):
@@ -65,7 +65,7 @@ class TestEStep:
         phi = MissingTable(4, rng.dirichlet(np.ones(3), size=24))
         resp = e_step(theta, phi, ds)
         assert resp.q_table.sum() == pytest.approx(len(ds), rel=1e-12)
-        assert np.allclose(resp.gamma.sum(axis=1), 1.0, atol=1e-10)
+        assert np.allclose(resp.posteriors().sum(axis=1), 1.0, atol=1e-10)
         for i in range(0, len(ds), 17):
             members, weights = resp.per_observation(i)
             assert weights.sum() == pytest.approx(1.0, abs=1e-10)
@@ -99,9 +99,16 @@ def make_resp(r, cluster_vertex, n=1):
         q_table=np.zeros((cluster_vertex.shape[1], r - 1)),
         cluster_vertex=cluster_vertex,
         cluster_mass=cluster_vertex.sum(axis=1),
-        gamma=np.ones((n, cluster_vertex.shape[0])) / cluster_vertex.shape[0],
         groups=None,
         block_weights=[],
+    )
+
+
+def brute_force_scores(r, weights):
+    """Expected Kendall distance to every candidate location, by the scalar distance."""
+    perms = [unindex(v, r) for v in range(len(weights))]
+    return np.array(
+        [sum(w * kendall_distance(p, sigma) for w, p in zip(weights, perms)) for sigma in perms]
     )
 
 
@@ -144,18 +151,35 @@ class TestMStepTheta:
         with pytest.raises(DegenerateClusterError):
             m_step_theta(make_resp(3, mass), Dataset(3, []))
 
+    def test_location_minimizes_brute_force_expected_distance(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            mass = rng.random((1, 24)) * rng.integers(0, 2, size=(1, 24))
+            mass[0, rng.integers(24)] += 1.0
+            params = m_step_theta(make_resp(4, mass), Dataset(4, []))
+            scores = brute_force_scores(4, mass[0])
+            assert index_of(params.components[0].sigma) == int(np.argmin(scores))
+
+    def test_exact_tie_between_adjacent_rankings_takes_smaller_index(self):
+        nbrs = build_cayley_graph(4).neighbors
+        for v in (5, 17):
+            u = int(nbrs[v, 1])
+            mass = np.zeros((1, 24))
+            mass[0, [u, v]] = 1.0
+            scores = brute_force_scores(4, mass[0])
+            assert scores[u] == scores[v] == scores.min() == 1.0
+            params = m_step_theta(make_resp(4, mass), Dataset(4, []))
+            assert index_of(params.components[0].sigma) == min(u, v)
+
     def test_concentration_is_an_interior_stationary_point(self):
         from partialrank.mallows import log_normalizer
-        from partialrank.perms import distance_matrix
 
         rng = np.random.default_rng(20)
         mass = rng.random((1, 24)) * 4
         params = m_step_theta(make_resp(4, mass), Dataset(4, []))
         c_hat = params.components[0].c
         assert 1e-4 < c_hat < 20.0
-        dist = distance_matrix(4)
-        scores = mass[0] @ dist
-        expected_dist = scores.min()
+        expected_dist = brute_force_scores(4, mass[0]).min()
         total = mass.sum()
 
         def objective(c):

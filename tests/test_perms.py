@@ -19,7 +19,7 @@ from partialrank import (
     kendall_distance,
     unindex,
 )
-from partialrank.perms import distance_matrix, distances_from, prefix_tables, write_edge_csv
+from partialrank.perms import distances_from, prefix_tables, write_edge_csv
 
 
 def perm_strategy(r):
@@ -164,6 +164,11 @@ class TestCayleyGraph:
         for u, v in graph.edges:
             assert kendall_distance(unindex(int(u), 4), unindex(int(v), 4)) == 1
 
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
+    def test_neighbor_slots_are_involutions(self, r):
+        nbrs = build_cayley_graph(r).neighbors
+        assert np.all(nbrs[nbrs, np.arange(r - 1)] == np.arange(len(nbrs))[:, None])
+
     def test_r2(self):
         graph = build_cayley_graph(2)
         assert graph.n_vertices == 2 and graph.n_edges == 1
@@ -191,11 +196,11 @@ class TestVectorizedHelpers:
         for v in range(24):
             assert row[v] == kendall_distance(base, unindex(v, 4))
 
-    def test_distance_matrix_matches_oracle(self):
-        mat = distance_matrix(4)
+    def test_distances_from_matches_oracle_for_every_pair(self):
         for i in range(24):
+            row = distances_from(4, i)
             for j in range(24):
-                assert mat[i, j] == discordant_pairs(unindex(i, 4).ranks, unindex(j, 4).ranks)
+                assert row[j] == discordant_pairs(unindex(i, 4).ranks, unindex(j, 4).ranks)
 
     def test_prefix_tables_partition_vertices(self):
         tables = prefix_tables(4)
