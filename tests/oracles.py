@@ -98,6 +98,42 @@ def project_simplex_rows(p: np.ndarray) -> np.ndarray:
     return np.maximum(p + shift[:, None], 0.0)
 
 
+def vertex_update_bisection(q_row, y_row, rho: float, degree: int) -> tuple[list[float], float]:
+    """One vertex subproblem by scalar bisection on the simplex multiplier.
+
+    Minimizes -sum q_t log phi_t + (rho degree / 2) ||phi||^2 + y . phi over
+    the simplex. Stationarity gives, for each entry, the nonnegative root of
+    rho degree phi^2 + (y_t + nu) phi - q_t = 0; the row sum falls as nu
+    rises, and bisection runs until the bracket is two adjacent floats.
+    Returns the row and the multiplier.
+    """
+    q = [float(v) for v in q_row]
+    y = [float(v) for v in y_row]
+    a = rho * degree
+
+    def row(nu: float) -> list[float]:
+        out = []
+        for qt, yt in zip(q, y):
+            z = yt + nu
+            root = math.sqrt(z * z + 4.0 * a * qt)
+            # the two forms of one root, each free of cancellation on its side
+            out.append(2.0 * qt / (z + root) if z > 0 else (root - z) / (2.0 * a))
+        return out
+
+    lo = -max(y) - a - 1.0     # every entry >= 1: the sum is >= 1
+    hi = -min(y) + sum(q) + 1.0  # every entry <= q_t / (sum q + 1): the sum is < 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if sum(row(mid)) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    nu = lo if abs(sum(row(lo)) - 1.0) <= abs(sum(row(hi)) - 1.0) else hi
+    return row(nu), nu
+
+
 def solve_phi_projected_gradient(
     q: np.ndarray,
     edges: np.ndarray,

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import project_simplex, solve_phi_projected_gradient
-from partialrank import DomainError, build_cayley_graph
+from oracles import project_simplex, solve_phi_projected_gradient, vertex_update_bisection
+from partialrank import DomainError, NumericError, build_cayley_graph
 from partialrank.admm import (
+    NU_HARD_TOL,
+    _vertex_update_batch,
     augmented_lagrangian,
     dual_sweep,
     edge_penalty,
@@ -65,6 +67,59 @@ class TestVertexUpdate:
     def test_rejects_negative_mass(self):
         with pytest.raises(DomainError):
             vertex_update(np.array([-1.0, 1.0]), np.zeros(2), 1.0, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        with pytest.raises(DomainError):
+            vertex_update(np.array([bad, 1.0]), np.zeros(2), 1.0, 2)
+        with pytest.raises(DomainError):
+            vertex_update(np.ones(2), np.array([0.0, bad]), 1.0, 2)
+
+    def test_nan_residual_fails_the_hard_tolerance(self):
+        # nan > NU_HARD_TOL is False: the check must not let a nan row through
+        with pytest.raises(NumericError):
+            _vertex_update_batch(np.array([[np.nan, 1.0]]), np.zeros((1, 2)), 1.0, 2)
+
+
+def _oracle_rows(q, y, rho, degree):
+    return np.array([vertex_update_bisection(qr, yr, rho, degree)[0] for qr, yr in zip(q, y)])
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+def test_batch_matches_scalar_bisection_oracle(r):
+    rng = np.random.default_rng(40 + r)
+    k, degree = r - 1, r - 1
+    for trial in range(6):
+        n = 30
+        y = np.clip(rng.normal(size=(n, k)) * 10 ** rng.uniform(-2, 3, size=(n, 1)), -1e3, 1e3)
+        q = rng.random((n, k)) * 10 ** rng.uniform(-6, 2, size=(n, 1))
+        q[rng.random((n, k)) < 0.3] = 0.0
+        q[:3] = 0.0
+        rho = float(rng.uniform(0.2, 3.0))
+        # warm start on the row's zero-mass entry, so z = y + nu is exactly 0 there
+        hit = -y[:, 0]
+        q[:, 0] = np.where(np.arange(n) % 2 == 0, 0.0, q[:, 0])
+        expected = _oracle_rows(q, y, rho, degree)
+        far = np.where(np.arange(n) % 3 == 0, 1e6, -1e6)
+        nan = np.full(n, np.nan)
+        for nu0 in (None, hit, far, nan):
+            phi, nu = _vertex_update_batch(q, y, rho, degree, nu0)
+            assert np.abs(phi - expected).max() <= 1e-10
+            assert np.abs(phi.sum(axis=1) - 1.0).max() <= NU_HARD_TOL
+            # the returned multipliers reproduce the rows as a warm start
+            again, _ = _vertex_update_batch(q, y, rho, degree, nu)
+            assert np.abs(again - expected).max() <= 1e-10
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_cold_start_on_exact_zero_z(degree):
+    # zero mass and a constant y with rho * degree = 1 put the first
+    # midpoint at nu = -y: every slope is 0/0 and the search must bisect
+    rho = 1.0 / degree
+    assert rho * degree == 1.0
+    y = np.full((1, degree), 3.0)
+    phi, _ = _vertex_update_batch(np.zeros((1, degree)), y, rho, degree)
+    assert np.abs(phi - 1.0 / degree).max() <= 1e-10
 
 
 class TestEdgeUpdate:
@@ -164,6 +219,17 @@ class TestSolvePhi:
             solve_phi(-np.ones((6, 2)), graph, 1.0)
         with pytest.raises(DomainError):
             solve_phi(np.ones((6, 2)), graph, -1.0)
+        with pytest.raises(DimensionError):
+            solve_phi(np.ones((6, 2)), graph, 1.0, phi0=np.full((5, 2), 0.5))
+        for bad in (np.nan, np.inf):
+            q = np.ones((6, 2))
+            q[2, 1] = bad
+            with pytest.raises(DomainError):
+                solve_phi(q, graph, 1.0)
+            phi0 = np.full((6, 2), 0.5)
+            phi0[0, 0] = bad
+            with pytest.raises(DomainError):
+                solve_phi(np.ones((6, 2)), graph, 1.0, phi0=phi0)
 
     def test_trace_emission(self, tmp_path):
         graph = build_cayley_graph(3)
@@ -191,6 +257,33 @@ class TestSweepInvariants:
         graph = build_cayley_graph(3)
         state = init_state(graph, np.full((6, 2), 0.5))
         assert state.copies.shape == state.duals.shape == (graph.n_vertices, 2, 2)
+        assert state.prev_copies.shape == state.work.shape == (graph.n_vertices, 2, 2)
+        assert state.nu.shape == (graph.n_vertices,)
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_sweeps_match_per_edge_updates(self, r):
+        # the buffered sweeps against edge_update on the edge list and the
+        # dual ascent written out per slot
+        graph = build_cayley_graph(r)
+        rng = np.random.default_rng(60 + r)
+        lam, rho = 3.0, 1.5
+        state = init_state(graph, rng.dirichlet(np.ones(r - 1), size=graph.n_vertices))
+        state.duals[...] = rng.normal(scale=0.1, size=state.duals.shape)
+        slot = {(int(v), int(u)): j for v in range(graph.n_vertices) for j, u in enumerate(graph.neighbors[v])}
+        for _ in range(3):
+            before = state.copies.copy()
+            a = state.phi[:, None, :] + state.duals
+            expected = np.empty_like(a)
+            for u, v in graph.edges:
+                ju, jv = slot[(int(u), int(v))], slot[(int(v), int(u))]
+                expected[u, ju], expected[v, jv] = edge_update(a[u, ju], a[v, jv], lam, rho)
+            edge_sweep(state, graph, lam, rho)
+            assert np.abs(state.copies - expected).max() <= 1e-15
+            assert np.array_equal(state.prev_copies, before)
+            duals = state.duals + (state.phi[:, None, :] - state.copies)
+            dual_sweep(state, graph)
+            assert np.array_equal(state.duals, duals)
+            vertex_sweep(state, rng.random((graph.n_vertices, r - 1)), graph, rho)
 
     def test_vertex_and_edge_steps_never_raise_the_lagrangian(self):
         graph = build_cayley_graph(3)
