@@ -137,7 +137,7 @@ def _cmd_fit(config: dict) -> None:
     _check_distinct_paths(config)
     r = int(_require(config, "r"))
     cap = int(config.get("cap", DEFAULT_CAP))
-    dataset = Dataset.load_csv(_require(config, "input"), r)
+    dataset = Dataset.load_csv(_require(config, "input"), r, cap)
     fit_cfg = _fit_config(config)
     method = dict(config.get("method", {"name": "R", "lam": fit_cfg.lam}))
     result = run_method(method, dataset, fit_cfg, cap)
@@ -160,7 +160,7 @@ def _cmd_eval(config: dict) -> None:
             raise DimensionError(f"fit over r={theta_hat.r}, config says r={r}")
         err = None
         if "dataset" in entry:
-            dataset = Dataset.load_csv(entry["dataset"], r)
+            dataset = Dataset.load_csv(entry["dataset"], r, cap)
             if dataset.true_clusters is not None and theta_hat.n_clusters > 1:
                 posteriors = e_step(theta_hat, phi_hat, dataset, cap).posteriors()
                 err = classification_error(dataset.true_clusters, posteriors)
@@ -176,7 +176,7 @@ def _cmd_eval(config: dict) -> None:
             lp = l_par(truth.theta, truth.phi_table, theta_hat, phi_hat, cap)
             lc = l_comp(truth.theta, theta_hat, cap)
         elif "test" in truth_cfg:
-            test = Dataset.load_csv(truth_cfg["test"], r)
+            test = Dataset.load_csv(truth_cfg["test"], r, cap)
             lp = l_par_empirical(test, theta_hat, phi_hat, cap)
             lc = None
         else:
@@ -202,7 +202,7 @@ def _cmd_cv(config: dict) -> None:
     _check_distinct_paths(config)
     r = int(_require(config, "r"))
     cap = int(config.get("cap", DEFAULT_CAP))
-    dataset = Dataset.load_csv(_require(config, "input"), r)
+    dataset = Dataset.load_csv(_require(config, "input"), r, cap)
     grid = _require(config, "grid")
     result = cross_validate(dataset, grid, _fit_config(config), cap)
     out = _out_dir(config)
@@ -226,7 +226,8 @@ def _cmd_cv(config: dict) -> None:
 def _cmd_split(config: dict) -> None:
     _check_distinct_paths(config)
     r = int(_require(config, "r"))
-    dataset = Dataset.load_csv(_require(config, "input"), r)
+    cap = int(config.get("cap", DEFAULT_CAP))
+    dataset = Dataset.load_csv(_require(config, "input"), r, cap)
     splits = resample_splits(
         dataset,
         int(_require(config, "test_size")),

@@ -14,6 +14,15 @@ Dataset CSV format (bit-exact; UTF-8, LF line endings)::
 ``items`` holds the top-t item ids joined by ``>`` in preference order.
 Simulated data may carry two extra columns: ``true_perm`` (the latent
 complete ranking, ``>``-joined) and ``true_cluster`` (0-based component id).
+
+In memory a :class:`Dataset` is arrays, not per-observation objects: ``obs[i]``
+is observation i's position in :func:`enumerate_partial_rankings` order (the
+length-t block's offset plus the prefix's row in the length-t
+:class:`~partialrank.perms.PrefixTable`), and ``true_vertices[i]`` is the
+vertex index of its latent complete ranking. Generation, the CSV round trip
+and grouping work on these arrays; ``Dataset.rankings`` and
+``Dataset.true_perms`` are views built from per-r shared objects, and
+``Dataset.from_rankings`` converts object lists.
 """
 
 from __future__ import annotations
@@ -32,10 +41,12 @@ from .perms import (
     DEFAULT_CAP,
     Permutation,
     TopTRanking,
+    check_cap,
     distances_from,
     index_of,
     perm_table,
     prefix_tables,
+    vertex_prefix,
 )
 
 logger = logging.getLogger(__name__)
@@ -118,155 +129,308 @@ class ObservationGroups:
     obs_pos: np.ndarray    # (n,) row within the block per observation
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Top-t observations over a common r, with optional simulation truth."""
+    """Top-t observations over a common r, with optional simulation truth.
+
+    ``obs[i]`` is observation i's position in :func:`enumerate_partial_rankings`
+    order and ``true_vertices[i]`` the vertex index of its latent complete
+    ranking; all three arrays are read-only. ``lengths``, ``rankings`` and
+    ``true_perms`` are derived views: the two lists hold per-r shared objects.
+    """
 
     r: int
-    rankings: list[TopTRanking]
-    true_perms: list[Permutation] | None = None
-    true_clusters: np.ndarray | None = None
-    _groups: ObservationGroups | None = field(default=None, repr=False, compare=False)
+    obs: np.ndarray                           # (n,) partial-ranking indices
+    true_vertices: np.ndarray | None = None   # (n,) vertex indices
+    true_clusters: np.ndarray | None = None   # (n,) 0-based component ids
+    _groups: ObservationGroups | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for tau in self.rankings:
-            if tau.r != self.r:
-                raise DimensionError(f"observation over {tau.r} items in r={self.r} dataset")
-        if self.true_perms is not None and len(self.true_perms) != len(self.rankings):
-            raise DimensionError("truth length does not match observations")
-        if self.true_clusters is not None and len(self.true_clusters) != len(self.rankings):
-            raise DimensionError("truth length does not match observations")
+        self.obs = _frozen_ids(self.obs)
+        self.true_vertices = _frozen_ids(self.true_vertices)
+        self.true_clusters = _frozen_ids(self.true_clusters)
+        n = self.obs.shape[0]
+        for truth in (self.true_vertices, self.true_clusters):
+            if truth is not None and truth.shape != (n,):
+                raise DimensionError("truth length does not match observations")
+        if not n:
+            return
+        offsets = _offsets(self.r)
+        if self.obs.min() < 0 or self.obs.max() >= offsets[-1]:
+            raise DomainError(f"observation index outside 0..{offsets[-1] - 1}")
+        if self.true_vertices is not None:
+            vertices = self.true_vertices
+            if vertices.min() < 0 or vertices.max() >= math.factorial(self.r):
+                raise DomainError(f"true vertex index outside 0..{math.factorial(self.r) - 1}")
+            t = self.lengths
+            implied = offsets[t - 1] + vertex_prefix(self.r, self.r)[vertices, t - 1]
+            bad = np.flatnonzero(implied != self.obs)
+            if bad.size:
+                raise DomainError(f"true ranking of observation {bad[0]} does not start with its observed items")
+        if self.true_clusters is not None and self.true_clusters.min() < 0:
+            raise DomainError("true cluster ids must be non-negative")
+
+    @classmethod
+    def from_rankings(cls, r: int, rankings, true_perms=None, true_clusters=None) -> "Dataset":
+        """Build from TopTRanking (and Permutation) objects."""
+        rankings = list(rankings)
+        for tau in rankings:
+            if tau.r != r:
+                raise DimensionError(f"observation over {tau.r} items in r={r} dataset")
+        tables = prefix_tables(r)
+        offsets = _offsets(r)
+        obs = [offsets[tau.t - 1] + tables[tau.t - 1].index[tau.items] for tau in rankings]
+        vertices = None
+        if true_perms is not None:
+            true_perms = list(true_perms)
+            if len(true_perms) != len(rankings):
+                raise DimensionError("truth length does not match observations")
+            for p in true_perms:
+                if p.r != r:
+                    raise DimensionError(f"true ranking over {p.r} items in r={r} dataset")
+            ordering_index = perm_table(r).ordering_index
+            vertices = [ordering_index[p.inverse] for p in true_perms]
+        return cls(r, obs, vertices, true_clusters)
 
     def __len__(self) -> int:
-        return len(self.rankings)
+        return self.obs.shape[0]
 
     @property
     def lengths(self) -> np.ndarray:
-        return np.array([tau.t for tau in self.rankings], dtype=np.int64)
+        return np.searchsorted(_offsets(self.r), self.obs, side="right")
+
+    @property
+    def rankings(self) -> list[TopTRanking]:
+        shared = _shared_rankings(self.r)
+        return [shared[i] for i in self.obs.tolist()]
+
+    @property
+    def true_perms(self) -> list[Permutation] | None:
+        if self.true_vertices is None:
+            return None
+        shared = _shared_perms(self.r)
+        return [shared[v] for v in self.true_vertices.tolist()]
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.r,
-            [self.rankings[i] for i in indices],
-            [self.true_perms[i] for i in indices] if self.true_perms is not None else None,
-            self.true_clusters[indices] if self.true_clusters is not None else None,
-        )
+        truth = (None if a is None else a[indices] for a in (self.true_vertices, self.true_clusters))
+        return Dataset(self.r, self.obs[indices], *truth)
 
     def groups(self, cap: int = DEFAULT_CAP) -> ObservationGroups:
         """Group observations sharing a prefix; cached after the first call."""
         if self._groups is None:
             tables = prefix_tables(self.r, cap)
-            keys: dict[tuple[int, int], int] = {}
-            per_key_count: list[int] = []
-            obs_key = np.empty(len(self), dtype=np.int64)
-            for i, tau in enumerate(self.rankings):
-                row = tables[tau.t - 1].index[tau.items]
-                key = (tau.t, row)
-                slot = keys.get(key)
-                if slot is None:
-                    slot = len(keys)
-                    keys[key] = slot
-                    per_key_count.append(0)
-                per_key_count[slot] += 1
-                obs_key[i] = slot
-            ordered = sorted(keys.items(), key=lambda kv: kv[0])
+            offsets = _offsets(self.r)
+            counts = np.bincount(self.obs, minlength=offsets[-1])
+            present = np.flatnonzero(counts)  # ascending, so by t and then by row
+            bounds = np.searchsorted(present, offsets)
+            # key -> (block, pos); entries of absent keys are never read
+            block_of = np.empty(offsets[-1], dtype=np.int64)
+            pos_of = np.empty(offsets[-1], dtype=np.int64)
             blocks: list[GroupBlock] = []
-            key_to_block_pos = {}
-            for t in sorted({t for (t, _), _ in ordered}):
-                rows = [row for (tt, row), _ in ordered if tt == t]
-                slots = [slot for (tt, _), slot in ordered if tt == t]
-                for pos, slot in enumerate(slots):
-                    key_to_block_pos[slot] = (len(blocks), pos)
-                rows_arr = np.array(rows, dtype=np.int32)
-                counts = np.array([per_key_count[s] for s in slots], dtype=np.int64)
-                members = tables[t - 1].members[rows_arr]
-                blocks.append(GroupBlock(t, rows_arr, counts, members))
-            obs_block = np.empty(len(self), dtype=np.int64)
-            obs_pos = np.empty(len(self), dtype=np.int64)
-            for i in range(len(self)):
-                obs_block[i], obs_pos[i] = key_to_block_pos[int(obs_key[i])]
-            self._groups = ObservationGroups(self.r, len(self), blocks, obs_block, obs_pos)
+            for t in range(1, self.r):
+                keys = present[bounds[t - 1] : bounds[t]]
+                if keys.size == 0:
+                    continue
+                block_of[keys] = len(blocks)
+                pos_of[keys] = np.arange(keys.size)
+                rows = (keys - offsets[t - 1]).astype(np.int32)
+                blocks.append(GroupBlock(t, rows, counts[keys], tables[t - 1].members[rows]))
+            self._groups = ObservationGroups(self.r, len(self), blocks, block_of[self.obs], pos_of[self.obs])
         return self._groups
 
     # -- CSV round trip ------------------------------------------------------
 
     def save_csv(self, path: str | Path) -> None:
-        with_truth = self.true_perms is not None
-        with_cluster = self.true_clusters is not None
+        text = _csv_text(self.r)
         header = ["t", "items"]
-        if with_truth:
+        columns = [[text.partial[i] for i in self.obs.tolist()]]
+        if self.true_vertices is not None:
             header.append("true_perm")
-        if with_cluster:
+            columns.append([text.perm[v] for v in self.true_vertices.tolist()])
+        if self.true_clusters is not None:
             header.append("true_cluster")
+            columns.append(list(map(str, self.true_clusters.tolist())))
+        lines = [",".join(header), *map(",".join, zip(*columns))]
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for i, tau in enumerate(self.rankings):
-                row = [str(tau.t), ">".join(str(x) for x in tau.items)]
-                if with_truth:
-                    row.append(">".join(str(x) for x in self.true_perms[i].inverse))
-                if with_cluster:
-                    row.append(str(int(self.true_clusters[i])))
-                writer.writerow(row)
+            fh.write("\n".join(lines) + "\n")
 
     @classmethod
-    def load_csv(cls, path: str | Path, r: int) -> "Dataset":
-        """Parse and validate a dataset file; errors carry line numbers."""
+    def load_csv(cls, path: str | Path, r: int, cap: int = DEFAULT_CAP) -> "Dataset":
+        """Parse and validate a dataset file; errors carry line numbers.
+
+        Rows spelled as :meth:`save_csv` writes them are looked up in per-r
+        tables. A row with any other field goes through :func:`_parse_row`,
+        which accepts other spellings of valid values (``02>5``, `` 3``) and
+        raises the row's first error.
+        """
+        check_cap(r, cap)
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            rows = list(csv.reader(fh))
         if not rows:
             logger.warning("empty dataset file %s", path)
             return cls(r, [])
         header = rows[0]
         if header[:2] != ["t", "items"]:
             raise DataFormatError(f"expected header starting with t,items; got {header}", line=1)
-        has_perm = "true_perm" in header
-        has_cluster = "true_cluster" in header
-        perm_col = header.index("true_perm") if has_perm else -1
-        cluster_col = header.index("true_cluster") if has_cluster else -1
-        rankings: list[TopTRanking] = []
-        perms: list[Permutation] = []
+        width = len(header)
+        perm_col = header.index("true_perm") if "true_perm" in header else None
+        cluster_col = header.index("true_cluster") if "true_cluster" in header else None
+
+        text = _csv_text(r)
+        cluster_ids: dict[str, int] = {}
+        obs: list[int] = []
+        vertices: list[int] = []
         clusters: list[int] = []
         for lineno, row in enumerate(rows[1:], start=2):
-            if not row:
+            if not row:  # csv.reader yields [] for a blank line
                 continue
-            if len(row) != len(header):
-                raise DataFormatError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
-            try:
-                t = int(row[0])
-            except ValueError as exc:
-                raise DataFormatError(f"bad length field {row[0]!r}", line=lineno) from exc
-            try:
-                items = tuple(int(x) for x in row[1].split(">"))
-            except ValueError as exc:
-                raise DataFormatError(f"bad items field {row[1]!r}", line=lineno) from exc
-            if t != len(items):
-                raise DataFormatError(f"length {t} does not match {len(items)} items", line=lineno)
-            try:
-                tau = TopTRanking(items, r)
-            except DomainError as exc:
-                raise DataFormatError(str(exc), line=lineno) from exc
-            rankings.append(tau)
-            if has_perm:
-                try:
-                    perms.append(Permutation.from_ordering([int(x) for x in row[perm_col].split(">")]))
-                except (ValueError, DomainError) as exc:
-                    raise DataFormatError(f"bad true_perm field {row[perm_col]!r}", line=lineno) from exc
-            if has_cluster:
-                try:
-                    clusters.append(int(row[cluster_col]))
-                except ValueError as exc:
-                    raise DataFormatError(f"bad true_cluster field {row[cluster_col]!r}", line=lineno) from exc
-        if not rankings:
+            ok = len(row) == width
+            if ok:
+                key = text.partial_index.get(f"{row[0]},{row[1]}", -1)
+                ok = key >= 0
+            if ok and perm_col is not None:
+                vertex = text.perm_index.get(row[perm_col], -1)
+                ok = vertex >= 0 and row[perm_col].startswith(row[1] + ">")
+            if ok and cluster_col is not None:
+                spelling = row[cluster_col]
+                cluster = cluster_ids.get(spelling)
+                if cluster is None:
+                    cluster = cluster_ids[spelling] = _canonical_id(spelling)
+                ok = cluster >= 0
+            if not ok:
+                key, vertex, cluster = _parse_row(row, lineno, r, width, perm_col, cluster_col)
+            obs.append(key)
+            if perm_col is not None:
+                vertices.append(vertex)
+            if cluster_col is not None:
+                clusters.append(cluster)
+        if not obs:
             logger.warning("dataset file %s holds no observations", path)
         return cls(
             r,
-            rankings,
-            perms if has_perm else None,
-            np.array(clusters, dtype=np.int64) if has_cluster else None,
+            obs,
+            None if perm_col is None else vertices,
+            None if cluster_col is None else clusters,
         )
+
+
+def _offsets(r: int) -> np.ndarray:
+    """Start of each length's block in enumeration order, shape (r,); the last entry is the total."""
+    return np.cumsum([0] + [math.perm(r, t) for t in range(1, r)])
+
+
+def _frozen_ids(values) -> np.ndarray | None:
+    """A read-only int64 copy of a 1-d index sequence; None stays None."""
+    if values is None:
+        return None
+    arr = np.array(values, dtype=np.int64)
+    if arr.ndim != 1:
+        raise DimensionError(f"expected a 1-d index array, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
+def _canonical_id(spelling: str) -> int:
+    """The non-negative int64 that ``str`` spells as this field, else -1."""
+    if spelling.isascii() and spelling.isdigit():
+        value = int(spelling)
+        if str(value) == spelling and value < 2**63:
+            return value
+    return -1
+
+
+def _parse_row(row, lineno: int, r: int, width: int, perm_col, cluster_col) -> tuple[int, int, int]:
+    """Field-by-field parse of one row: (observation index, vertex or -1, cluster or -1)."""
+    if len(row) != width:
+        raise DataFormatError(f"expected {width} fields, got {len(row)}", line=lineno)
+    try:
+        t = int(row[0])
+    except ValueError as exc:
+        raise DataFormatError(f"bad length field {row[0]!r}", line=lineno) from exc
+    try:
+        items = tuple(int(x) for x in row[1].split(">"))
+    except ValueError as exc:
+        raise DataFormatError(f"bad items field {row[1]!r}", line=lineno) from exc
+    if t != len(items):
+        raise DataFormatError(f"length {t} does not match {len(items)} items", line=lineno)
+    try:
+        TopTRanking(items, r)
+    except DomainError as exc:
+        raise DataFormatError(str(exc), line=lineno) from exc
+    obs = int(_offsets(r)[t - 1]) + prefix_tables(r, r)[t - 1].index[items]
+    vertex = cluster = -1
+    if perm_col is not None:
+        spelling = row[perm_col]
+        try:
+            perm = Permutation.from_ordering([int(x) for x in spelling.split(">")])
+        except (ValueError, DomainError) as exc:
+            raise DataFormatError(f"bad true_perm field {spelling!r}", line=lineno) from exc
+        if perm.r != r:
+            raise DataFormatError(f"true_perm field {spelling!r} ranks {perm.r} items, not {r}", line=lineno)
+        if perm.inverse[:t] != items:
+            raise DataFormatError(f"true_perm field {spelling!r} does not start with items {row[1]!r}", line=lineno)
+        vertex = perm_table(r, r).ordering_index[perm.inverse]
+    if cluster_col is not None:
+        try:
+            cluster = int(row[cluster_col])
+        except ValueError as exc:
+            raise DataFormatError(f"bad true_cluster field {row[cluster_col]!r}", line=lineno) from exc
+        if not 0 <= cluster < 2**63:
+            raise DataFormatError(f"true_cluster {cluster} is not a non-negative component id", line=lineno)
+    return obs, vertex, cluster
+
+
+@dataclass(frozen=True)
+class _CsvText:
+    """The CSV fields :meth:`Dataset.save_csv` writes at one r, and their inverses."""
+
+    partial: list[str]             # "t,items" per partial-ranking index
+    partial_index: dict[str, int]  # "t,items" -> partial-ranking index
+    perm: list[str]                # true_perm field per vertex
+    perm_index: dict[str, int]     # true_perm field -> vertex
+
+
+# Per-r objects and CSV fields shared by every Dataset view. Views build them
+# with cap = r: the cap guards the calls that create data (generate_dataset,
+# from_rankings, load_csv), and a view only reads tables at the dataset's r.
+_RANKINGS: dict[int, tuple[TopTRanking, ...]] = {}
+_PERMS: dict[int, tuple[Permutation, ...]] = {}
+_CSV_TEXT: dict[int, _CsvText] = {}
+
+
+def _shared_rankings(r: int) -> tuple[TopTRanking, ...]:
+    """One TopTRanking per partial ranking, in enumeration order."""
+    shared = _RANKINGS.get(r)
+    if shared is None:
+        shared = tuple(TopTRanking(p, r) for table in prefix_tables(r, r) for p in table.prefixes)
+        _RANKINGS[r] = shared
+    return shared
+
+
+def _shared_perms(r: int) -> tuple[Permutation, ...]:
+    """One Permutation per vertex, in vertex order."""
+    shared = _PERMS.get(r)
+    if shared is None:
+        shared = tuple(Permutation(tuple(ranks)) for ranks in perm_table(r, r).ranks.tolist())
+        _PERMS[r] = shared
+    return shared
+
+
+def _inverse(spellings: list[str]) -> dict[str, int]:
+    return {spelling: i for i, spelling in enumerate(spellings)}
+
+
+def _csv_text(r: int) -> _CsvText:
+    text = _CSV_TEXT.get(r)
+    if text is None:
+        partial = [
+            f"{table.t},{'>'.join(map(str, prefix))}" for table in prefix_tables(r, r) for prefix in table.prefixes
+        ]
+        perm = [">".join(map(str, ordering)) for ordering in perm_table(r, r).orderings.tolist()]
+        text = _CsvText(partial, _inverse(partial), perm, _inverse(perm))
+        _CSV_TEXT[r] = text
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +440,8 @@ class Dataset:
 
 def enumerate_partial_rankings(r: int, cap: int = DEFAULT_CAP) -> list[TopTRanking]:
     """Canonical enumeration of all top-t rankings: t ascending, prefixes lex."""
-    out = []
-    for table in prefix_tables(r, cap):
-        out.extend(TopTRanking(p, r) for p in table.prefixes)
-    return out
+    check_cap(r, cap)
+    return list(_shared_rankings(r))
 
 
 def partial_prob_vector(theta: MixtureParams, phi: MissingTable, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -296,12 +458,8 @@ def partial_prob_vector(theta: MixtureParams, phi: MissingTable, cap: int = DEFA
 
 def empirical_partial_counts(dataset: Dataset, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Observation counts aligned with :func:`enumerate_partial_rankings`."""
-    tables = prefix_tables(dataset.r, cap)
-    offsets = np.cumsum([0] + [len(tb.prefixes) for tb in tables])
-    counts = np.zeros(offsets[-1], dtype=np.int64)
-    for tau in dataset.rankings:
-        counts[offsets[tau.t - 1] + tables[tau.t - 1].index[tau.items]] += 1
-    return counts
+    check_cap(dataset.r, cap)
+    return np.bincount(dataset.obs, minlength=_offsets(dataset.r)[-1])
 
 
 def partial_pmf(tau: TopTRanking, theta: MixtureParams, phi: MissingTable) -> float:
@@ -411,11 +569,5 @@ def generate_dataset(
     draws = rng.random(n)
     ts = (draws[:, None] > cdf).sum(axis=1) + 1
     ts = np.minimum(ts, r - 1)
-    orderings = perm_table(r, cap).orderings
-    rankings = []
-    true_perms = []
-    for i in range(n):
-        ordering = tuple(int(x) for x in orderings[vertices[i]])
-        rankings.append(TopTRanking(ordering[: int(ts[i])], r))
-        true_perms.append(Permutation.from_ordering(ordering))
-    return Dataset(r, rankings, true_perms, clusters.astype(np.int64))
+    obs = _offsets(r)[ts - 1] + vertex_prefix(r, cap)[vertices, ts - 1]
+    return Dataset(r, obs, vertices, clusters)

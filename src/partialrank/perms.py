@@ -194,6 +194,7 @@ class PrefixTable:
 
 _PERM_TABLES: dict[int, PermTable] = {}
 _PREFIX_TABLES: dict[int, list[PrefixTable]] = {}
+_VERTEX_PREFIX: dict[int, np.ndarray] = {}
 _GRAPHS: dict[int, "CayleyGraph"] = {}
 
 
@@ -223,6 +224,28 @@ def perm_table(r: int, cap: int = DEFAULT_CAP) -> PermTable:
     return table
 
 
+def vertex_prefix(r: int, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """(V, r-1) int32: entry [v, t-1] is the row of vertex v's top-t prefix in the length-t table.
+
+    Each prefix is coded in mixed radix r (item - 1 per digit), so numeric
+    order of the codes is lexicographic order of the item tuples.
+    """
+    if r < 2:
+        raise DomainError("need r >= 2")
+    check_cap(r, cap)
+    table = _VERTEX_PREFIX.get(r)
+    if table is None:
+        digits = perm_table(r, cap).orderings.astype(np.int64) - 1
+        table = np.empty((digits.shape[0], r - 1), dtype=np.int32)
+        code = np.zeros(digits.shape[0], dtype=np.int64)
+        for t in range(1, r):
+            code = code * r + digits[:, t - 1]
+            table[:, t - 1] = np.unique(code, return_inverse=True)[1]
+        table.flags.writeable = False
+        _VERTEX_PREFIX[r] = table
+    return table
+
+
 def prefix_tables(r: int, cap: int = DEFAULT_CAP) -> list[PrefixTable]:
     """Prefix enumerations for t = 1..r-1 (list position t-1)."""
     if r < 2:
@@ -230,20 +253,16 @@ def prefix_tables(r: int, cap: int = DEFAULT_CAP) -> list[PrefixTable]:
     check_cap(r, cap)
     tables = _PREFIX_TABLES.get(r)
     if tables is None:
-        tab = perm_table(r, cap)
-        orderings = tab.orderings
+        orderings = perm_table(r, cap).orderings
+        rows = vertex_prefix(r, cap)
         tables = []
         for t in range(1, r):
-            prefixes = list(itertools.permutations(range(1, r + 1), t))
-            index = {p: g for g, p in enumerate(prefixes)}
-            m = math.factorial(r - t)
-            members = np.empty((len(prefixes), m), dtype=np.int32)
-            fill = np.zeros(len(prefixes), dtype=np.int32)
-            for v in range(tab.n_vertices):
-                g = index[tuple(int(x) for x in orderings[v, :t])]
-                members[g, fill[g]] = v
-                fill[g] += 1
+            # a stable sort keeps each prefix's vertices in ascending order
+            members = np.argsort(rows[:, t - 1], kind="stable").astype(np.int32)
+            members = members.reshape(-1, math.factorial(r - t))
             members.flags.writeable = False
+            prefixes = [tuple(p) for p in orderings[members[:, 0], :t].tolist()]
+            index = {p: g for g, p in enumerate(prefixes)}
             tables.append(PrefixTable(t, prefixes, index, members))
         _PREFIX_TABLES[r] = tables
     return tables

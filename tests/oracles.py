@@ -6,6 +6,7 @@ implementations under test.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from collections import deque
@@ -199,3 +200,157 @@ def solve_phi_projected_gradient(
             if residual <= tol:
                 break
     return phi, objective(phi)
+
+
+# ---------------------------------------------------------------------------
+# Per-object data path: one TopTRanking and one Permutation per observation.
+# ---------------------------------------------------------------------------
+
+
+def lex_orderings(r: int) -> list[tuple[int, ...]]:
+    """Items by rank for every vertex; vertices in lexicographic order of rank tuples."""
+    out = []
+    for ranks in itertools.permutations(range(1, r + 1)):
+        ordering = [0] * r
+        for item, rank in enumerate(ranks, start=1):
+            ordering[rank - 1] = item
+        out.append(tuple(ordering))
+    return out
+
+
+def generate_dataset_loop(theta, mech, n: int, rng_seed: int):
+    """Per-observation generator: (rankings, true_perms, true_clusters).
+
+    The draws come from the package's sampler in the order ``generate_dataset``
+    makes them; the length draw and the truncation are a plain loop.
+    """
+    from partialrank import Permutation, TopTRanking
+    from partialrank.mallows import sample_vertices
+    from partialrank.missing import ClusterMissingSpec
+
+    r = theta.r
+    rng = np.random.default_rng(rng_seed)
+    vertices, clusters = sample_vertices(theta, n, rng)
+    rows = mech.rows[clusters] if isinstance(mech, ClusterMissingSpec) else mech.probs[vertices]
+    cdf = np.cumsum(rows, axis=1)
+    draws = rng.random(n)
+    orderings = lex_orderings(r)
+    rankings, perms = [], []
+    for i in range(n):
+        t = min(sum(1 for c in cdf[i] if draws[i] > c) + 1, r - 1)
+        ordering = orderings[int(vertices[i])]
+        rankings.append(TopTRanking(ordering[:t], r))
+        perms.append(Permutation.from_ordering(ordering))
+    return rankings, perms, [int(c) for c in clusters]
+
+
+def group_observations(r: int, rankings):
+    """Dict-based grouping: (blocks, obs_block, obs_pos).
+
+    Each block is (t, rows, counts, members) for one length, rows ascending in
+    lexicographic prefix order, members the ascending vertices extending the
+    prefix.
+    """
+    prefixes = {t: list(itertools.permutations(range(1, r + 1), t)) for t in range(1, r)}
+    row_of = {t: {p: g for g, p in enumerate(prefixes[t])} for t in prefixes}
+    extending: dict[tuple[int, ...], list[int]] = {}
+    for v, ordering in enumerate(lex_orderings(r)):
+        for t in range(1, r):
+            extending.setdefault(ordering[:t], []).append(v)
+    slots: dict[tuple[int, int], int] = {}
+    counts: list[int] = []
+    obs_slot = []
+    for tau in rankings:
+        key = (tau.t, row_of[tau.t][tau.items])
+        if key not in slots:
+            slots[key] = len(slots)
+            counts.append(0)
+        counts[slots[key]] += 1
+        obs_slot.append(slots[key])
+    blocks = []
+    where = {}
+    for t in sorted({t for t, _ in slots}):
+        entries = sorted((row, slot) for (tt, row), slot in slots.items() if tt == t)
+        for pos, (_, slot) in enumerate(entries):
+            where[slot] = (len(blocks), pos)
+        rows = [row for row, _ in entries]
+        blocks.append((
+            t,
+            rows,
+            [counts[slot] for _, slot in entries],
+            [extending[prefixes[t][row]] for row in rows],
+        ))
+    return blocks, [where[s][0] for s in obs_slot], [where[s][1] for s in obs_slot]
+
+
+def write_csv_writer(path, rankings, true_perms=None, true_clusters=None) -> None:
+    """The dataset CSV written row by row through ``csv.writer``."""
+    header = ["t", "items"]
+    if true_perms is not None:
+        header.append("true_perm")
+    if true_clusters is not None:
+        header.append("true_cluster")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, tau in enumerate(rankings):
+            row = [str(tau.t), ">".join(str(x) for x in tau.items)]
+            if true_perms is not None:
+                row.append(">".join(str(x) for x in true_perms[i].inverse))
+            if true_clusters is not None:
+                row.append(str(int(true_clusters[i])))
+            writer.writerow(row)
+
+
+def read_csv_rows(path, r: int):
+    """Row-by-row dataset reader: (rankings, true_perms or None, true_clusters or None).
+
+    Raises ``DataFormatError`` with the line number for the format errors of
+    the documented CSV; it does not check the truth columns against ``items``.
+    """
+    from partialrank import DataFormatError, DomainError, Permutation, TopTRanking
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        return [], None, None
+    header = rows[0]
+    if header[:2] != ["t", "items"]:
+        raise DataFormatError(f"expected header starting with t,items; got {header}", line=1)
+    perm_col = header.index("true_perm") if "true_perm" in header else None
+    cluster_col = header.index("true_cluster") if "true_cluster" in header else None
+    rankings, perms, clusters = [], [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataFormatError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
+        try:
+            t = int(row[0])
+        except ValueError as exc:
+            raise DataFormatError(f"bad length field {row[0]!r}", line=lineno) from exc
+        try:
+            items = tuple(int(x) for x in row[1].split(">"))
+        except ValueError as exc:
+            raise DataFormatError(f"bad items field {row[1]!r}", line=lineno) from exc
+        if t != len(items):
+            raise DataFormatError(f"length {t} does not match {len(items)} items", line=lineno)
+        try:
+            rankings.append(TopTRanking(items, r))
+        except DomainError as exc:
+            raise DataFormatError(str(exc), line=lineno) from exc
+        if perm_col is not None:
+            try:
+                perms.append(Permutation.from_ordering([int(x) for x in row[perm_col].split(">")]))
+            except (ValueError, DomainError) as exc:
+                raise DataFormatError(f"bad true_perm field {row[perm_col]!r}", line=lineno) from exc
+        if cluster_col is not None:
+            try:
+                clusters.append(int(row[cluster_col]))
+            except ValueError as exc:
+                raise DataFormatError(f"bad true_cluster field {row[cluster_col]!r}", line=lineno) from exc
+    return (
+        rankings,
+        perms if perm_col is not None else None,
+        clusters if cluster_col is not None else None,
+    )

@@ -34,7 +34,7 @@ def uniform_theta(r, c=1e-12):
 
 class TestEStep:
     def test_singleton_support(self):
-        ds = Dataset(4, [TopTRanking((2, 4, 1), 4)])
+        ds = Dataset.from_rankings(4, [TopTRanking((2, 4, 1), 4)])
         resp = e_step(uniform_theta(4, 1.0), MissingTable.uniform(4), ds)
         members, weights = resp.per_observation(0)
         assert members.shape == (1,)
@@ -42,13 +42,13 @@ class TestEStep:
         assert weights[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_symmetry(self):
-        ds = Dataset(4, [TopTRanking((3, 1), 4)])
+        ds = Dataset.from_rankings(4, [TopTRanking((3, 1), 4)])
         resp = e_step(uniform_theta(4), MissingTable.uniform(4), ds)
         _, weights = resp.per_observation(0)
         assert np.allclose(weights, 0.5, atol=1e-9)
 
     def test_hand_weights_r3(self):
-        ds = Dataset(3, [TopTRanking((1,), 3)])
+        ds = Dataset.from_rankings(3, [TopTRanking((1,), 3)])
         theta = MixtureParams.single(Permutation.identity(3), 1.0)
         resp = e_step(theta, MissingTable.uniform(3), ds)
         members, weights = resp.per_observation(0)
@@ -80,7 +80,7 @@ class TestEStep:
         assert np.abs(rebuilt - resp.q_table).max() < 1e-9
 
     def test_zero_likelihood_names_observation(self):
-        ds = Dataset(3, [TopTRanking((1,), 3), TopTRanking((2,), 3)])
+        ds = Dataset.from_rankings(3, [TopTRanking((1,), 3), TopTRanking((2,), 3)])
         probs = np.full((6, 2), 0.5)
         # kill length-1 mass on the compatible set of observation 1 (item 2 first)
         for p in compatible_set(TopTRanking((2,), 3)):
@@ -117,14 +117,14 @@ class TestMStepTheta:
         target = Permutation((2, 1, 3))
         mass = np.zeros((1, 6))
         mass[0, index_of(target)] = 5.0
-        params = m_step_theta(make_resp(3, mass), Dataset(3, []), c_max=20.0)
+        params = m_step_theta(make_resp(3, mass), Dataset.from_rankings(3, []), c_max=20.0)
         assert params.components[0].sigma == target
         assert params.components[0].c == pytest.approx(20.0, abs=1e-6)
 
     def test_recovers_generating_concentration(self):
         theta0 = MixtureParams.single(Permutation((2, 3, 1, 4)), 1.0)
         mass = mixture_pmf(theta0)[None, :] * 50.0
-        params = m_step_theta(make_resp(4, mass), Dataset(4, []))
+        params = m_step_theta(make_resp(4, mass), Dataset.from_rankings(4, []))
         assert params.components[0].sigma == theta0.components[0].sigma
         assert params.components[0].c == pytest.approx(1.0, abs=1e-6)
 
@@ -134,7 +134,7 @@ class TestMStepTheta:
         mass = np.zeros((1, 6))
         mass[0, index_of(n1)] = 0.5
         mass[0, index_of(n2)] = 0.5
-        params = m_step_theta(make_resp(3, mass), Dataset(3, []))
+        params = m_step_theta(make_resp(3, mass), Dataset.from_rankings(3, []))
         # identity, n1, n2 all score 1; the smallest rank sequence wins
         assert params.components[0].sigma == Permutation.identity(3)
 
@@ -142,21 +142,21 @@ class TestMStepTheta:
         mass = np.zeros((2, 6))
         mass[0, 0] = 3.0
         mass[1, 5] = 1.0
-        params = m_step_theta(make_resp(3, mass), Dataset(3, []))
+        params = m_step_theta(make_resp(3, mass), Dataset.from_rankings(3, []))
         assert params.weights == pytest.approx((0.75, 0.25), abs=1e-12)
 
     def test_empty_cluster_raises(self):
         mass = np.zeros((2, 6))
         mass[0, 0] = 1.0
         with pytest.raises(DegenerateClusterError):
-            m_step_theta(make_resp(3, mass), Dataset(3, []))
+            m_step_theta(make_resp(3, mass), Dataset.from_rankings(3, []))
 
     def test_location_minimizes_brute_force_expected_distance(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             mass = rng.random((1, 24)) * rng.integers(0, 2, size=(1, 24))
             mass[0, rng.integers(24)] += 1.0
-            params = m_step_theta(make_resp(4, mass), Dataset(4, []))
+            params = m_step_theta(make_resp(4, mass), Dataset.from_rankings(4, []))
             scores = brute_force_scores(4, mass[0])
             assert index_of(params.components[0].sigma) == int(np.argmin(scores))
 
@@ -168,7 +168,7 @@ class TestMStepTheta:
             mass[0, [u, v]] = 1.0
             scores = brute_force_scores(4, mass[0])
             assert scores[u] == scores[v] == scores.min() == 1.0
-            params = m_step_theta(make_resp(4, mass), Dataset(4, []))
+            params = m_step_theta(make_resp(4, mass), Dataset.from_rankings(4, []))
             assert index_of(params.components[0].sigma) == min(u, v)
 
     def test_concentration_is_an_interior_stationary_point(self):
@@ -176,7 +176,7 @@ class TestMStepTheta:
 
         rng = np.random.default_rng(20)
         mass = rng.random((1, 24)) * 4
-        params = m_step_theta(make_resp(4, mass), Dataset(4, []))
+        params = m_step_theta(make_resp(4, mass), Dataset.from_rankings(4, []))
         c_hat = params.components[0].c
         assert 1e-4 < c_hat < 20.0
         expected_dist = brute_force_scores(4, mass[0]).min()
@@ -195,7 +195,7 @@ class TestFit:
     def test_identical_complete_rankings(self):
         target = Permutation((3, 1, 2, 4))
         tau = TopTRanking(target.inverse[:3], 4)
-        ds = Dataset(4, [tau] * 30)
+        ds = Dataset.from_rankings(4, [tau] * 30)
         result = fit(ds, FitConfig(lam=0.0, restarts=3, seed=0))
         assert result.theta.components[0].sigma == target
         row = result.phi.probs[index_of(target)]
@@ -266,7 +266,7 @@ class TestFit:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DomainError):
-            fit(Dataset(3, []), FitConfig())
+            fit(Dataset.from_rankings(3, []), FitConfig())
 
 
 class TestFitMe:

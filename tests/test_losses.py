@@ -96,7 +96,7 @@ class TestLParEmpirical:
         row = np.zeros(2)
         row[-1] = 1.0
         phi = MissingTable.homogeneous(3, row)
-        test = Dataset(3, [TopTRanking((3, 2), 3)] * 5)
+        test = Dataset.from_rankings(3, [TopTRanking((3, 2), 3)] * 5)
         assert l_par_empirical(test, theta, phi) == pytest.approx(2.0, abs=1e-6)
 
     def test_three_point_arithmetic(self):
@@ -105,13 +105,13 @@ class TestLParEmpirical:
         phi = MissingTable.homogeneous(3, [1.0 / 3.0, 2.0 / 3.0])
         probs = partial_prob_vector(theta, phi)
         assert np.allclose(probs, 1.0 / 9.0, atol=1e-9)
-        test = Dataset(3, [TopTRanking((1,), 3)] * 2 + [TopTRanking((2,), 3)])
+        test = Dataset.from_rankings(3, [TopTRanking((1,), 3)] * 2 + [TopTRanking((2,), 3)])
         expected = abs(2 / 3 - 1 / 9) + abs(1 / 3 - 1 / 9) + 7 * (1 / 9)
         assert l_par_empirical(test, theta, phi) == pytest.approx(expected, abs=1e-8)
 
     def test_empty_test_rejected(self):
         with pytest.raises(DomainError):
-            l_par_empirical(Dataset(3, []), uniformish(3), MissingTable.uniform(3))
+            l_par_empirical(Dataset.from_rankings(3, []), uniformish(3), MissingTable.uniform(3))
 
 
 class TestLComp:

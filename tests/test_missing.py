@@ -221,7 +221,7 @@ class TestGenerateDataset:
 
 class TestDatasetCsv:
     def test_format_line(self, tmp_path):
-        ds = Dataset(4, [TopTRanking((2, 3, 1), 4)])
+        ds = Dataset.from_rankings(4, [TopTRanking((2, 3, 1), 4)])
         path = tmp_path / "d.csv"
         ds.save_csv(path)
         assert path.read_text() == "t,items\n3,2>3>1\n"
@@ -252,6 +252,22 @@ class TestDatasetCsv:
         with pytest.raises(DataFormatError):
             Dataset.load_csv(path, 4)  # t must be at most r-1
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("2,3>1,1>2>3,0", "ranks 3 items, not 4"),
+            ("2,3>1,3>2>1>4,0", "does not start with items"),
+            ("2,3>1,3>1>2>4,-3", "true_cluster -3"),
+        ],
+        ids=["true_perm length", "true_perm prefix", "negative true_cluster"],
+    )
+    def test_inconsistent_truth_rejected_with_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,items,true_perm,true_cluster\n1,4,4>1>2>3,1\n{row}\n2,3>3,3>1>2>4,0\n")
+        with pytest.raises(DataFormatError, match=message) as err:
+            Dataset.load_csv(path, 4)
+        assert err.value.line == 3
+
     def test_empty_file_warns(self, tmp_path, caplog):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -263,7 +279,7 @@ class TestDatasetCsv:
 
 class TestGroupsAndCounts:
     def test_group_counts_and_members(self):
-        ds = Dataset(
+        ds = Dataset.from_rankings(
             3,
             [
                 TopTRanking((1,), 3),
@@ -281,7 +297,7 @@ class TestGroupsAndCounts:
         )
 
     def test_empirical_counts_align(self):
-        ds = Dataset(3, [TopTRanking((2,), 3), TopTRanking((2,), 3), TopTRanking((1, 3), 3)])
+        ds = Dataset.from_rankings(3, [TopTRanking((2,), 3), TopTRanking((2,), 3), TopTRanking((1, 3), 3)])
         counts = empirical_partial_counts(ds)
         taus = enumerate_partial_rankings(3)
         assert counts.sum() == 3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bfs_distance, discordant_pairs
+from oracles import bfs_distance, discordant_pairs, lex_orderings
 from partialrank import (
     CapacityError,
     DimensionError,
@@ -19,7 +19,7 @@ from partialrank import (
     kendall_distance,
     unindex,
 )
-from partialrank.perms import distances_from, prefix_tables, write_edge_csv
+from partialrank.perms import distances_from, prefix_tables, vertex_prefix, write_edge_csv
 
 
 def perm_strategy(r):
@@ -201,6 +201,24 @@ class TestVectorizedHelpers:
             row = distances_from(4, i)
             for j in range(24):
                 assert row[j] == discordant_pairs(unindex(i, 4).ranks, unindex(j, 4).ranks)
+
+    @pytest.mark.parametrize("r", range(2, 8))
+    def test_prefix_tables_match_itertools(self, r):
+        orderings = lex_orderings(r)
+        extending = {}
+        for v, o in enumerate(orderings):
+            for t in range(1, r):
+                extending.setdefault(o[:t], []).append(v)
+        rows = vertex_prefix(r)
+        assert rows.shape == (len(orderings), r - 1) and not rows.flags.writeable
+        for table in prefix_tables(r):
+            t = table.t
+            expected = list(itertools.permutations(range(1, r + 1), t))
+            assert table.prefixes == expected
+            assert table.index == {p: g for g, p in enumerate(expected)}
+            assert table.members.dtype == np.int32 and not table.members.flags.writeable
+            assert table.members.tolist() == [extending[p] for p in expected]
+            assert [expected[g] for g in rows[:, t - 1]] == [o[:t] for o in orderings]
 
     def test_prefix_tables_partition_vertices(self):
         tables = prefix_tables(4)
