@@ -21,6 +21,15 @@ items at positions j and j+1. That swap undoes itself, so ``N[N[v, j], j] == v``
 and the other endpoint's copy on the same edge sits at ``[N[v, j], j]``. Every
 sweep is then a broadcast over ``(V, r-1, r-1)`` arrays plus one gather,
 written into buffers the state owns.
+
+A solve can carry a leading member axis: :func:`solve_phi_batch` runs several
+problems on the same graph, each with its own ``q``, ``lam`` and start, in
+lockstep, and a member leaves the stack once it converges. Every operation
+is row-local, so each member's iterates are bitwise those of its own
+:func:`solve_phi`; at r = 5 the arrays are so small that stacking members
+mostly saves numpy's per-call overhead. The objective is evaluated only at
+the end, for a trace, or to pick the best iterate of a member that stops
+unconverged.
 """
 
 from __future__ import annotations
@@ -38,12 +47,14 @@ from .perms import CayleyGraph
 NU_TOL = 1e-12          # target on the simplex residual |sum(phi) - 1|
 NU_HARD_TOL = 1e-10     # failure threshold (would violate the row-sum contract)
 _MAX_NU_PASSES = 300    # passes of the multiplier search over the rows still active
+_STATE_BYTES = 1 << 25  # cap on the slot buffers of one batched solve (32 MiB)
 
 
 @dataclass
 class AdmmState:
     """Primal rows and their multipliers, per-neighbor-slot copies and duals,
-    the buffers the sweeps write into, and residuals."""
+    and the buffers the sweeps write into. A batched state carries a leading
+    member axis on every array."""
 
     phi: np.ndarray          # (V, r-1)
     nu: np.ndarray           # (V,): simplex multipliers of the last vertex sweep, nan before it
@@ -52,8 +63,6 @@ class AdmmState:
     prev_copies: np.ndarray  # (V, r-1, r-1): the copies before the last edge sweep
     work: np.ndarray         # (V, r-1, r-1): scratch for the sweeps and residuals
     iteration: int = 0
-    res_primal: float = np.inf
-    res_dual: float = np.inf
 
 
 @dataclass(frozen=True)
@@ -66,9 +75,9 @@ class AdmmResult:
     objective: float
 
 
-def mixing_weight(lam: float, rho: float) -> float:
-    """Exact minimizer weight for the per-edge subproblem."""
-    if lam < 0 or rho <= 0:
+def mixing_weight(lam: float | np.ndarray, rho: float) -> float | np.ndarray:
+    """Exact minimizer weight for the per-edge subproblem, elementwise in ``lam``."""
+    if np.any(np.asarray(lam) < 0) or rho <= 0:
         raise DomainError("need lam >= 0 and rho > 0")
     return 0.5 * (1.0 + rho / (4.0 * lam + rho))
 
@@ -171,12 +180,14 @@ def vertex_update(q_row: np.ndarray, y: np.ndarray, rho: float, degree: int) -> 
 
 
 def _partner(slots: np.ndarray, graph: CayleyGraph, out: np.ndarray | None = None) -> np.ndarray:
-    """The other endpoint's entry on each slot's edge: ``slots[N[v, j], j]``."""
+    """The other endpoint's entry on each slot's edge: ``slots[..., N[v, j], j]``."""
     # one take over flattened (vertex, slot) rows; indexing with the pair of
     # arrays (N, slot) gathers the same rows about 3x slower at r = 7. The
     # rows are in range by construction of the graph, and mode "clip" lets
     # take write straight into ``out`` where "raise" buffers a copy.
     rows = graph.neighbors * (graph.r - 1) + np.arange(graph.r - 1)
+    if slots.ndim == 4:  # members follow one another in the flattened rows
+        rows = np.arange(slots.shape[0])[:, None, None] * rows.size + rows
     return np.take(slots.reshape(-1, slots.shape[-1]), rows, axis=0, out=out, mode="clip")
 
 
@@ -220,11 +231,12 @@ def augmented_lagrangian(state: AdmmState, q: np.ndarray, graph: CayleyGraph, la
 
 
 def init_state(graph: CayleyGraph, phi0: np.ndarray) -> AdmmState:
+    """Copies equal to the rows and zero duals; ``phi0`` is ``(V, r-1)`` or ``(B, V, r-1)``."""
     phi = np.array(phi0, dtype=float)
-    copies = np.repeat(phi[:, None, :], graph.r - 1, axis=1)
+    copies = np.repeat(phi[..., None, :], graph.r - 1, axis=-2)
     return AdmmState(
         phi=phi,
-        nu=np.full(graph.n_vertices, np.nan),
+        nu=np.full(phi.shape[:-1], np.nan),
         copies=copies,
         duals=np.zeros_like(copies),
         prev_copies=copies.copy(),
@@ -233,19 +245,28 @@ def init_state(graph: CayleyGraph, phi0: np.ndarray) -> AdmmState:
 
 
 # The sweeps write into the state's (V, r-1, r-1) buffers: at r = 7 each
-# fresh temporary would be a 1.4 MB allocation on every ADMM iteration.
+# fresh temporary would be a 1.4 MB allocation on every ADMM iteration. They
+# take an unbatched state or one with a leading member axis alike; every
+# operation is row-local, so a member's iterates do not depend on the others.
 
 
 def vertex_sweep(state: AdmmState, q: np.ndarray, graph: CayleyGraph, rho: float) -> None:
-    y = np.subtract(state.duals, state.copies, out=state.work).sum(axis=1)
+    y = np.subtract(state.duals, state.copies, out=state.work).sum(axis=-2)
     y *= rho
-    state.phi, state.nu = _vertex_update_batch(q, y, rho, graph.r - 1, state.nu)
+    width = graph.r - 1
+    phi, nu = _vertex_update_batch(q.reshape(-1, width), y.reshape(-1, width), rho, width, state.nu.reshape(-1))
+    state.phi, state.nu = phi.reshape(y.shape), nu.reshape(state.nu.shape)
 
 
-def edge_sweep(state: AdmmState, graph: CayleyGraph, lam: float, rho: float) -> None:
-    """New copies into the stale buffer; the copies they replace become ``prev_copies``."""
+def edge_sweep(state: AdmmState, graph: CayleyGraph, lam: float | np.ndarray, rho: float) -> None:
+    """New copies into the stale buffer; the copies they replace become ``prev_copies``.
+
+    ``lam`` is one strength, or one per member of a batched state.
+    """
     alpha = mixing_weight(lam, rho)
-    a = np.add(state.phi[:, None, :], state.duals, out=state.prev_copies)
+    if np.ndim(alpha):
+        alpha = alpha[:, None, None, None]
+    a = np.add(state.phi[..., None, :], state.duals, out=state.prev_copies)
     b = _partner(a, graph, out=state.work)
     b *= 1.0 - alpha
     a *= alpha
@@ -254,7 +275,142 @@ def edge_sweep(state: AdmmState, graph: CayleyGraph, lam: float, rho: float) -> 
 
 
 def dual_sweep(state: AdmmState, graph: CayleyGraph) -> None:
-    state.duals += np.subtract(state.phi[:, None, :], state.copies, out=state.work)
+    state.duals += np.subtract(state.phi[..., None, :], state.copies, out=state.work)
+
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """Per-member Frobenius norms of a ``(B, V, r-1, r-1)`` array, squared in place.
+
+    Each member's slice is contiguous, so its reduction is the same pairwise
+    sum as that of the member's array on its own.
+    """
+    return np.sqrt(np.square(diff, out=diff).sum(axis=(-3, -2, -1)))
+
+
+def _select(state: AdmmState, keep: np.ndarray) -> None:
+    """Keep the members of a batched state where ``keep`` is true.
+
+    The arrays are compacted into the front of their own buffers, so a
+    member leaving allocates no new state.
+    """
+    count = int(keep.sum())
+    for name in ("phi", "nu", "copies", "duals"):
+        kept = getattr(state, name)
+        kept[:count] = kept[keep]
+        setattr(state, name, kept[:count])
+    # the contents of these two are dead between iterations
+    state.prev_copies, state.work = state.prev_copies[:count], state.work[:count]
+
+
+def _iterate(
+    q: np.ndarray,
+    phi0: np.ndarray,
+    lam: np.ndarray,
+    graph: CayleyGraph,
+    rho: float,
+    eps_primal: float,
+    eps_dual: float,
+    max_iter: int,
+    trace: list | None = None,
+) -> list[tuple]:
+    """Run the splitting iteration on a stack of members in lockstep.
+
+    Returns ``(phi, iterations, res_primal, res_dual, converged)`` per member.
+    A member leaves the stack once both its residuals are below their
+    thresholds or it has run ``max_iter`` iterations. With ``trace`` (a list;
+    one member only) each iteration appends its objective and residuals, and
+    an unconverged member returns its best iterate by objective.
+    """
+    state = init_state(graph, phi0)
+    out = [(state.phi[b], 0, np.inf, np.inf, False) for b in range(len(q))]
+    members = np.arange(len(q))
+    best_phi, best_obj = state.phi[0], np.inf
+    while members.size and state.iteration < max_iter:
+        vertex_sweep(state, q, graph, rho)
+        edge_sweep(state, graph, lam, rho)
+        dual_sweep(state, graph)
+        res_p = _norms(np.subtract(state.phi[..., None, :], state.copies, out=state.work))
+        res_d = _norms(np.subtract(state.copies, state.prev_copies, out=state.work))
+        state.iteration += 1
+        if trace is not None:
+            obj = phi_objective(state.phi[0], q[0], graph, float(lam[0]))
+            if obj < best_obj:
+                best_obj, best_phi = obj, state.phi[0]
+            trace.append((state.iteration, obj, float(res_p[0]), float(res_d[0])))
+        converged = (res_p < eps_primal) & (res_d < eps_dual)
+        done = converged | (state.iteration >= max_iter)
+        if done.any():
+            for b in np.flatnonzero(done):
+                # a copy: the stack's rows are compacted in place below
+                phi = state.phi[b].copy() if converged[b] or trace is None else best_phi
+                out[members[b]] = (phi, state.iteration, float(res_p[b]), float(res_d[b]), bool(converged[b]))
+            keep = ~done
+            members, q, lam = members[keep], q[keep], lam[keep]
+            _select(state, keep)
+    return out
+
+
+def solve_phi_batch(
+    q_tables: np.ndarray,
+    graph: CayleyGraph,
+    lams: np.ndarray,
+    rho: float,
+    phi0s: np.ndarray,
+    eps_primal: float = 1.0,
+    eps_dual: float = 1.0,
+    max_iter: int = 100,
+    trace: list | None = None,
+) -> list[AdmmResult]:
+    """:func:`solve_phi` for a stack of members that share the graph, rho, the
+    tolerances and ``max_iter``; member b has its own ``q_tables[b]``,
+    ``lams[b]`` and start ``phi0s[b]``.
+
+    The members iterate in lockstep, and each one's result is bitwise what it
+    would get on its own. Only a member that stops unconverged needs the
+    objective of every iterate, for its best one; the iterates are
+    deterministic, so that member is rerun alone with the objective tracked.
+    ``trace`` (one member only) collects ``(iter, objective, res_p, res_d)``
+    rows.
+    """
+    q = np.asarray(q_tables, dtype=float)
+    lam = np.asarray(lams, dtype=float)
+    phi0 = np.asarray(phi0s, dtype=float)
+    if np.any(lam < 0) or rho <= 0:
+        raise DomainError("need lam >= 0 and rho > 0")
+    if q.ndim != 3 or q.shape[1:] != (graph.n_vertices, graph.r - 1):
+        raise DimensionError(f"q_table shape {q.shape[1:]} does not match graph over r={graph.r}")
+    if lam.shape != q.shape[:1]:
+        raise DimensionError(f"{lam.size} lam values for {len(q)} members")
+    if not np.all(np.isfinite(q)):
+        raise DomainError("responsibilities must be finite")
+    if np.any(q < 0):
+        raise DomainError("responsibilities must be nonnegative")
+    if phi0.shape != q.shape:
+        raise DimensionError(f"phi0 shape {phi0.shape[1:]} does not match q_table shape {q.shape[1:]}")
+    if not np.all(np.isfinite(phi0)):
+        raise DomainError("phi0 must be finite")
+    if trace is not None and len(q) != 1:
+        raise DimensionError("a trace follows one member")
+    # members per call, so the four (V, r-1, r-1) buffers stay within _STATE_BYTES
+    step = max(1, _STATE_BYTES // (4 * q[0].size * (graph.r - 1) * q.itemsize))
+    results = []
+    for start in range(0, len(q), step):
+        chunk = slice(start, start + step)
+        runs = _iterate(q[chunk], phi0[chunk], lam[chunk], graph, rho, eps_primal, eps_dual, max_iter, trace)
+        for b, (phi, iterations, res_p, res_d, converged) in enumerate(runs, start):
+            if not (converged or trace is not None):
+                rerun = _iterate(q[b : b + 1], phi0[b : b + 1], lam[b : b + 1], graph, rho,
+                                 eps_primal, eps_dual, max_iter, [])
+                phi = rerun[0][0]
+            results.append(AdmmResult(
+                phi=MissingTable(graph.r, phi),
+                converged=converged,
+                iterations=iterations,
+                res_primal=res_p,
+                res_dual=res_d,
+                objective=phi_objective(phi, q[b], graph, float(lam[b])),
+            ))
+    return results
 
 
 def solve_phi(
@@ -274,57 +430,17 @@ def solve_phi(
     ``max_iter``; a non-converged run returns the best iterate seen (by
     objective) with ``converged=False`` rather than raising.
     """
-    if lam < 0 or rho <= 0:
-        raise DomainError("need lam >= 0 and rho > 0")
     q = np.asarray(q_table, dtype=float)
-    if q.shape != (graph.n_vertices, graph.r - 1):
-        raise DimensionError(f"q_table shape {q.shape} does not match graph over r={graph.r}")
-    if not np.all(np.isfinite(q)):
-        raise DomainError("responsibilities must be finite")
-    if np.any(q < 0):
-        raise DomainError("responsibilities must be nonnegative")
     if phi0 is None:
         phi0 = np.full((graph.n_vertices, graph.r - 1), 1.0 / (graph.r - 1))
     elif isinstance(phi0, MissingTable):
         phi0 = phi0.probs
     phi0 = np.asarray(phi0, dtype=float)
-    if phi0.shape != q.shape:
-        raise DimensionError(f"phi0 shape {phi0.shape} does not match q_table shape {q.shape}")
-    if not np.all(np.isfinite(phi0)):
-        raise DomainError("phi0 must be finite")
-    state = init_state(graph, phi0)
-
     trace_rows = [] if trace_path is not None else None
-    best_phi = state.phi
-    best_obj = np.inf
-    while (state.res_primal >= eps_primal or state.res_dual >= eps_dual) and state.iteration < max_iter:
-        vertex_sweep(state, q, graph, rho)
-        edge_sweep(state, graph, lam, rho)
-        dual_sweep(state, graph)
-        diff = np.subtract(state.phi[:, None, :], state.copies, out=state.work)
-        state.res_primal = float(np.sqrt(np.square(diff, out=diff).sum()))
-        diff = np.subtract(state.copies, state.prev_copies, out=state.work)
-        state.res_dual = float(np.sqrt(np.square(diff, out=diff).sum()))
-        state.iteration += 1
-        obj = phi_objective(state.phi, q, graph, lam)
-        if obj < best_obj:
-            best_obj = obj
-            best_phi = state.phi
-        if trace_rows is not None:
-            trace_rows.append((state.iteration, obj, state.res_primal, state.res_dual))
-
-    converged = state.res_primal < eps_primal and state.res_dual < eps_dual
-    phi = state.phi if converged else best_phi
+    result = solve_phi_batch(q[None], graph, [lam], rho, phi0[None], eps_primal, eps_dual, max_iter, trace_rows)[0]
     if trace_rows is not None:
         with open(trace_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["iter", "objective", "res_p", "res_d"])
             writer.writerows(trace_rows)
-    return AdmmResult(
-        phi=MissingTable(graph.r, phi),
-        converged=converged,
-        iterations=state.iteration,
-        res_primal=state.res_primal,
-        res_dual=state.res_dual,
-        objective=phi_objective(phi, q, graph, lam),
-    )
+    return result

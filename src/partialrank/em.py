@@ -14,12 +14,23 @@ increase the penalized objective, which keeps every recorded trace
 non-increasing. The missing-table step keeps the previous table whenever an
 inexact inner solve would increase its surrogate objective, for the same
 reason.
+
+The E-step also yields the observable likelihood, so each accepted
+(theta, phi) pair is scored by the E-step that the next iteration uses.
+
+Restarts run in lockstep. Each EM run is a generator that yields its
+graph-regularized missing-table steps as requests; one loop advances all
+runs of all jobs (the restarts of a fit, or every fold fit of a
+cross-validation) and solves the pending requests in one batched ADMM call.
+Every run keeps its own rng and stopping rule, so the fits are bitwise those
+of runs made one after another.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Generator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -78,6 +89,7 @@ class Responsibilities:
     q_table: np.ndarray        # (V, r-1): sum over observations of length t
     cluster_vertex: np.ndarray  # (K, V): sum over observations per component
     cluster_mass: np.ndarray   # (K,)
+    nll: float                 # observable NLL of the data at the (theta, phi) behind the weights
     groups: ObservationGroups = field(repr=False)
     block_weights: list[np.ndarray] = field(repr=False)  # per block, (K, G, m)
 
@@ -97,7 +109,11 @@ class Responsibilities:
 
 
 def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int = DEFAULT_CAP) -> Responsibilities:
-    """Posterior weights over compatible rankings, in log space throughout."""
+    """Posterior weights over compatible rankings, in log space throughout.
+
+    The normalizers of the weights also give the observable negative
+    log-likelihood, carried as ``nll``.
+    """
     if theta.r != dataset.r or phi.r != dataset.r:
         raise DimensionError("model, mechanism, and data disagree on item count")
     groups = dataset.groups(cap)
@@ -110,6 +126,7 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int =
     q_table = np.zeros((n_vertices, dataset.r - 1))
     cluster_vertex = np.zeros((k, n_vertices))
     block_weights: list[np.ndarray] = []
+    nll = 0.0
     for b, block in enumerate(groups.blocks):
         logits = log_comp[:, block.members] + log_phi[block.members, block.t - 1][None, :, :]
         top = logits.max(axis=(0, 2))
@@ -120,7 +137,9 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int =
                 f"observation {bad} has zero likelihood: the mechanism vanishes on its compatible set"
             )
         weights = np.exp(logits - top[None, :, None])
-        weights /= weights.sum(axis=(0, 2))[None, :, None]
+        sums = weights.sum(axis=(0, 2))
+        nll -= float((block.counts * (top + np.log(sums))).sum())
+        weights /= sums[None, :, None]
         block_weights.append(weights)
         scaled = weights * block.counts[None, :, None]
         np.add.at(q_table, (block.members, block.t - 1), scaled.sum(axis=0))
@@ -133,6 +152,7 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int =
         q_table=q_table,
         cluster_vertex=cluster_vertex,
         cluster_mass=cluster_vertex.sum(axis=1),
+        nll=nll,
         groups=groups,
         block_weights=block_weights,
     )
@@ -205,31 +225,28 @@ def m_step_theta(
 # ---------------------------------------------------------------------------
 
 
-def observable_nll(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int = DEFAULT_CAP) -> float:
-    """Negative log-likelihood of the observed top-t rankings."""
-    groups = dataset.groups(cap)
-    log_comp = component_log_pmf(theta, cap) + np.log(theta.weights)[:, None]
-    with np.errstate(divide="ignore"):
-        log_phi = np.log(phi.probs)
-    total = 0.0
-    for block in groups.blocks:
-        logits = log_comp[:, block.members] + log_phi[block.members, block.t - 1][None, :, :]
-        top = logits.max(axis=(0, 2))
-        if np.any(np.isneginf(top)):
-            return np.inf
-        ll = top + np.log(np.exp(logits - top[None, :, None]).sum(axis=(0, 2)))
-        total -= float((block.counts * ll).sum())
-    return total
+def _scored(
+    theta: MixtureParams, phi: MissingTable, dataset: Dataset, lam: float, cap: int
+) -> tuple[Responsibilities | None, float]:
+    """The E-step at (theta, phi) and the penalized NLL it gives.
+
+    ``(None, inf)`` when some observation has zero likelihood.
+    """
+    try:
+        resp = e_step(theta, phi, dataset, cap)
+    except DegenerateLikelihoodError:
+        return None, np.inf
+    value = resp.nll
+    if lam > 0:
+        value += lam * admm.edge_penalty(phi.probs, build_cayley_graph(dataset.r, cap))
+    return resp, value
 
 
 def penalized_nll(
     theta: MixtureParams, phi: MissingTable, dataset: Dataset, lam: float, cap: int = DEFAULT_CAP
 ) -> float:
     """The estimation objective: observable NLL plus lam times the penalty."""
-    value = observable_nll(theta, phi, dataset, cap)
-    if lam > 0:
-        value += lam * admm.edge_penalty(phi.probs, build_cayley_graph(dataset.r, cap))
-    return value
+    return _scored(theta, phi, dataset, lam, cap)[1]
 
 
 def closed_form_phi(q_table: np.ndarray) -> np.ndarray:
@@ -347,7 +364,16 @@ def _run_em(
     mode: str,
     me_phi: MissingTable | None,
     cap: int,
-) -> tuple[MixtureParams, MissingTable, list[float], bool]:
+) -> Generator[tuple[np.ndarray, np.ndarray, float], admm.AdmmResult, tuple]:
+    """One EM run from one set of initial locations.
+
+    A generator: every graph-regularized phi-step yields the request
+    ``(q_table, phi0, lam)`` and receives its :class:`admm.AdmmResult`, so a
+    caller can solve the pending requests of many runs in one batched call.
+    Returns ``(theta, phi, trace, converged, resp)``, where ``resp`` is the
+    E-step at the returned pair (None if some observation has zero
+    likelihood there). Runs at ``lam = 0`` and ME runs never yield.
+    """
     r = dataset.r
     graph = build_cayley_graph(r, cap)
     lam = config.lam if mode == "regularized" else 0.0
@@ -356,24 +382,17 @@ def _run_em(
         tuple(1.0 / config.n_clusters for _ in range(config.n_clusters)),
     )
     phi = me_phi if mode == "me" else MissingTable.uniform(r, cap)
-    current = penalized_nll(theta, phi, dataset, lam, cap)
+    # each accepted pair's E-step scores it and serves the next iteration
+    resp, current = _scored(theta, phi, dataset, lam, cap)
     trace = [current]
     converged = False
     for m in range(1, config.em_max_iter + 1):
-        resp = e_step(theta, phi, dataset, cap)
+        if resp is None:
+            resp = e_step(theta, phi, dataset, cap)  # raises DegenerateLikelihoodError
         if mode == "me":
             phi_new = phi
         elif lam > 0:
-            solved = admm.solve_phi(
-                resp.q_table,
-                graph,
-                lam,
-                config.rho,
-                phi0=phi.probs,
-                eps_primal=config.admm_eps_primal,
-                eps_dual=config.admm_eps_dual,
-                max_iter=config.admm_max_iter,
-            )
+            solved = yield resp.q_table, phi.probs, lam
             # an inexact inner solve must never push the surrogate uphill
             if solved.objective <= admm.phi_objective(phi.probs, resp.q_table, graph, lam):
                 phi_new = solved.phi
@@ -382,68 +401,123 @@ def _run_em(
         else:
             phi_new = MissingTable(r, closed_form_phi(resp.q_table))
         theta_new = m_step_theta(resp, dataset, config.n_clusters, config.c_min, config.c_max, cap)
-        value = penalized_nll(theta_new, phi_new, dataset, lam, cap)
+        resp_new, value = _scored(theta_new, phi_new, dataset, lam, cap)
         if m <= config.transition_iters:
             proposal = _propose_transition(theta_new, rng, graph)
             if proposal is not None:
-                alt = penalized_nll(proposal, phi_new, dataset, lam, cap)
+                alt_resp, alt = _scored(proposal, phi_new, dataset, lam, cap)
                 if alt <= value:
-                    theta_new, value = proposal, alt
-        theta, phi = theta_new, phi_new
+                    theta_new, resp_new, value = proposal, alt_resp, alt
+        theta, phi, resp = theta_new, phi_new, resp_new
         trace.append(value)
         if abs(current - value) < config.em_tol:
             current = value
             converged = True
             break
         current = value
-    return theta, phi, trace, converged
+    return theta, phi, trace, converged, resp
 
 
-def _fit_common(dataset: Dataset, config: FitConfig, mode: str, cap: int) -> FitResult:
-    if len(dataset) == 0:
-        raise DomainError("cannot fit an empty dataset")
-    n_vertices = perm_table(dataset.r, cap).n_vertices
-    seq = np.random.SeedSequence(config.seed)
-    children = seq.spawn(config.restarts + 1)
-    init_rng = np.random.default_rng(children[0])
-    inits = _initial_locations(init_rng, n_vertices, config.n_clusters, config.restarts)
+def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[FitResult]:
+    """Fit every ``(dataset, config, mode)`` job, all restarts of all jobs in lockstep.
 
-    me_phi = None
-    if mode == "me":
-        counts = np.bincount(dataset.lengths, minlength=dataset.r)[1:]
-        me_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum(), cap)
+    Each run keeps its own rng and stopping; the loop collects the pending
+    phi-step requests of all live runs and solves those that share r, rho
+    and the ADMM limits in one :func:`admm.solve_phi_batch` call. Each job
+    then keeps its best restart, the first one on ties, exactly as runs made
+    one after another would.
+    """
+    runs = []  # (job, restart, generator, what its requests share with a batch)
+    outcomes: list[list] = []
+    for job, (dataset, config, mode) in enumerate(jobs):
+        if len(dataset) == 0:
+            raise DomainError("cannot fit an empty dataset")
+        n_vertices = perm_table(dataset.r, cap).n_vertices
+        children = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
+        inits = _initial_locations(np.random.default_rng(children[0]), n_vertices, config.n_clusters, config.restarts)
+        me_phi = None
+        if mode == "me":
+            counts = np.bincount(dataset.lengths, minlength=dataset.r)[1:]
+            me_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum(), cap)
+        key = (dataset.r, config.rho, config.admm_eps_primal, config.admm_eps_dual, config.admm_max_iter)
+        for j in range(config.restarts):
+            rng = np.random.default_rng(children[j + 1])
+            runs.append((job, j, _run_em(dataset, config, inits[j], rng, mode, me_phi, cap), key))
+        outcomes.append([None] * config.restarts)
 
-    best = None
-    for j in range(config.restarts):
-        rng = np.random.default_rng(children[j + 1])
-        theta, phi, trace, converged = _run_em(dataset, config, inits[j], rng, mode, me_phi, cap)
-        if best is None or trace[-1] < best[3]:
-            best = (j, theta, phi, trace[-1], trace, converged)
+    pending: dict[int, tuple] = {}
 
-    restart, theta, phi, nll, trace, converged = best
-    posteriors = e_step(theta, phi, dataset, cap).posteriors()
-    if mode == "me":
-        method = "ME"
-    elif config.lam > 0:
-        method = f"R{config.lam:g}"
-    else:
-        method = "NR"
-    return FitResult(
-        theta=theta,
-        phi=phi,
-        nll=nll,
-        trace=trace,
-        restart=restart,
-        posteriors=posteriors,
-        converged=converged,
-        method=method,
-        config=config,
-    )
+    def advance(i: int, solved: admm.AdmmResult | None) -> None:
+        job, j, run, _ = runs[i]
+        try:
+            pending[i] = run.send(solved)
+        except StopIteration as stop:
+            outcomes[job][j] = stop.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        requests = pending
+        pending = {}
+        batches: dict[tuple, list[int]] = {}
+        for i in requests:
+            batches.setdefault(runs[i][3], []).append(i)
+        for (r, rho, eps_primal, eps_dual, max_iter), members in batches.items():
+            solved = admm.solve_phi_batch(
+                np.stack([requests[i][0] for i in members]),
+                build_cayley_graph(r, cap),
+                np.array([requests[i][2] for i in members]),
+                rho,
+                np.stack([requests[i][1] for i in members]),
+                eps_primal,
+                eps_dual,
+                max_iter,
+            )
+            for i, result in zip(members, solved):
+                advance(i, result)
+
+    fits = []
+    for (dataset, config, mode), restarts in zip(jobs, outcomes):
+        best = min(range(len(restarts)), key=lambda j: restarts[j][2][-1])  # first on ties
+        theta, phi, trace, converged, resp = restarts[best]
+        if resp is None:
+            resp = e_step(theta, phi, dataset, cap)  # raises DegenerateLikelihoodError
+        if mode == "me":
+            method = "ME"
+        elif config.lam > 0:
+            method = f"R{config.lam:g}"
+        else:
+            method = "NR"
+        fits.append(FitResult(
+            theta=theta,
+            phi=phi,
+            nll=trace[-1],
+            trace=trace,
+            restart=best,
+            posteriors=resp.posteriors(),
+            converged=converged,
+            method=method,
+            config=config,
+        ))
+    return fits
+
+
+def _mode(config: FitConfig) -> str:
+    return "regularized" if config.lam > 0 else "nr"
 
 
 def fit(dataset: Dataset, config: FitConfig, cap: int = DEFAULT_CAP) -> FitResult:
     """The proposed estimator: graph-regularized when lam > 0, plain (NR) at lam = 0."""
-    return _fit_common(dataset, config, "regularized" if config.lam > 0 else "nr", cap)
+    return _fit_batch([(dataset, config, _mode(config))], cap)[0]
+
+
+def fit_many(jobs, cap: int = DEFAULT_CAP) -> list[FitResult]:
+    """``fit(dataset, config)`` for every ``(dataset, config)`` pair, run in lockstep.
+
+    The results are those of the separate calls, bit for bit; batching the
+    phi-steps of all runs only cuts the per-call overhead of small solves.
+    """
+    return _fit_batch([(dataset, config, _mode(config)) for dataset, config in jobs], cap)
 
 
 def fit_me(dataset: Dataset, config: FitConfig, cap: int = DEFAULT_CAP) -> FitResult:
@@ -453,4 +527,4 @@ def fit_me(dataset: Dataset, config: FitConfig, cap: int = DEFAULT_CAP) -> FitRe
     missing table is the empirical length histogram copied to every vertex
     and EM only runs on the ranking mixture.
     """
-    return _fit_common(dataset, config, "me", cap)
+    return _fit_batch([(dataset, config, "me")], cap)[0]

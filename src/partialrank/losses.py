@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .em import FitConfig, FitResult, fit
+from .em import FitConfig, FitResult, fit_many
 from .errors import DimensionError, DomainError
 from .mallows import MixtureParams, mixture_pmf
 from .missing import Dataset, MissingTable, empirical_partial_counts, partial_prob_vector
@@ -120,13 +120,14 @@ def cross_validate(dataset: Dataset, lam_grid, config: FitConfig, cap: int = DEF
     order = rng.permutation(len(dataset))
     half = len(dataset) // 2
     folds = (dataset.subset(order[:half]), dataset.subset(order[half:]))
+    # every (lam, fold) fit in one lockstep batch: per lam, train on each half
+    fitted = fit_many([(train, replace(config, lam=lam)) for lam in grid for train in folds], cap)
     scores: dict[float, float] = {}
-    for lam in grid:
-        cfg = replace(config, lam=lam)
+    for i, lam in enumerate(grid):
         total = 0.0
-        for train, test in ((folds[0], folds[1]), (folds[1], folds[0])):
-            total += _cv_fold_score(fit(train, cfg, cap), test, cap)
+        for fitted_fold, test in zip(fitted[2 * i : 2 * i + 2], (folds[1], folds[0])):
+            total += _cv_fold_score(fitted_fold, test, cap)
         scores[lam] = total / 2.0
     best_lam = grid[int(np.argmin([scores[lam] for lam in grid]))]
-    refit = fit(dataset, replace(config, lam=best_lam), cap)
+    refit = fit_many([(dataset, replace(config, lam=best_lam))], cap)[0]
     return CvResult(best_lam, scores, refit)

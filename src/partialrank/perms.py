@@ -304,15 +304,19 @@ def build_cayley_graph(r: int, cap: int = DEFAULT_CAP) -> CayleyGraph:
     graph = _GRAPHS.get(r)
     if graph is not None:
         return graph
-    tab = perm_table(r, cap)
-    v_count = tab.n_vertices
+    orderings = perm_table(r, cap).orderings.astype(np.int64) - 1
+    v_count = orderings.shape[0]
+    # each ordering coded in mixed radix r, as in vertex_prefix; a swap of
+    # adjacent positions is a column swap, looked up among the sorted codes
+    place = r ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    codes = orderings @ place
+    by_code = np.argsort(codes)
+    sorted_codes = codes[by_code]
     neighbors = np.empty((v_count, r - 1), dtype=np.int32)
-    for v in range(v_count):
-        ordering = list(tab.orderings[v])
-        for j in range(r - 1):
-            ordering[j], ordering[j + 1] = ordering[j + 1], ordering[j]
-            neighbors[v, j] = tab.ordering_index[tuple(int(x) for x in ordering)]
-            ordering[j], ordering[j + 1] = ordering[j + 1], ordering[j]
+    for j in range(r - 1):
+        swapped = orderings.copy()
+        swapped[:, [j, j + 1]] = orderings[:, [j + 1, j]]
+        neighbors[:, j] = by_code[np.searchsorted(sorted_codes, swapped @ place)]
     us = np.repeat(np.arange(v_count, dtype=np.int32), r - 1)
     vs = neighbors.reshape(-1)
     keep = us < vs

@@ -354,3 +354,65 @@ def read_csv_rows(path, r: int):
         perms if perm_col is not None else None,
         clusters if cluster_col is not None else None,
     )
+
+
+def cayley_graph_loop(r: int):
+    """Neighbors and edge list of S_r's adjacent-swap graph, one swap at a time.
+
+    ``neighbors[v, j]`` is the vertex whose preference order swaps positions
+    j and j+1 of vertex v's; vertices are lexicographic positions of rank
+    tuples. Edges are the pairs u < v, sorted.
+    """
+    rank_tuples = list(itertools.permutations(range(1, r + 1)))
+    vertex_of = {}
+    for v, ranks in enumerate(rank_tuples):
+        vertex_of[tuple(sorted(range(1, r + 1), key=lambda item: ranks[item - 1]))] = v
+    neighbors = np.empty((len(rank_tuples), r - 1), dtype=np.int64)
+    for ordering, v in vertex_of.items():
+        for j in range(r - 1):
+            swapped = list(ordering)
+            swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
+            neighbors[v, j] = vertex_of[tuple(swapped)]
+    edges = sorted({(min(v, int(u)), max(v, int(u))) for v in range(len(rank_tuples)) for u in neighbors[v]})
+    return neighbors, np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def fit_sequential(dataset, config, mode: str, cap: int = 7) -> dict:
+    """One fit's restarts run one after another, each EM run driven alone.
+
+    Every phi-step request of ``partialrank.em._run_em`` is answered by its
+    own ``solve_phi`` call, and the best restart (the first on ties) is kept.
+    ``mode`` is "regularized", "nr" or "me". The posteriors come from a
+    fresh E-step at the chosen pair.
+    """
+    from partialrank import admm, em
+    from partialrank.missing import MissingTable
+    from partialrank.perms import build_cayley_graph, perm_table
+
+    children = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
+    inits = em._initial_locations(
+        np.random.default_rng(children[0]), perm_table(dataset.r, cap).n_vertices, config.n_clusters, config.restarts
+    )
+    me_phi = None
+    if mode == "me":
+        counts = np.bincount(dataset.lengths, minlength=dataset.r)[1:]
+        me_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum(), cap)
+    graph = build_cayley_graph(dataset.r, cap)
+    best = None
+    for j in range(config.restarts):
+        run = em._run_em(dataset, config, inits[j], np.random.default_rng(children[j + 1]), mode, me_phi, cap)
+        solved = None
+        try:
+            while True:
+                q_table, phi0, lam = run.send(solved)
+                solved = admm.solve_phi(
+                    q_table, graph, lam, config.rho, phi0=phi0, eps_primal=config.admm_eps_primal,
+                    eps_dual=config.admm_eps_dual, max_iter=config.admm_max_iter,
+                )
+        except StopIteration as stop:
+            theta, phi, trace, converged, _ = stop.value
+        if best is None or trace[-1] < best["nll"]:
+            best = {"restart": j, "theta": theta, "phi": phi, "nll": trace[-1], "trace": trace,
+                    "converged": converged}
+    best["posteriors"] = em.e_step(best["theta"], best["phi"], dataset, cap).posteriors()
+    return best

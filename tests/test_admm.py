@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import project_simplex, solve_phi_projected_gradient, vertex_update_bisection
 from partialrank import DomainError, NumericError, build_cayley_graph
+from partialrank import admm
 from partialrank.admm import (
     NU_HARD_TOL,
     _vertex_update_batch,
@@ -17,6 +18,7 @@ from partialrank.admm import (
     mixing_weight,
     phi_objective,
     solve_phi,
+    solve_phi_batch,
     vertex_sweep,
     vertex_update,
 )
@@ -326,3 +328,73 @@ def test_phi_objective_zero_log_zero_convention():
     phi[:, 0] = 1.0
     assert phi_objective(phi, q, graph, lam=1.0) == 0.0  # 0*log(0) contributes nothing
     assert phi_objective(1.0 - phi, q, graph, lam=1.0) == np.inf
+
+
+def _same_result(a, b) -> bool:
+    return np.array_equal(a.phi.probs, b.phi.probs) and (
+        a.iterations, a.res_primal, a.res_dual, a.converged, a.objective
+    ) == (b.iterations, b.res_primal, b.res_dual, b.converged, b.objective)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+def test_batch_matches_per_member_solves(r):
+    # members differ in lam and q, converge at different iterations, and at
+    # least one stops at max_iter; each must get bitwise its own solve
+    graph = build_cayley_graph(r)
+    rng = np.random.default_rng(80 + r)
+    lams = np.array([0.5, 3.0, 10.0, 100.0] if r == 7 else [0.5, 1.0, 3.0, 10.0, 100.0, 1000.0])
+    q = rng.random((lams.size, graph.n_vertices, r - 1)) * 20
+    q[rng.random(q.shape) < 0.2] = 0.0
+    phi0 = rng.dirichlet(np.ones(r - 1), size=(lams.size, graph.n_vertices))
+    max_iter = {3: 5, 4: 12, 5: 30, 6: 30, 7: 12}[r]
+    batch = solve_phi_batch(q, graph, lams, 1.0, phi0, max_iter=max_iter)
+    alone = [solve_phi(q[b], graph, float(lams[b]), 1.0, phi0=phi0[b], max_iter=max_iter) for b in range(lams.size)]
+    assert len({res.iterations for res in alone}) > 1
+    assert any(res.converged for res in alone) and not all(res.converged for res in alone)
+    assert all(_same_result(a, b) for a, b in zip(batch, alone))
+
+
+def test_batch_split_into_chunks_matches(monkeypatch):
+    graph = build_cayley_graph(4)
+    rng = np.random.default_rng(90)
+    lams = np.array([0.5, 2.0, 8.0, 40.0, 200.0])
+    q = rng.random((5, 24, 3)) * 10
+    phi0 = rng.dirichlet(np.ones(3), size=(5, 24))
+    whole = solve_phi_batch(q, graph, lams, 1.5, phi0, max_iter=15)
+    monkeypatch.setattr(admm, "_STATE_BYTES", 2 * 4 * 24 * 3 * 3 * 8)  # two members per call
+    chunked = solve_phi_batch(q, graph, lams, 1.5, phi0, max_iter=15)
+    assert all(_same_result(a, b) for a, b in zip(whole, chunked))
+
+
+def test_unconverged_result_is_the_best_traced_iterate(tmp_path):
+    graph = build_cayley_graph(4)
+    q = np.random.default_rng(91).random((24, 3)) * 5
+    path = tmp_path / "trace.csv"
+    kwargs = dict(eps_primal=1e-12, eps_dual=1e-12, max_iter=6)
+    traced = solve_phi(q, graph, 50.0, 1.0, trace_path=path, **kwargs)
+    plain = solve_phi(q, graph, 50.0, 1.0, **kwargs)
+    assert not plain.converged
+    assert _same_result(traced, plain)
+    objectives = [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
+    assert plain.objective == min(objectives)
+
+
+def test_batch_input_validation():
+    graph = build_cayley_graph(3)
+    q = np.ones((2, 6, 2))
+    phi0 = np.full((2, 6, 2), 0.5)
+    with pytest.raises(DimensionError):
+        solve_phi_batch(q, graph, [1.0], 1.0, phi0)
+    with pytest.raises(DimensionError):
+        solve_phi_batch(q, graph, [1.0, 1.0], 1.0, phi0[:1])
+    with pytest.raises(DomainError):
+        solve_phi_batch(q, graph, [1.0, -1.0], 1.0, phi0)
+    with pytest.raises(DimensionError):
+        solve_phi_batch(q, graph, [1.0, 1.0], 1.0, phi0, trace=[])
+
+
+def test_mixing_weight_is_elementwise():
+    lams = np.array([0.0, 0.5, 10.0, 1e6])
+    assert np.array_equal(mixing_weight(lams, 0.3), [mixing_weight(float(lam), 0.3) for lam in lams])
+    with pytest.raises(DomainError):
+        mixing_weight(np.array([1.0, -1.0]), 1.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import random_mixture
+from oracles import fit_sequential, random_mixture
 from partialrank import (
     Dataset,
     DegenerateClusterError,
@@ -23,7 +23,7 @@ from partialrank import (
     tilt_concentration_mechanism,
     generate_dataset,
 )
-from partialrank.em import Responsibilities, load_fit_json, observable_nll, penalized_nll
+from partialrank.em import Responsibilities, fit_many, load_fit_json, penalized_nll
 from partialrank.mallows import mixture_pmf
 from partialrank.perms import build_cayley_graph, compatible_set, index_of, kendall_distance, unindex
 
@@ -99,6 +99,7 @@ def make_resp(r, cluster_vertex, n=1):
         q_table=np.zeros((cluster_vertex.shape[1], r - 1)),
         cluster_vertex=cluster_vertex,
         cluster_mass=cluster_vertex.sum(axis=1),
+        nll=0.0,
         groups=None,
         block_weights=[],
     )
@@ -297,7 +298,7 @@ class TestFitMe:
         phi = MissingTable.homogeneous(4, g)
         mech = tilt_concentration_mechanism(1.0, 1.0, 0.6, Permutation.identity(4))
         ds = generate_dataset(theta, mech, 60, rng_seed=8)
-        joint = observable_nll(theta, phi, ds)
+        joint = e_step(theta, phi, ds).nll
         missing_part = -sum(math.log(g[tau.t - 1]) for tau in ds.rankings)
         ranking_part = -sum(
             math.log(sum(complete_pmf(p, theta) for p in compatible_set(tau)))
@@ -331,6 +332,76 @@ def test_penalized_nll_adds_edge_penalty():
     ds = generate_dataset(theta, mech, 40, rng_seed=13)
     rng = np.random.default_rng(14)
     phi = MissingTable(3, rng.dirichlet(np.ones(2), size=6))
-    base = observable_nll(theta, phi, ds)
+    base = e_step(theta, phi, ds).nll
     assert penalized_nll(theta, phi, ds, 0.0) == base
     assert penalized_nll(theta, phi, ds, 2.5) > base
+
+
+def test_e_step_nll_matches_brute_force():
+    rng = np.random.default_rng(15)
+    theta = random_mixture(4, 2, rng)
+    phi = MissingTable(4, rng.dirichlet(np.ones(3), size=24))
+    mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, Permutation.identity(4))
+    ds = generate_dataset(theta, mech, 50, rng_seed=16)
+    expected = -sum(
+        math.log(sum(complete_pmf(p, theta) * phi.probs[index_of(p), tau.t - 1] for p in compatible_set(tau)))
+        for tau in ds.rankings
+    )
+    assert e_step(theta, phi, ds).nll == pytest.approx(expected, rel=1e-12)
+
+
+def test_penalized_nll_is_infinite_at_zero_likelihood():
+    ds = Dataset.from_rankings(3, [TopTRanking((1,), 3)] * 4)
+    probs = np.zeros((6, 2))
+    probs[:, 1] = 1.0  # no vertex ever stops after one item
+    phi = MissingTable(3, probs)
+    assert penalized_nll(uniform_theta(3, 1.0), phi, ds, 0.0) == np.inf
+    with pytest.raises(DegenerateLikelihoodError):
+        e_step(uniform_theta(3, 1.0), phi, ds)
+
+
+def _assert_same_fit(result, reference):
+    assert result.restart == reference["restart"]
+    assert result.theta == reference["theta"]
+    assert np.array_equal(result.phi.probs, reference["phi"].probs)
+    assert result.nll == reference["nll"]
+    assert result.trace == reference["trace"]
+    assert result.converged == reference["converged"]
+    assert np.array_equal(result.posteriors, reference["posteriors"])
+
+
+class TestLockstep:
+    """Restarts run in lockstep give bitwise what runs one after another give."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, Permutation.identity(4))
+        one = generate_dataset(MixtureParams.single(Permutation.identity(4), 1.0), mech, 150, rng_seed=30)
+        two = generate_dataset(random_mixture(4, 2, np.random.default_rng(31)), mech, 150, rng_seed=32)
+        return {1: one, 2: two}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mode,lam", [("regularized", 10.0), ("regularized", 0.7), ("nr", 0.0), ("me", 10.0)])
+    def test_fit_matches_restarts_run_one_by_one(self, datasets, k, mode, lam):
+        config = FitConfig(n_clusters=k, lam=lam, restarts=4, seed=40 + k, em_max_iter=25)
+        result = fit_me(datasets[k], config) if mode == "me" else fit(datasets[k], config)
+        _assert_same_fit(result, fit_sequential(datasets[k], config, mode))
+
+    def test_unconverged_inner_solves_match(self, datasets):
+        # ADMM capped at 3 iterations: every phi-step stops unconverged and
+        # returns its best iterate
+        config = FitConfig(lam=10.0, restarts=3, seed=7, em_max_iter=10, admm_max_iter=3,
+                           admm_eps_primal=1e-9, admm_eps_dual=1e-9)
+        _assert_same_fit(fit(datasets[1], config), fit_sequential(datasets[1], config, "regularized"))
+
+    def test_fit_many_matches_separate_fits(self, datasets):
+        jobs = [
+            (datasets[1], FitConfig(lam=10.0, restarts=2, seed=1, em_max_iter=20)),
+            (datasets[2], FitConfig(lam=1.0, n_clusters=2, restarts=3, seed=2, em_max_iter=20)),
+            (datasets[1], FitConfig(lam=0.0, restarts=2, seed=3)),
+            (datasets[1], FitConfig(lam=100.0, restarts=1, seed=4, admm_max_iter=20, em_max_iter=20)),
+        ]
+        for batched, (dataset, config) in zip(fit_many(jobs), jobs):
+            alone = fit(dataset, config)
+            assert batched.to_json_dict() == alone.to_json_dict()
+            assert np.array_equal(batched.posteriors, alone.posteriors)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from partialrank import (
     classification_error,
     complete_pmf,
     cross_validate,
+    fit,
     generate_dataset,
     l_comp,
     l_par,
@@ -195,11 +197,11 @@ class TestCrossValidate:
     def test_duplicates_deduped(self, small_dataset, monkeypatch):
         calls = []
 
-        def fake_fit(dataset, config, cap=7):
-            calls.append(config.lam)
-            return "fit"
+        def fake_fit_many(jobs, cap=7):
+            calls.extend(config.lam for _, config in jobs)
+            return ["fit"] * len(jobs)
 
-        monkeypatch.setattr(losses_mod, "fit", fake_fit)
+        monkeypatch.setattr(losses_mod, "fit_many", fake_fit_many)
         monkeypatch.setattr(losses_mod, "_cv_fold_score", lambda fitted, heldout, cap: 1.0)
         result = cross_validate(small_dataset, [10, 10.0, 1, 1.0], FitConfig(restarts=1, seed=0))
         assert sorted(set(calls)) == [1.0, 10.0]
@@ -214,3 +216,26 @@ class TestCrossValidate:
         assert result.best_lam in result.scores
         assert result.refit.config.lam == result.best_lam
         assert min(result.scores.values()) == result.scores[result.best_lam]
+
+    def test_matches_a_loop_of_fits(self, small_dataset):
+        # the fold fits run in one lockstep batch; fitting each on its own
+        # must give the same scores, winner and refit, bit for bit
+        config = FitConfig(restarts=2, seed=3, em_max_iter=30)
+        grid = [0.0, 1.0, 10.0]
+        result = cross_validate(small_dataset, grid, config)
+        order = np.random.default_rng([config.seed, 0xCF]).permutation(len(small_dataset))
+        half = len(small_dataset) // 2
+        folds = (small_dataset.subset(order[:half]), small_dataset.subset(order[half:]))
+        scores = {}
+        for lam in grid:
+            total = 0.0
+            for train, test in ((folds[0], folds[1]), (folds[1], folds[0])):
+                fitted = fit(train, replace(config, lam=lam))
+                total += l_par_empirical(test, fitted.theta, fitted.phi)
+            scores[lam] = total / 2.0
+        assert result.scores == scores
+        best_lam = min(grid, key=lambda lam: (scores[lam], lam))
+        assert result.best_lam == best_lam
+        refit = fit(small_dataset, replace(config, lam=best_lam))
+        assert result.refit.to_json_dict() == refit.to_json_dict()
+        assert np.array_equal(result.refit.posteriors, refit.posteriors)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bfs_distance, discordant_pairs, lex_orderings
+from oracles import bfs_distance, cayley_graph_loop, discordant_pairs, lex_orderings
 from partialrank import (
     CapacityError,
     DimensionError,
@@ -134,6 +134,14 @@ class TestCompatibleSet:
 
 
 class TestCayleyGraph:
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
+    def test_matches_loop_reference(self, r):
+        graph = build_cayley_graph(r)
+        neighbors, edges = cayley_graph_loop(r)
+        assert np.array_equal(graph.neighbors, neighbors)
+        assert np.array_equal(graph.edges, edges)
+        assert graph.neighbors.dtype == graph.edges.dtype == np.int32
+
     def test_r3_matches_enumerated_pairs(self):
         graph = build_cayley_graph(3)
         perms = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
