@@ -1,13 +1,12 @@
 """Estimation of ranking distributions and missing mechanisms from top-t data."""
 
-from .admm import AdmmResult, edge_update, solve_phi, solve_phi_batch, vertex_update
+from .admm import AdmmResult, edge_update, solve_phi, vertex_update
 from .em import (
     FitConfig,
     FitResult,
     Responsibilities,
     e_step,
     fit,
-    fit_many,
     fit_me,
     m_step_theta,
     penalized_nll,

@@ -19,17 +19,18 @@ Copies and duals live on neighbor slots: entry ``[v, j]`` belongs to vertex v
 on the edge to ``N[v, j]``, where ``N = graph.neighbors`` and slot j swaps the
 items at positions j and j+1. That swap undoes itself, so ``N[N[v, j], j] == v``
 and the other endpoint's copy on the same edge sits at ``[N[v, j], j]``. Every
-sweep is then a broadcast over ``(V, r-1, r-1)`` arrays plus one gather,
-written into buffers the state owns.
+sweep is then a broadcast over ``(B, V, r-1, r-1)`` arrays (B members, see
+below) plus one gather, written into buffers the state owns.
 
-A solve can carry a leading member axis: :func:`solve_phi_batch` runs several
+The state has a leading member axis: :func:`solve_phi_batch` runs several
 problems on the same graph, each with its own ``q``, ``lam`` and start, in
 lockstep, and a member leaves the stack once it converges. Every operation
 is row-local, so each member's iterates are bitwise those of its own
-:func:`solve_phi`; at r = 5 the arrays are so small that stacking members
-mostly saves numpy's per-call overhead. The objective is evaluated only at
-the end, for a trace, or to pick the best iterate of a member that stops
-unconverged.
+:func:`solve_phi`. At r = 5 the arrays are so small that stacking members
+mostly saves numpy's per-call overhead; at r = 7 it saves nothing, and
+:func:`members_per_call` says how many members to stack. The objective is
+evaluated only at the end, for a trace, or to pick the best iterate of a
+member that stops unconverged.
 """
 
 from __future__ import annotations
@@ -47,21 +48,20 @@ from .perms import CayleyGraph
 NU_TOL = 1e-12          # target on the simplex residual |sum(phi) - 1|
 NU_HARD_TOL = 1e-10     # failure threshold (would violate the row-sum contract)
 _MAX_NU_PASSES = 300    # passes of the multiplier search over the rows still active
-_STATE_BYTES = 1 << 25  # cap on the slot buffers of one batched solve (32 MiB)
+_STATE_BYTES = 1 << 22  # cap on the slot buffers of one batched solve (4 MiB); see members_per_call
 
 
 @dataclass
 class AdmmState:
     """Primal rows and their multipliers, per-neighbor-slot copies and duals,
-    and the buffers the sweeps write into. A batched state carries a leading
-    member axis on every array."""
+    and the buffers the sweeps write into, for a stack of B members."""
 
-    phi: np.ndarray          # (V, r-1)
-    nu: np.ndarray           # (V,): simplex multipliers of the last vertex sweep, nan before it
-    copies: np.ndarray       # (V, r-1, r-1): [v, j] is v's copy on the edge to N[v, j]
-    duals: np.ndarray        # (V, r-1, r-1): dual of the constraint phi[v] == copies[v, j]
-    prev_copies: np.ndarray  # (V, r-1, r-1): the copies before the last edge sweep
-    work: np.ndarray         # (V, r-1, r-1): scratch for the sweeps and residuals
+    phi: np.ndarray          # (B, V, r-1)
+    nu: np.ndarray           # (B, V): simplex multipliers of the last vertex sweep, nan before it
+    copies: np.ndarray       # (B, V, r-1, r-1): [b, v, j] is v's copy on the edge to N[v, j]
+    duals: np.ndarray        # (B, V, r-1, r-1): dual of the constraint phi[b, v] == copies[b, v, j]
+    prev_copies: np.ndarray  # (B, V, r-1, r-1): the copies before the last edge sweep
+    work: np.ndarray         # (B, V, r-1, r-1): scratch for the sweeps and residuals
     iteration: int = 0
 
 
@@ -186,8 +186,8 @@ def _partner(slots: np.ndarray, graph: CayleyGraph, out: np.ndarray | None = Non
     # rows are in range by construction of the graph, and mode "clip" lets
     # take write straight into ``out`` where "raise" buffers a copy.
     rows = graph.neighbors * (graph.r - 1) + np.arange(graph.r - 1)
-    if slots.ndim == 4:  # members follow one another in the flattened rows
-        rows = np.arange(slots.shape[0])[:, None, None] * rows.size + rows
+    # members follow one another in the flattened rows
+    rows = np.arange(slots.shape[0])[:, None, None] * rows.size + rows
     return np.take(slots.reshape(-1, slots.shape[-1]), rows, axis=0, out=out, mode="clip")
 
 
@@ -213,15 +213,17 @@ def phi_objective(phi: np.ndarray, q: np.ndarray, graph: CayleyGraph, lam: float
 
 
 def augmented_lagrangian(state: AdmmState, q: np.ndarray, graph: CayleyGraph, lam: float, rho: float) -> float:
-    """The penalty-split objective driving the vertex and edge sweeps."""
+    """The penalty-split objective driving the vertex and edge sweeps, for a
+    state of one member; ``q`` is that member's ``(V, r-1)`` table."""
+    phi, copies, duals = state.phi[0], state.copies[0], state.duals[0]
     mask = q > 0
-    vals = state.phi[mask]
+    vals = phi[mask]
     if np.any(vals <= 0):
         return np.inf
     total = -float((q[mask] * np.log(vals)).sum())
-    total += 0.5 * lam * float(((state.copies - _partner(state.copies, graph)) ** 2).sum())
-    total -= 0.5 * rho * float((state.duals**2).sum())
-    total += 0.5 * rho * float(((state.phi[:, None, :] - state.copies + state.duals) ** 2).sum())
+    total += 0.5 * lam * float(((copies - _partner(state.copies, graph)[0]) ** 2).sum())
+    total -= 0.5 * rho * float((duals**2).sum())
+    total += 0.5 * rho * float(((phi[:, None, :] - copies + duals) ** 2).sum())
     return total
 
 
@@ -231,7 +233,7 @@ def augmented_lagrangian(state: AdmmState, q: np.ndarray, graph: CayleyGraph, la
 
 
 def init_state(graph: CayleyGraph, phi0: np.ndarray) -> AdmmState:
-    """Copies equal to the rows and zero duals; ``phi0`` is ``(V, r-1)`` or ``(B, V, r-1)``."""
+    """Copies equal to the rows and zero duals, for a ``(B, V, r-1)`` stack of starts."""
     phi = np.array(phi0, dtype=float)
     copies = np.repeat(phi[..., None, :], graph.r - 1, axis=-2)
     return AdmmState(
@@ -244,10 +246,10 @@ def init_state(graph: CayleyGraph, phi0: np.ndarray) -> AdmmState:
     )
 
 
-# The sweeps write into the state's (V, r-1, r-1) buffers: at r = 7 each
-# fresh temporary would be a 1.4 MB allocation on every ADMM iteration. They
-# take an unbatched state or one with a leading member axis alike; every
-# operation is row-local, so a member's iterates do not depend on the others.
+# The sweeps write into the state's (B, V, r-1, r-1) buffers: at r = 7 each
+# fresh temporary would be a 1.4 MB allocation per member on every ADMM
+# iteration. Every operation is row-local, so a member's iterates do not
+# depend on the others.
 
 
 def vertex_sweep(state: AdmmState, q: np.ndarray, graph: CayleyGraph, rho: float) -> None:
@@ -258,14 +260,12 @@ def vertex_sweep(state: AdmmState, q: np.ndarray, graph: CayleyGraph, rho: float
     state.phi, state.nu = phi.reshape(y.shape), nu.reshape(state.nu.shape)
 
 
-def edge_sweep(state: AdmmState, graph: CayleyGraph, lam: float | np.ndarray, rho: float) -> None:
+def edge_sweep(state: AdmmState, graph: CayleyGraph, lam: np.ndarray, rho: float) -> None:
     """New copies into the stale buffer; the copies they replace become ``prev_copies``.
 
-    ``lam`` is one strength, or one per member of a batched state.
+    ``lam`` holds one strength per member.
     """
-    alpha = mixing_weight(lam, rho)
-    if np.ndim(alpha):
-        alpha = alpha[:, None, None, None]
+    alpha = mixing_weight(np.asarray(lam, dtype=float), rho)[:, None, None, None]
     a = np.add(state.phi[..., None, :], state.duals, out=state.prev_copies)
     b = _partner(a, graph, out=state.work)
     b *= 1.0 - alpha
@@ -291,10 +291,12 @@ def _select(state: AdmmState, keep: np.ndarray) -> None:
     """Keep the members of a batched state where ``keep`` is true.
 
     The arrays are compacted into the front of their own buffers, so a
-    member leaving allocates no new state.
+    member leaving allocates no new state. ``phi`` is left as it is: the
+    next vertex sweep replaces it with a new array, and the rows of the
+    members that left stay valid.
     """
     count = int(keep.sum())
-    for name in ("phi", "nu", "copies", "duals"):
+    for name in ("nu", "copies", "duals"):
         kept = getattr(state, name)
         kept[:count] = kept[keep]
         setattr(state, name, kept[:count])
@@ -341,13 +343,26 @@ def _iterate(
         done = converged | (state.iteration >= max_iter)
         if done.any():
             for b in np.flatnonzero(done):
-                # a copy: the stack's rows are compacted in place below
-                phi = state.phi[b].copy() if converged[b] or trace is None else best_phi
+                phi = state.phi[b] if converged[b] or trace is None else best_phi
                 out[members[b]] = (phi, state.iteration, float(res_p[b]), float(res_d[b]), bool(converged[b]))
             keep = ~done
             members, q, lam = members[keep], q[keep], lam[keep]
             _select(state, keep)
     return out
+
+
+def members_per_call(graph: CayleyGraph) -> int:
+    """How many members one batched solve on ``graph`` should stack.
+
+    Stacking pays while the stack's four slot buffers stay within
+    ``_STATE_BYTES``: at r = 5 (61 KB per member) it cuts the cost of a
+    member's iteration about 2x, at r = 6 (576 KB) by up to a quarter, and
+    at r = 7 (5.8 MB) not at all, while each member adds its buffers and
+    temporaries to the peak memory. So r = 5 stacks 68 members, r = 6
+    stacks 7, and r = 7 solves one member at a time.
+    """
+    member = 4 * graph.n_vertices * (graph.r - 1) ** 2 * np.dtype(float).itemsize
+    return max(1, _STATE_BYTES // member)
 
 
 def solve_phi_batch(
@@ -370,7 +385,8 @@ def solve_phi_batch(
     objective of every iterate, for its best one; the iterates are
     deterministic, so that member is rerun alone with the objective tracked.
     ``trace`` (one member only) collects ``(iter, objective, res_p, res_d)``
-    rows.
+    rows. All members are stacked at once; a caller keeps the stack within
+    :func:`members_per_call`, as the EM fits do.
     """
     q = np.asarray(q_tables, dtype=float)
     lam = np.asarray(lams, dtype=float)
@@ -391,25 +407,21 @@ def solve_phi_batch(
         raise DomainError("phi0 must be finite")
     if trace is not None and len(q) != 1:
         raise DimensionError("a trace follows one member")
-    # members per call, so the four (V, r-1, r-1) buffers stay within _STATE_BYTES
-    step = max(1, _STATE_BYTES // (4 * q[0].size * (graph.r - 1) * q.itemsize))
     results = []
-    for start in range(0, len(q), step):
-        chunk = slice(start, start + step)
-        runs = _iterate(q[chunk], phi0[chunk], lam[chunk], graph, rho, eps_primal, eps_dual, max_iter, trace)
-        for b, (phi, iterations, res_p, res_d, converged) in enumerate(runs, start):
-            if not (converged or trace is not None):
-                rerun = _iterate(q[b : b + 1], phi0[b : b + 1], lam[b : b + 1], graph, rho,
-                                 eps_primal, eps_dual, max_iter, [])
-                phi = rerun[0][0]
-            results.append(AdmmResult(
-                phi=MissingTable(graph.r, phi),
-                converged=converged,
-                iterations=iterations,
-                res_primal=res_p,
-                res_dual=res_d,
-                objective=phi_objective(phi, q[b], graph, float(lam[b])),
-            ))
+    runs = _iterate(q, phi0, lam, graph, rho, eps_primal, eps_dual, max_iter, trace)
+    for b, (phi, iterations, res_p, res_d, converged) in enumerate(runs):
+        if not (converged or trace is not None):
+            rerun = _iterate(q[b : b + 1], phi0[b : b + 1], lam[b : b + 1], graph, rho,
+                             eps_primal, eps_dual, max_iter, [])
+            phi = rerun[0][0]
+        results.append(AdmmResult(
+            phi=MissingTable(graph.r, phi),
+            converged=converged,
+            iterations=iterations,
+            res_primal=res_p,
+            res_dual=res_d,
+            objective=phi_objective(phi, q[b], graph, float(lam[b])),
+        ))
     return results
 
 

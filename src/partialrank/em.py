@@ -423,12 +423,14 @@ def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[Fit
 
     Each run keeps its own rng and stopping; the loop collects the pending
     phi-step requests of all live runs and solves those that share r, rho
-    and the ADMM limits in one :func:`admm.solve_phi_batch` call. Each job
-    then keeps its best restart, the first one on ties, exactly as runs made
-    one after another would.
+    and the ADMM limits in one :func:`admm.solve_phi_batch` call. At most
+    :func:`admm.members_per_call` runs are live at once, since each holds
+    its own tables and stacking more pays nothing: at r = 7 the runs go one
+    after another. Each job then keeps its best restart, the first one on
+    ties, exactly as runs made one after another would.
     """
     runs = []  # (job, restart, generator, what its requests share with a batch)
-    outcomes: list[list] = []
+    best: list[tuple | None] = []  # per job, (restart, outcome) of its best finished run
     for job, (dataset, config, mode) in enumerate(jobs):
         if len(dataset) == 0:
             raise DomainError("cannot fit an empty dataset")
@@ -443,8 +445,10 @@ def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[Fit
         for j in range(config.restarts):
             rng = np.random.default_rng(children[j + 1])
             runs.append((job, j, _run_em(dataset, config, inits[j], rng, mode, me_phi, cap), key))
-        outcomes.append([None] * config.restarts)
+        best.append(None)
 
+    width = min((admm.members_per_call(build_cayley_graph(d.r, cap)) for d, _, _ in jobs), default=1)
+    waiting = iter(range(len(runs)))
     pending: dict[int, tuple] = {}
 
     def advance(i: int, solved: admm.AdmmResult | None) -> None:
@@ -452,11 +456,18 @@ def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[Fit
         try:
             pending[i] = run.send(solved)
         except StopIteration as stop:
-            outcomes[job][j] = stop.value
+            # runs finish out of order; the lower restart wins ties, and a
+            # losing run's tables are dropped at once
+            held = best[job]
+            if held is None or (stop.value[2][-1], j) < (held[1][2][-1], held[0]):
+                best[job] = (j, stop.value)
 
-    for i in range(len(runs)):
-        advance(i, None)
-    while pending:
+    while True:
+        # a run that never yields (lam = 0, ME) finishes inside its first advance
+        while len(pending) < width and (i := next(waiting, None)) is not None:
+            advance(i, None)
+        if not pending:
+            break
         requests = pending
         pending = {}
         batches: dict[tuple, list[int]] = {}
@@ -477,9 +488,8 @@ def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[Fit
                 advance(i, result)
 
     fits = []
-    for (dataset, config, mode), restarts in zip(jobs, outcomes):
-        best = min(range(len(restarts)), key=lambda j: restarts[j][2][-1])  # first on ties
-        theta, phi, trace, converged, resp = restarts[best]
+    for (dataset, config, mode), (restart, outcome) in zip(jobs, best):
+        theta, phi, trace, converged, resp = outcome
         if resp is None:
             resp = e_step(theta, phi, dataset, cap)  # raises DegenerateLikelihoodError
         if mode == "me":
@@ -493,7 +503,7 @@ def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[Fit
             phi=phi,
             nll=trace[-1],
             trace=trace,
-            restart=best,
+            restart=restart,
             posteriors=resp.posteriors(),
             converged=converged,
             method=method,

@@ -377,17 +377,99 @@ def cayley_graph_loop(r: int):
     return neighbors, np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
-def fit_sequential(dataset, config, mode: str, cap: int = 7) -> dict:
-    """One fit's restarts run one after another, each EM run driven alone.
+def observable_nll(theta, phi, dataset, cap: int = 7) -> float:
+    """Negative log-likelihood of the observed top-t rankings, block by block.
 
-    Every phi-step request of ``partialrank.em._run_em`` is answered by its
-    own ``solve_phi`` call, and the best restart (the first on ties) is kept.
-    ``mode`` is "regularized", "nr" or "me". The posteriors come from a
-    fresh E-step at the chosen pair.
+    Written apart from ``partialrank.em.e_step``, which folds the same value
+    into its normalizers; the two must agree bitwise.
+    """
+    from partialrank.mallows import component_log_pmf
+
+    log_comp = component_log_pmf(theta, cap) + np.log(theta.weights)[:, None]
+    with np.errstate(divide="ignore"):
+        log_phi = np.log(phi.probs)
+    total = 0.0
+    for block in dataset.groups(cap).blocks:
+        logits = log_comp[:, block.members] + log_phi[block.members, block.t - 1][None, :, :]
+        top = logits.max(axis=(0, 2))
+        if np.any(np.isneginf(top)):
+            return np.inf
+        ll = top + np.log(np.exp(logits - top[None, :, None]).sum(axis=(0, 2)))
+        total -= float((block.counts * ll).sum())
+    return total
+
+
+def em_run_reference(dataset, config, init_vertices, rng, mode: str, me_phi, cap: int = 7):
+    """One EM run written out as a plain loop.
+
+    A fresh E-step at the start of every iteration, each phi-step solved by
+    its own ``solve_phi`` call, and every candidate pair scored by
+    :func:`observable_nll` plus the edge penalty. ``partialrank.em._run_em``
+    carries the E-step of each accepted pair into the next iteration and
+    scores with it; both must give the same run. Returns
+    ``(theta, phi, trace, converged)``.
     """
     from partialrank import admm, em
+    from partialrank.mallows import MallowsParams, MixtureParams
     from partialrank.missing import MissingTable
-    from partialrank.perms import build_cayley_graph, perm_table
+    from partialrank.perms import build_cayley_graph, unindex
+
+    r = dataset.r
+    graph = build_cayley_graph(r, cap)
+    lam = config.lam if mode == "regularized" else 0.0
+
+    def score(theta, phi):
+        value = observable_nll(theta, phi, dataset, cap)
+        return value + lam * admm.edge_penalty(phi.probs, graph) if lam > 0 else value
+
+    theta = MixtureParams(
+        tuple(MallowsParams(unindex(v, r), 1.0) for v in init_vertices),
+        tuple(1.0 / config.n_clusters for _ in range(config.n_clusters)),
+    )
+    phi = me_phi if mode == "me" else MissingTable.uniform(r, cap)
+    current = score(theta, phi)
+    trace = [current]
+    converged = False
+    for m in range(1, config.em_max_iter + 1):
+        resp = em.e_step(theta, phi, dataset, cap)
+        if mode == "me":
+            phi_new = phi
+        elif lam > 0:
+            solved = admm.solve_phi(
+                resp.q_table, graph, lam, config.rho, phi0=phi.probs, eps_primal=config.admm_eps_primal,
+                eps_dual=config.admm_eps_dual, max_iter=config.admm_max_iter,
+            )
+            better = solved.objective <= admm.phi_objective(phi.probs, resp.q_table, graph, lam)
+            phi_new = solved.phi if better else phi
+        else:
+            phi_new = MissingTable(r, em.closed_form_phi(resp.q_table))
+        theta_new = em.m_step_theta(resp, dataset, config.n_clusters, config.c_min, config.c_max, cap)
+        value = score(theta_new, phi_new)
+        if m <= config.transition_iters:
+            proposal = em._propose_transition(theta_new, rng, graph)
+            if proposal is not None:
+                alt = score(proposal, phi_new)
+                if alt <= value:
+                    theta_new, value = proposal, alt
+        theta, phi = theta_new, phi_new
+        trace.append(value)
+        if abs(current - value) < config.em_tol:
+            converged = True
+            break
+        current = value
+    return theta, phi, trace, converged
+
+
+def fit_sequential(dataset, config, mode: str, cap: int = 7) -> dict:
+    """One fit's restarts run one after another by :func:`em_run_reference`.
+
+    The best restart (the first on ties) is kept. ``mode`` is
+    "regularized", "nr" or "me". The posteriors come from a fresh E-step at
+    the chosen pair.
+    """
+    from partialrank import em
+    from partialrank.missing import MissingTable
+    from partialrank.perms import perm_table
 
     children = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
     inits = em._initial_locations(
@@ -397,20 +479,10 @@ def fit_sequential(dataset, config, mode: str, cap: int = 7) -> dict:
     if mode == "me":
         counts = np.bincount(dataset.lengths, minlength=dataset.r)[1:]
         me_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum(), cap)
-    graph = build_cayley_graph(dataset.r, cap)
     best = None
     for j in range(config.restarts):
-        run = em._run_em(dataset, config, inits[j], np.random.default_rng(children[j + 1]), mode, me_phi, cap)
-        solved = None
-        try:
-            while True:
-                q_table, phi0, lam = run.send(solved)
-                solved = admm.solve_phi(
-                    q_table, graph, lam, config.rho, phi0=phi0, eps_primal=config.admm_eps_primal,
-                    eps_dual=config.admm_eps_dual, max_iter=config.admm_max_iter,
-                )
-        except StopIteration as stop:
-            theta, phi, trace, converged, _ = stop.value
+        rng = np.random.default_rng(children[j + 1])
+        theta, phi, trace, converged = em_run_reference(dataset, config, inits[j], rng, mode, me_phi, cap)
         if best is None or trace[-1] < best["nll"]:
             best = {"restart": j, "theta": theta, "phi": phi, "nll": trace[-1], "trace": trace,
                     "converged": converged}

@@ -247,20 +247,20 @@ class TestSweepInvariants:
     def test_rows_on_simplex_after_every_vertex_sweep(self):
         graph = build_cayley_graph(3)
         rng = np.random.default_rng(6)
-        q = rng.random((6, 2)) * 3
-        state = init_state(graph, np.full((6, 2), 0.5))
+        q = rng.random((1, 6, 2)) * 3
+        state = init_state(graph, np.full((1, 6, 2), 0.5))
         for _ in range(30):
             vertex_sweep(state, q, graph, rho=1.0)
-            assert np.abs(state.phi.sum(axis=1) - 1.0).max() <= 1e-10
-            edge_sweep(state, graph, lam=1.0, rho=1.0)
+            assert np.abs(state.phi.sum(axis=-1) - 1.0).max() <= 1e-10
+            edge_sweep(state, graph, lam=[1.0], rho=1.0)
             dual_sweep(state, graph)
 
     def test_state_slot_shapes(self):
         graph = build_cayley_graph(3)
-        state = init_state(graph, np.full((6, 2), 0.5))
-        assert state.copies.shape == state.duals.shape == (graph.n_vertices, 2, 2)
-        assert state.prev_copies.shape == state.work.shape == (graph.n_vertices, 2, 2)
-        assert state.nu.shape == (graph.n_vertices,)
+        state = init_state(graph, np.full((3, 6, 2), 0.5))
+        assert state.copies.shape == state.duals.shape == (3, graph.n_vertices, 2, 2)
+        assert state.prev_copies.shape == state.work.shape == (3, graph.n_vertices, 2, 2)
+        assert state.nu.shape == (3, graph.n_vertices)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_sweeps_match_per_edge_updates(self, r):
@@ -269,36 +269,36 @@ class TestSweepInvariants:
         graph = build_cayley_graph(r)
         rng = np.random.default_rng(60 + r)
         lam, rho = 3.0, 1.5
-        state = init_state(graph, rng.dirichlet(np.ones(r - 1), size=graph.n_vertices))
+        state = init_state(graph, rng.dirichlet(np.ones(r - 1), size=(1, graph.n_vertices)))
         state.duals[...] = rng.normal(scale=0.1, size=state.duals.shape)
         slot = {(int(v), int(u)): j for v in range(graph.n_vertices) for j, u in enumerate(graph.neighbors[v])}
         for _ in range(3):
             before = state.copies.copy()
-            a = state.phi[:, None, :] + state.duals
+            a = state.phi[0][:, None, :] + state.duals[0]
             expected = np.empty_like(a)
             for u, v in graph.edges:
                 ju, jv = slot[(int(u), int(v))], slot[(int(v), int(u))]
                 expected[u, ju], expected[v, jv] = edge_update(a[u, ju], a[v, jv], lam, rho)
-            edge_sweep(state, graph, lam, rho)
-            assert np.abs(state.copies - expected).max() <= 1e-15
+            edge_sweep(state, graph, [lam], rho)
+            assert np.abs(state.copies[0] - expected).max() <= 1e-15
             assert np.array_equal(state.prev_copies, before)
-            duals = state.duals + (state.phi[:, None, :] - state.copies)
+            duals = state.duals + (state.phi[..., None, :] - state.copies)
             dual_sweep(state, graph)
             assert np.array_equal(state.duals, duals)
-            vertex_sweep(state, rng.random((graph.n_vertices, r - 1)), graph, rho)
+            vertex_sweep(state, rng.random((1, graph.n_vertices, r - 1)), graph, rho)
 
     def test_vertex_and_edge_steps_never_raise_the_lagrangian(self):
         graph = build_cayley_graph(3)
         rng = np.random.default_rng(7)
         q = rng.random((6, 2)) * 3
         lam, rho = 2.0, 1.0
-        state = init_state(graph, rng.dirichlet(np.ones(2), size=6))
+        state = init_state(graph, rng.dirichlet(np.ones(2), size=(1, 6)))
         for _ in range(25):
             before = augmented_lagrangian(state, q, graph, lam, rho)
-            vertex_sweep(state, q, graph, rho)
+            vertex_sweep(state, q[None], graph, rho)
             after_vertex = augmented_lagrangian(state, q, graph, lam, rho)
             assert after_vertex <= before + 1e-8
-            edge_sweep(state, graph, lam, rho)
+            edge_sweep(state, graph, [lam], rho)
             after_edge = augmented_lagrangian(state, q, graph, lam, rho)
             assert after_edge <= after_vertex + 1e-8
             dual_sweep(state, graph)
@@ -354,16 +354,9 @@ def test_batch_matches_per_member_solves(r):
     assert all(_same_result(a, b) for a, b in zip(batch, alone))
 
 
-def test_batch_split_into_chunks_matches(monkeypatch):
-    graph = build_cayley_graph(4)
-    rng = np.random.default_rng(90)
-    lams = np.array([0.5, 2.0, 8.0, 40.0, 200.0])
-    q = rng.random((5, 24, 3)) * 10
-    phi0 = rng.dirichlet(np.ones(3), size=(5, 24))
-    whole = solve_phi_batch(q, graph, lams, 1.5, phi0, max_iter=15)
-    monkeypatch.setattr(admm, "_STATE_BYTES", 2 * 4 * 24 * 3 * 3 * 8)  # two members per call
-    chunked = solve_phi_batch(q, graph, lams, 1.5, phi0, max_iter=15)
-    assert all(_same_result(a, b) for a, b in zip(whole, chunked))
+def test_members_per_call_stacks_only_where_it_pays():
+    # 4 MiB of slot buffers: stacked at r = 5 and 6, one member at a time at r = 7
+    assert [admm.members_per_call(build_cayley_graph(r)) for r in (4, 5, 6, 7)] == [606, 68, 7, 1]
 
 
 def test_unconverged_result_is_the_best_traced_iterate(tmp_path):

@@ -23,6 +23,7 @@ from partialrank import (
     tilt_concentration_mechanism,
     generate_dataset,
 )
+from partialrank import admm, em
 from partialrank.em import Responsibilities, fit_many, load_fit_json, penalized_nll
 from partialrank.mallows import mixture_pmf
 from partialrank.perms import build_cayley_graph, compatible_set, index_of, kendall_distance, unindex
@@ -405,3 +406,53 @@ class TestLockstep:
             alone = fit(dataset, config)
             assert batched.to_json_dict() == alone.to_json_dict()
             assert np.array_equal(batched.posteriors, alone.posteriors)
+
+    def test_lower_restart_wins_a_tie_it_finishes_second(self, datasets, monkeypatch):
+        # restart 2 ties restart 1 on the final objective but finishes a
+        # lockstep round earlier; runs made one after another keep restart 1
+        graph = build_cayley_graph(4)
+        theta = MixtureParams.single(Permutation.identity(4), 1.0)
+        phi = MissingTable.uniform(4)
+        finals, delays = [5.0, 3.0, 3.0, 4.0], [0, 2, 1, 0]
+        calls = iter(range(4))
+
+        def fake_run_em(dataset, config, init_vertices, rng, mode, me_phi, cap):
+            j = next(calls)
+
+            def run():
+                for _ in range(delays[j]):
+                    yield np.ones((graph.n_vertices, 3)), phi.probs, 1.0
+                return theta, phi, [finals[j]], True, None
+
+            return run()
+
+        monkeypatch.setattr(em, "_run_em", fake_run_em)
+        result = fit(datasets[1], FitConfig(restarts=4))
+        assert (result.restart, result.nll) == (1, 3.0)
+
+    def test_live_runs_capped_by_members_per_call(self, datasets, monkeypatch):
+        # with room for two members per solve, at most two runs are live and
+        # no solve stacks more; the fits do not change
+        jobs = [
+            (datasets[1], FitConfig(lam=10.0, restarts=3, seed=5, em_max_iter=15)),
+            (datasets[2], FitConfig(lam=1.0, n_clusters=2, restarts=2, seed=6, em_max_iter=15)),
+        ]
+        sizes = []
+        solve = admm.solve_phi_batch
+
+        def recording(q_tables, *args, **kwargs):
+            sizes.append(len(q_tables))
+            return solve(q_tables, *args, **kwargs)
+
+        monkeypatch.setattr(admm, "solve_phi_batch", recording)
+        wide = fit_many(jobs)
+        assert max(sizes) == 5
+        sizes.clear()
+        graph = build_cayley_graph(4)
+        monkeypatch.setattr(admm, "_STATE_BYTES", 2 * 4 * graph.n_vertices * 3 * 3 * 8)
+        assert admm.members_per_call(graph) == 2
+        narrow = fit_many(jobs)
+        assert max(sizes) == 2
+        for a, b in zip(wide, narrow):
+            assert a.to_json_dict() == b.to_json_dict()
+            assert np.array_equal(a.posteriors, b.posteriors)
