@@ -15,12 +15,15 @@ with a constant mixing weight
 
     alpha = (1 + rho / (4 lam + rho)) / 2  in (1/2, 1].
 
-Copies and duals live on neighbor slots: entry ``[v, j]`` belongs to vertex v
+Copies and duals live on neighbor slots: entry ``[j, v]`` belongs to vertex v
 on the edge to ``N[v, j]``, where ``N = graph.neighbors`` and slot j swaps the
 items at positions j and j+1. That swap undoes itself, so ``N[N[v, j], j] == v``
-and the other endpoint's copy on the same edge sits at ``[N[v, j], j]``. Every
-sweep is then a broadcast over ``(B, V, r-1, r-1)`` arrays (B members, see
-below) plus one gather, written into buffers the state owns.
+and the other endpoint's copy on the same edge sits at ``[j, N[v, j]]``. Every
+sweep is then a broadcast over ``(B, r-1, V, r-1)`` arrays (B members, see
+below) plus one gather, written into buffers the state owns. The slot axis
+comes before the vertex axis, and the multiplier search holds its rows
+length-major, so every sum over slots or lengths adds whole contiguous planes:
+numpy reduces an innermost axis only r-1 wide about ten times slower.
 
 The state has a leading member axis: :func:`solve_phi_batch` runs several
 problems on the same graph, each with its own ``q``, ``lam`` and start, in
@@ -58,10 +61,10 @@ class AdmmState:
 
     phi: np.ndarray          # (B, V, r-1)
     nu: np.ndarray           # (B, V): simplex multipliers of the last vertex sweep, nan before it
-    copies: np.ndarray       # (B, V, r-1, r-1): [b, v, j] is v's copy on the edge to N[v, j]
-    duals: np.ndarray        # (B, V, r-1, r-1): dual of the constraint phi[b, v] == copies[b, v, j]
-    prev_copies: np.ndarray  # (B, V, r-1, r-1): the copies before the last edge sweep
-    work: np.ndarray         # (B, V, r-1, r-1): scratch for the sweeps and residuals
+    copies: np.ndarray       # (B, r-1, V, r-1): [b, j, v] is v's copy on the edge to N[v, j]
+    duals: np.ndarray        # (B, r-1, V, r-1): dual of the constraint phi[b, v] == copies[b, j, v]
+    prev_copies: np.ndarray  # (B, r-1, V, r-1): the copies before the last edge sweep
+    work: np.ndarray         # (B, r-1, V, r-1): scratch for the sweeps and residuals
     iteration: int = 0
 
 
@@ -90,16 +93,19 @@ def edge_update(a: np.ndarray, b: np.ndarray, lam: float, rho: float) -> tuple[n
     return alpha * a + (1.0 - alpha) * b, alpha * b + (1.0 - alpha) * a
 
 
-def _phi_of_nu(nu: np.ndarray, y: np.ndarray, q: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+def _phi_of_nu(
+    nu: np.ndarray, y: np.ndarray, two_q: np.ndarray, scaled_q: np.ndarray, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Row minimizers at multiplier nu and their slopes -d phi / d nu.
 
-    Stable on both signs of z = y + nu. The slope phi / sqrt(z^2 + 2 scale q)
-    is 0/0 = nan where q and z are both zero.
+    Rows are columns here: ``y``, ``two_q = 2 q`` and ``scaled_q = 2 scale q``
+    are ``(r-1, rows)``. Stable on both signs of z = y + nu. The slope
+    phi / sqrt(z^2 + 2 scale q) is 0/0 = nan where q and z are both zero.
     """
-    z = y + nu[:, None]
-    root = np.sqrt(z * z + 2.0 * scale * q)
+    z = y + nu
+    root = np.sqrt(z * z + scaled_q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pos = 2.0 * q / (root + z)
+        pos = two_q / (root + z)
         phi = np.where(z > 0, pos, (root - z) / scale)
         return phi, phi / root
 
@@ -117,43 +123,50 @@ def _vertex_update_batch(
     |s| <= NU_TOL or its bracket has collapsed; left active, converged rows
     drift back out of the tolerance band through float noise. ``nu0`` is a
     warm start, taken on the rows where it lies inside the bracket.
+
+    The search works on the transposes, ``(r-1, rows)``: a row's sums then
+    run over axis 0, which adds its r-1 entries in the same order as a sum
+    along the row does, and several times faster.
     """
     scale = 2.0 * rho * degree
-    q = np.asarray(q, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lo = -y.max(axis=1) - rho * degree                    # s(lo) >= 0
-    hi = -y.min(axis=1) + np.maximum(q.sum(axis=1), 1.0)  # s(hi) <= 0
+    q = np.asarray(q, dtype=float).T.copy()
+    y = np.asarray(y, dtype=float).T.copy()
+    lo = -y.max(axis=0) - rho * degree                    # s(lo) >= 0
+    hi = -y.min(axis=0) + np.maximum(q.sum(axis=0), 1.0)  # s(hi) <= 0
     nu = 0.5 * (lo + hi)
     if nu0 is not None:
         nu = np.where((lo < nu0) & (nu0 < hi), nu0, nu)
+    two_q, scaled_q = 2.0 * q, 2.0 * scale * q
     phi_out = np.empty_like(q)
     nu_out = np.empty_like(nu)
-    rows = np.arange(q.shape[0])
+    rows = np.arange(q.shape[1])
     for _ in range(_MAX_NU_PASSES):
-        phi, slope = _phi_of_nu(nu, y, q, scale)
-        s = phi.sum(axis=1) - 1.0
+        phi, slope = _phi_of_nu(nu, y, two_q, scaled_q, scale)
+        s = phi.sum(axis=0) - 1.0
         above = s >= 0
         lo = np.where(above, nu, lo)
         hi = np.where(above, hi, nu)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = nu + s / slope.sum(axis=1)
+            step = nu + s / slope.sum(axis=0)
         frozen = (np.abs(s) <= NU_TOL) | (hi - lo <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(nu)))
         if frozen.any():
-            phi_out[rows[frozen]] = phi[frozen]
-            nu_out[rows[frozen]] = nu[frozen]
-            active = ~frozen
-            if not active.any():
+            # take gathers columns about 3x faster than boolean or fancy indexing
+            done, active = np.flatnonzero(frozen), np.flatnonzero(~frozen)
+            phi_out[:, rows[done]] = np.take(phi, done, axis=1)
+            nu_out[rows[done]] = nu[done]
+            if not active.size:
                 break
-            rows, y, q, lo, hi, step = (a[active] for a in (rows, y, q, lo, hi, step))
+            rows, lo, hi, step = (a[active] for a in (rows, lo, hi, step))
+            y, two_q, scaled_q = (np.take(a, active, axis=1) for a in (y, two_q, scaled_q))
         nu = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
     else:
-        phi_out[rows] = _phi_of_nu(nu, y, q, scale)[0]
+        phi_out[:, rows] = _phi_of_nu(nu, y, two_q, scaled_q, scale)[0]
         nu_out[rows] = nu
-    worst = np.max(np.abs(phi_out.sum(axis=1) - 1.0))
+    worst = np.max(np.abs(phi_out.sum(axis=0) - 1.0))
     if not worst <= NU_HARD_TOL:  # also catches a nan residual
         raise NumericError(f"simplex multiplier search stalled at residual {worst:.3e}")
     # trim float fuzz just past the box; the multiplier residual bounds the change
-    return np.clip(phi_out, 0.0, 1.0), nu_out
+    return np.clip(phi_out, 0.0, 1.0, out=phi_out).T.copy(), nu_out
 
 
 def vertex_update(q_row: np.ndarray, y: np.ndarray, rho: float, degree: int) -> np.ndarray:
@@ -180,12 +193,13 @@ def vertex_update(q_row: np.ndarray, y: np.ndarray, rho: float, degree: int) -> 
 
 
 def _partner(slots: np.ndarray, graph: CayleyGraph, out: np.ndarray | None = None) -> np.ndarray:
-    """The other endpoint's entry on each slot's edge: ``slots[..., N[v, j], j]``."""
-    # one take over flattened (vertex, slot) rows; indexing with the pair of
-    # arrays (N, slot) gathers the same rows about 3x slower at r = 7. The
-    # rows are in range by construction of the graph, and mode "clip" lets
-    # take write straight into ``out`` where "raise" buffers a copy.
-    rows = graph.neighbors * (graph.r - 1) + np.arange(graph.r - 1)
+    """The other endpoint's entry on each slot's edge: ``slots[b, j, N[v, j]]``
+    for a ``(B, r-1, V, r-1)`` stack."""
+    # one take over flattened (slot, vertex) rows, row j V + N[v, j]; indexing
+    # with the pair of arrays (slot, N) gathers the same rows about 3x slower
+    # at r = 7. The rows are in range by construction of the graph, and mode
+    # "clip" lets take write straight into ``out`` where "raise" buffers a copy.
+    rows = graph.neighbors.T + np.arange(graph.r - 1)[:, None] * graph.n_vertices
     # members follow one another in the flattened rows
     rows = np.arange(slots.shape[0])[:, None, None] * rows.size + rows
     return np.take(slots.reshape(-1, slots.shape[-1]), rows, axis=0, out=out, mode="clip")
@@ -212,21 +226,6 @@ def phi_objective(phi: np.ndarray, q: np.ndarray, graph: CayleyGraph, lam: float
     return nll + lam * edge_penalty(phi, graph)
 
 
-def augmented_lagrangian(state: AdmmState, q: np.ndarray, graph: CayleyGraph, lam: float, rho: float) -> float:
-    """The penalty-split objective driving the vertex and edge sweeps, for a
-    state of one member; ``q`` is that member's ``(V, r-1)`` table."""
-    phi, copies, duals = state.phi[0], state.copies[0], state.duals[0]
-    mask = q > 0
-    vals = phi[mask]
-    if np.any(vals <= 0):
-        return np.inf
-    total = -float((q[mask] * np.log(vals)).sum())
-    total += 0.5 * lam * float(((copies - _partner(state.copies, graph)[0]) ** 2).sum())
-    total -= 0.5 * rho * float((duals**2).sum())
-    total += 0.5 * rho * float(((phi[:, None, :] - copies + duals) ** 2).sum())
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Full solver.
 # ---------------------------------------------------------------------------
@@ -235,7 +234,7 @@ def augmented_lagrangian(state: AdmmState, q: np.ndarray, graph: CayleyGraph, la
 def init_state(graph: CayleyGraph, phi0: np.ndarray) -> AdmmState:
     """Copies equal to the rows and zero duals, for a ``(B, V, r-1)`` stack of starts."""
     phi = np.array(phi0, dtype=float)
-    copies = np.repeat(phi[..., None, :], graph.r - 1, axis=-2)
+    copies = np.repeat(phi[:, None], graph.r - 1, axis=1)
     return AdmmState(
         phi=phi,
         nu=np.full(phi.shape[:-1], np.nan),
@@ -246,14 +245,14 @@ def init_state(graph: CayleyGraph, phi0: np.ndarray) -> AdmmState:
     )
 
 
-# The sweeps write into the state's (B, V, r-1, r-1) buffers: at r = 7 each
+# The sweeps write into the state's (B, r-1, V, r-1) buffers: at r = 7 each
 # fresh temporary would be a 1.4 MB allocation per member on every ADMM
 # iteration. Every operation is row-local, so a member's iterates do not
 # depend on the others.
 
 
 def vertex_sweep(state: AdmmState, q: np.ndarray, graph: CayleyGraph, rho: float) -> None:
-    y = np.subtract(state.duals, state.copies, out=state.work).sum(axis=-2)
+    y = np.subtract(state.duals, state.copies, out=state.work).sum(axis=1)
     y *= rho
     width = graph.r - 1
     phi, nu = _vertex_update_batch(q.reshape(-1, width), y.reshape(-1, width), rho, width, state.nu.reshape(-1))
@@ -266,7 +265,7 @@ def edge_sweep(state: AdmmState, graph: CayleyGraph, lam: np.ndarray, rho: float
     ``lam`` holds one strength per member.
     """
     alpha = mixing_weight(np.asarray(lam, dtype=float), rho)[:, None, None, None]
-    a = np.add(state.phi[..., None, :], state.duals, out=state.prev_copies)
+    a = np.add(state.phi[:, None], state.duals, out=state.prev_copies)
     b = _partner(a, graph, out=state.work)
     b *= 1.0 - alpha
     a *= alpha
@@ -275,11 +274,12 @@ def edge_sweep(state: AdmmState, graph: CayleyGraph, lam: np.ndarray, rho: float
 
 
 def dual_sweep(state: AdmmState, graph: CayleyGraph) -> None:
-    state.duals += np.subtract(state.phi[..., None, :], state.copies, out=state.work)
+    """Dual ascent; leaves the primal residual ``phi - copies`` in ``work``."""
+    state.duals += np.subtract(state.phi[:, None], state.copies, out=state.work)
 
 
 def _norms(diff: np.ndarray) -> np.ndarray:
-    """Per-member Frobenius norms of a ``(B, V, r-1, r-1)`` array, squared in place.
+    """Per-member Frobenius norms of a ``(B, r-1, V, r-1)`` array, squared in place.
 
     Each member's slice is contiguous, so its reduction is the same pairwise
     sum as that of the member's array on its own.
@@ -331,7 +331,7 @@ def _iterate(
         vertex_sweep(state, q, graph, rho)
         edge_sweep(state, graph, lam, rho)
         dual_sweep(state, graph)
-        res_p = _norms(np.subtract(state.phi[..., None, :], state.copies, out=state.work))
+        res_p = _norms(state.work)
         res_d = _norms(np.subtract(state.copies, state.prev_copies, out=state.work))
         state.iteration += 1
         if trace is not None:

@@ -93,19 +93,12 @@ class Responsibilities:
     groups: ObservationGroups = field(repr=False)
     block_weights: list[np.ndarray] = field(repr=False)  # per block, (K, G, m)
 
-    def per_observation(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Compatible vertex indices and the (K, m) posterior weights of one row."""
-        b = int(self.groups.obs_block[i])
-        pos = int(self.groups.obs_pos[i])
-        return self.groups.blocks[b].members[pos], self.block_weights[b][:, pos, :]
-
     def posteriors(self) -> np.ndarray:
         """Per-observation component posteriors, shape (n, K)."""
-        gamma = np.empty((self.n, self.n_clusters))
-        for b, weights in enumerate(self.block_weights):
-            mask = self.groups.obs_block == b
-            gamma[mask] = weights.sum(axis=2)[:, self.groups.obs_pos[mask]].T
-        return gamma
+        # one (groups, K) table of group posteriors, read by each observation's group
+        table = np.concatenate([np.empty((0, self.n_clusters))] + [w.sum(axis=2).T for w in self.block_weights])
+        first = np.cumsum([0] + [w.shape[1] for w in self.block_weights])
+        return table[first[self.groups.obs_block] + self.groups.obs_pos]
 
 
 def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int = DEFAULT_CAP) -> Responsibilities:
@@ -430,7 +423,9 @@ def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[Fit
     ties, exactly as runs made one after another would.
     """
     runs = []  # (job, restart, generator, what its requests share with a batch)
-    best: list[tuple | None] = []  # per job, (restart, outcome) of its best finished run
+    # per job, (restart, (theta, phi, trace, converged, posteriors)) of its best
+    # finished run; posteriors is None where some observation has zero likelihood
+    best: list[tuple | None] = []
     for job, (dataset, config, mode) in enumerate(jobs):
         if len(dataset) == 0:
             raise DomainError("cannot fit an empty dataset")
@@ -456,11 +451,14 @@ def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[Fit
         try:
             pending[i] = run.send(solved)
         except StopIteration as stop:
-            # runs finish out of order; the lower restart wins ties, and a
-            # losing run's tables are dropped at once
+            # runs finish out of order; the lower restart wins ties. Only the
+            # best run's (n, K) posteriors are kept: every run's E-step, with
+            # its per-block weights, is dropped as soon as the run finishes
+            theta, phi, trace, converged, resp = stop.value
             held = best[job]
-            if held is None or (stop.value[2][-1], j) < (held[1][2][-1], held[0]):
-                best[job] = (j, stop.value)
+            if held is None or (trace[-1], j) < (held[1][2][-1], held[0]):
+                posteriors = None if resp is None else resp.posteriors()
+                best[job] = (j, (theta, phi, trace, converged, posteriors))
 
     while True:
         # a run that never yields (lam = 0, ME) finishes inside its first advance
@@ -489,9 +487,9 @@ def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[Fit
 
     fits = []
     for (dataset, config, mode), (restart, outcome) in zip(jobs, best):
-        theta, phi, trace, converged, resp = outcome
-        if resp is None:
-            resp = e_step(theta, phi, dataset, cap)  # raises DegenerateLikelihoodError
+        theta, phi, trace, converged, posteriors = outcome
+        if posteriors is None:
+            posteriors = e_step(theta, phi, dataset, cap).posteriors()  # raises DegenerateLikelihoodError
         if mode == "me":
             method = "ME"
         elif config.lam > 0:
@@ -504,7 +502,7 @@ def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[Fit
             nll=trace[-1],
             trace=trace,
             restart=restart,
-            posteriors=resp.posteriors(),
+            posteriors=posteriors,
             converged=converged,
             method=method,
             config=config,

@@ -135,6 +135,93 @@ def vertex_update_bisection(q_row, y_row, rho: float, degree: int) -> tuple[list
     return row(nu), nu
 
 
+def augmented_lagrangian(state, q: np.ndarray, graph, lam: float, rho: float) -> float:
+    """The penalty-split objective driving the vertex and edge sweeps.
+
+    For an ``admm.AdmmState`` of one member in the slot-major layout:
+    ``copies[0, j, v]`` is vertex v's copy on the edge to ``N[v, j]``
+    (``N = graph.neighbors``), so the other endpoint's copy on that edge is
+    ``copies[0, j, N[v, j]]``. ``q`` is the member's ``(V, r-1)`` table.
+    """
+    phi, copies, duals = state.phi[0], state.copies[0], state.duals[0]
+    mask = q > 0
+    vals = phi[mask]
+    if np.any(vals <= 0):
+        return np.inf
+    partner = copies[np.arange(graph.r - 1)[:, None], graph.neighbors.T]
+    total = -float((q[mask] * np.log(vals)).sum())
+    total += 0.5 * lam * float(((copies - partner) ** 2).sum())
+    total -= 0.5 * rho * float((duals**2).sum())
+    total += 0.5 * rho * float(((phi[None] - copies + duals) ** 2).sum())
+    return total
+
+
+def admm_reference(
+    q: np.ndarray,
+    graph,
+    lam: float,
+    rho: float,
+    phi0: np.ndarray,
+    eps_primal: float,
+    eps_dual: float,
+    max_iter: int,
+) -> tuple[np.ndarray, int, bool, float, float]:
+    """The edge-splitting ADMM loop written out over the edge list.
+
+    Each edge {u, v} of ``graph.edges`` holds a copy of both endpoints' rows
+    and a dual for each. An iteration solves every vertex by
+    :func:`vertex_update_bisection`, every edge by the closed-form minimizer
+    of lam ||x - y||^2 + (rho / 2)(||a - x||^2 + ||b - y||^2), and takes a dual
+    ascent step. The primal residual is the norm of all (row - copy)
+    differences, the dual residual that of the change in the copies; the run
+    stops once both are below their thresholds, or at ``max_iter`` with the
+    iterate of least objective. Returns ``(phi, iterations, converged,
+    res_primal, res_dual)``.
+    """
+    q = np.asarray(q, dtype=float)
+    edges = [(int(u), int(v)) for u, v in graph.edges]
+    degree = graph.r - 1
+    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(q))}
+    for e, (u, v) in enumerate(edges):
+        incident[u].append((e, 0))
+        incident[v].append((e, 1))
+    phi = np.array(phi0, dtype=float)
+    copies = np.stack([np.stack([phi[u], phi[v]]) for u, v in edges])  # (E, 2, r-1)
+    duals = np.zeros_like(copies)
+    weight = 0.5 * (1.0 + rho / (4.0 * lam + rho))
+    mask = q > 0
+
+    def objective(p: np.ndarray) -> float:
+        if np.any(p[mask] <= 0):
+            return np.inf
+        penalty = sum(float(((p[u] - p[v]) ** 2).sum()) for u, v in edges)
+        return -float((q[mask] * np.log(p[mask])).sum()) + lam * penalty
+
+    best_phi, best_obj = phi, np.inf
+    res_p = res_d = np.inf
+    for it in range(1, max_iter + 1):
+        new_phi = np.empty_like(phi)
+        for v in range(len(q)):
+            y = rho * sum(duals[e, side] - copies[e, side] for e, side in incident[v])
+            new_phi[v] = vertex_update_bisection(q[v], y, rho, degree)[0]
+        phi = new_phi
+        old = copies.copy()
+        for e, (u, v) in enumerate(edges):
+            a, b = phi[u] + duals[e, 0], phi[v] + duals[e, 1]
+            copies[e, 0] = weight * a + (1.0 - weight) * b
+            copies[e, 1] = weight * b + (1.0 - weight) * a
+        gap = np.stack([phi[[u, v]] for u, v in edges]) - copies
+        duals += gap
+        res_p = math.sqrt(float((gap**2).sum()))
+        res_d = math.sqrt(float(((copies - old) ** 2).sum()))
+        obj = objective(phi)
+        if obj < best_obj:
+            best_phi, best_obj = phi, obj
+        if res_p < eps_primal and res_d < eps_dual:
+            return phi, it, True, res_p, res_d
+    return best_phi, max_iter, False, res_p, res_d
+
+
 def solve_phi_projected_gradient(
     q: np.ndarray,
     edges: np.ndarray,
@@ -488,3 +575,11 @@ def fit_sequential(dataset, config, mode: str, cap: int = 7) -> dict:
                     "converged": converged}
     best["posteriors"] = em.e_step(best["theta"], best["phi"], dataset, cap).posteriors()
     return best
+
+
+def per_observation(resp, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Compatible vertex indices and the (K, m) posterior weights of observation
+    ``i`` in an ``em.Responsibilities`` (test helper, not an oracle)."""
+    b = int(resp.groups.obs_block[i])
+    pos = int(resp.groups.obs_pos[i])
+    return resp.groups.blocks[b].members[pos], resp.block_weights[b][:, pos, :]

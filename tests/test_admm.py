@@ -3,13 +3,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import project_simplex, solve_phi_projected_gradient, vertex_update_bisection
+from oracles import (
+    admm_reference,
+    augmented_lagrangian,
+    project_simplex,
+    solve_phi_projected_gradient,
+    vertex_update_bisection,
+)
 from partialrank import DomainError, NumericError, build_cayley_graph
 from partialrank import admm
 from partialrank.admm import (
     NU_HARD_TOL,
     _vertex_update_batch,
-    augmented_lagrangian,
     dual_sweep,
     edge_penalty,
     edge_sweep,
@@ -258,8 +263,8 @@ class TestSweepInvariants:
     def test_state_slot_shapes(self):
         graph = build_cayley_graph(3)
         state = init_state(graph, np.full((3, 6, 2), 0.5))
-        assert state.copies.shape == state.duals.shape == (3, graph.n_vertices, 2, 2)
-        assert state.prev_copies.shape == state.work.shape == (3, graph.n_vertices, 2, 2)
+        assert state.copies.shape == state.duals.shape == (3, 2, graph.n_vertices, 2)
+        assert state.prev_copies.shape == state.work.shape == (3, 2, graph.n_vertices, 2)
         assert state.nu.shape == (3, graph.n_vertices)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
@@ -274,15 +279,15 @@ class TestSweepInvariants:
         slot = {(int(v), int(u)): j for v in range(graph.n_vertices) for j, u in enumerate(graph.neighbors[v])}
         for _ in range(3):
             before = state.copies.copy()
-            a = state.phi[0][:, None, :] + state.duals[0]
+            a = state.phi[0][None] + state.duals[0]
             expected = np.empty_like(a)
             for u, v in graph.edges:
                 ju, jv = slot[(int(u), int(v))], slot[(int(v), int(u))]
-                expected[u, ju], expected[v, jv] = edge_update(a[u, ju], a[v, jv], lam, rho)
+                expected[ju, u], expected[jv, v] = edge_update(a[ju, u], a[jv, v], lam, rho)
             edge_sweep(state, graph, [lam], rho)
             assert np.abs(state.copies[0] - expected).max() <= 1e-15
             assert np.array_equal(state.prev_copies, before)
-            duals = state.duals + (state.phi[..., None, :] - state.copies)
+            duals = state.duals + (state.phi[:, None] - state.copies)
             dual_sweep(state, graph)
             assert np.array_equal(state.duals, duals)
             vertex_sweep(state, rng.random((1, graph.n_vertices, r - 1)), graph, rho)
@@ -302,6 +307,27 @@ class TestSweepInvariants:
             after_edge = augmented_lagrangian(state, q, graph, lam, rho)
             assert after_edge <= after_vertex + 1e-8
             dual_sweep(state, graph)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("lam", [0.5, 10.0])
+    @pytest.mark.parametrize("eps,max_iter", [(1e-3, 5000), (1e-12, 7)])
+    def test_solve_phi_matches_loop_reference(self, r, lam, eps, max_iter):
+        # the whole loop and its stopping rule against admm_reference on the
+        # edge list; (1e-12, 7) stops at max_iter
+        graph = build_cayley_graph(r)
+        rng = np.random.default_rng(100 + r)
+        q = rng.random((graph.n_vertices, r - 1)) * 5
+        q[rng.random(q.shape) < 0.2] = 0.0
+        phi0 = rng.dirichlet(np.ones(r - 1), size=graph.n_vertices)
+        result = solve_phi(q, graph, lam, 1.0, phi0=phi0, eps_primal=eps, eps_dual=eps, max_iter=max_iter)
+        phi, iterations, converged, res_p, res_d = admm_reference(q, graph, lam, 1.0, phi0, eps, eps, max_iter)
+        assert converged == (max_iter == 5000)
+        assert (result.iterations, result.converged) == (iterations, converged)
+        assert np.abs(result.phi.probs - phi).max() <= 1e-10
+        # the solver's rows stop at |sum - 1| <= NU_TOL, the reference's are
+        # exact roots: rows differ by up to ~1e-12, residuals near 1e-3 by ~1e-9
+        assert result.res_primal == pytest.approx(res_p, rel=1e-8, abs=0)
+        assert result.res_dual == pytest.approx(res_d, rel=1e-8, abs=0)
 
     def test_zero_entries_only_where_mass_is_zero(self):
         graph = build_cayley_graph(3)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fit_sequential, random_mixture
+from oracles import fit_sequential, per_observation, random_mixture
 from partialrank import (
     Dataset,
     DegenerateClusterError,
@@ -37,7 +37,7 @@ class TestEStep:
     def test_singleton_support(self):
         ds = Dataset.from_rankings(4, [TopTRanking((2, 4, 1), 4)])
         resp = e_step(uniform_theta(4, 1.0), MissingTable.uniform(4), ds)
-        members, weights = resp.per_observation(0)
+        members, weights = per_observation(resp, 0)
         assert members.shape == (1,)
         assert weights.shape == (1, 1)
         assert weights[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -45,14 +45,14 @@ class TestEStep:
     def test_uniform_symmetry(self):
         ds = Dataset.from_rankings(4, [TopTRanking((3, 1), 4)])
         resp = e_step(uniform_theta(4), MissingTable.uniform(4), ds)
-        _, weights = resp.per_observation(0)
+        _, weights = per_observation(resp, 0)
         assert np.allclose(weights, 0.5, atol=1e-9)
 
     def test_hand_weights_r3(self):
         ds = Dataset.from_rankings(3, [TopTRanking((1,), 3)])
         theta = MixtureParams.single(Permutation.identity(3), 1.0)
         resp = e_step(theta, MissingTable.uniform(3), ds)
-        members, weights = resp.per_observation(0)
+        members, weights = per_observation(resp, 0)
         expected = np.array([1.0, math.exp(-1.0)]) / (1.0 + math.exp(-1.0))
         by_distance = sorted(zip(members, weights[0]), key=lambda mv: mv[0])
         assert by_distance[0][1] == pytest.approx(expected[0], rel=1e-12)
@@ -68,7 +68,7 @@ class TestEStep:
         assert resp.q_table.sum() == pytest.approx(len(ds), rel=1e-12)
         assert np.allclose(resp.posteriors().sum(axis=1), 1.0, atol=1e-10)
         for i in range(0, len(ds), 17):
-            members, weights = resp.per_observation(i)
+            members, weights = per_observation(resp, i)
             assert weights.sum() == pytest.approx(1.0, abs=1e-10)
             assert set(int(v) for v in members) == {
                 index_of(p) for p in compatible_set(ds.rankings[i])
@@ -76,7 +76,7 @@ class TestEStep:
         # aggregate identity: q_table[v, t] collects every observation of length t
         rebuilt = np.zeros_like(resp.q_table)
         for i, tau in enumerate(ds.rankings):
-            members, weights = resp.per_observation(i)
+            members, weights = per_observation(resp, i)
             rebuilt[members, tau.t - 1] += weights.sum(axis=0)
         assert np.abs(rebuilt - resp.q_table).max() < 1e-9
 
@@ -359,6 +359,23 @@ def test_penalized_nll_is_infinite_at_zero_likelihood():
     assert penalized_nll(uniform_theta(3, 1.0), phi, ds, 0.0) == np.inf
     with pytest.raises(DegenerateLikelihoodError):
         e_step(uniform_theta(3, 1.0), phi, ds)
+
+
+def test_best_run_ending_at_zero_likelihood_raises(monkeypatch):
+    # a run whose last pair has zero likelihood returns no E-step; the fit
+    # takes the posteriors from a fresh one, which must raise
+    ds = Dataset.from_rankings(3, [TopTRanking((1,), 3)] * 4)
+    probs = np.zeros((6, 2))
+    probs[:, 1] = 1.0
+    phi = MissingTable(3, probs)
+
+    def ended(dataset, config, init_vertices, rng, mode, me_phi, cap):
+        return uniform_theta(3, 1.0), phi, [np.inf], False, None
+        yield  # a generator that finishes on its first advance
+
+    monkeypatch.setattr(em, "_run_em", ended)
+    with pytest.raises(DegenerateLikelihoodError):
+        em.fit(ds, FitConfig(lam=0.0, restarts=2))
 
 
 def _assert_same_fit(result, reference):
