@@ -27,20 +27,18 @@ numpy reduces an innermost axis only r-1 wide about ten times slower.
 
 The state has a leading member axis: :func:`solve_phi_batch` runs several
 problems on the same graph, each with its own ``q``, ``lam`` and start, in
-lockstep, and a member leaves the stack once it converges. Every operation
-is row-local, so each member's iterates are bitwise those of its own
-:func:`solve_phi`. At r = 5 the arrays are so small that stacking members
-mostly saves numpy's per-call overhead; at r = 7 it saves nothing, and
-:func:`members_per_call` says how many members to stack. The objective is
-evaluated only at the end, for a trace, or to pick the best iterate of a
-member that stops unconverged.
+lockstep, and a member leaves the stack once it converges or has run
+``max_iter`` iterations; an unconverged member returns its last iterate.
+Every operation is row-local, so each member's iterates are bitwise those of
+its own :func:`solve_phi`. At r = 5 the arrays are so small that stacking
+members mostly saves numpy's per-call overhead; at r = 7 it saves nothing,
+and :func:`members_per_call` says how many members to stack. The objective
+is evaluated once per member, when it leaves the stack.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -65,7 +63,6 @@ class AdmmState:
     duals: np.ndarray        # (B, r-1, V, r-1): dual of the constraint phi[b, v] == copies[b, j, v]
     prev_copies: np.ndarray  # (B, r-1, V, r-1): the copies before the last edge sweep
     work: np.ndarray         # (B, r-1, V, r-1): scratch for the sweeps and residuals
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -83,14 +80,6 @@ def mixing_weight(lam: float | np.ndarray, rho: float) -> float | np.ndarray:
     if np.any(np.asarray(lam) < 0) or rho <= 0:
         raise DomainError("need lam >= 0 and rho > 0")
     return 0.5 * (1.0 + rho / (4.0 * lam + rho))
-
-
-def edge_update(a: np.ndarray, b: np.ndarray, lam: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize lam||x-y||^2 + (rho/2)(||a-x||^2 + ||b-y||^2) over (x, y)."""
-    alpha = mixing_weight(lam, rho)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return alpha * a + (1.0 - alpha) * b, alpha * b + (1.0 - alpha) * a
 
 
 def _phi_of_nu(
@@ -304,53 +293,6 @@ def _select(state: AdmmState, keep: np.ndarray) -> None:
     state.prev_copies, state.work = state.prev_copies[:count], state.work[:count]
 
 
-def _iterate(
-    q: np.ndarray,
-    phi0: np.ndarray,
-    lam: np.ndarray,
-    graph: CayleyGraph,
-    rho: float,
-    eps_primal: float,
-    eps_dual: float,
-    max_iter: int,
-    trace: list | None = None,
-) -> list[tuple]:
-    """Run the splitting iteration on a stack of members in lockstep.
-
-    Returns ``(phi, iterations, res_primal, res_dual, converged)`` per member.
-    A member leaves the stack once both its residuals are below their
-    thresholds or it has run ``max_iter`` iterations. With ``trace`` (a list;
-    one member only) each iteration appends its objective and residuals, and
-    an unconverged member returns its best iterate by objective.
-    """
-    state = init_state(graph, phi0)
-    out = [(state.phi[b], 0, np.inf, np.inf, False) for b in range(len(q))]
-    members = np.arange(len(q))
-    best_phi, best_obj = state.phi[0], np.inf
-    while members.size and state.iteration < max_iter:
-        vertex_sweep(state, q, graph, rho)
-        edge_sweep(state, graph, lam, rho)
-        dual_sweep(state, graph)
-        res_p = _norms(state.work)
-        res_d = _norms(np.subtract(state.copies, state.prev_copies, out=state.work))
-        state.iteration += 1
-        if trace is not None:
-            obj = phi_objective(state.phi[0], q[0], graph, float(lam[0]))
-            if obj < best_obj:
-                best_obj, best_phi = obj, state.phi[0]
-            trace.append((state.iteration, obj, float(res_p[0]), float(res_d[0])))
-        converged = (res_p < eps_primal) & (res_d < eps_dual)
-        done = converged | (state.iteration >= max_iter)
-        if done.any():
-            for b in np.flatnonzero(done):
-                phi = state.phi[b] if converged[b] or trace is None else best_phi
-                out[members[b]] = (phi, state.iteration, float(res_p[b]), float(res_d[b]), bool(converged[b]))
-            keep = ~done
-            members, q, lam = members[keep], q[keep], lam[keep]
-            _select(state, keep)
-    return out
-
-
 def members_per_call(graph: CayleyGraph) -> int:
     """How many members one batched solve on ``graph`` should stack.
 
@@ -374,25 +316,24 @@ def solve_phi_batch(
     eps_primal: float = 1.0,
     eps_dual: float = 1.0,
     max_iter: int = 100,
-    trace: list | None = None,
 ) -> list[AdmmResult]:
     """:func:`solve_phi` for a stack of members that share the graph, rho, the
     tolerances and ``max_iter``; member b has its own ``q_tables[b]``,
     ``lams[b]`` and start ``phi0s[b]``.
 
     The members iterate in lockstep, and each one's result is bitwise what it
-    would get on its own. Only a member that stops unconverged needs the
-    objective of every iterate, for its best one; the iterates are
-    deterministic, so that member is rerun alone with the objective tracked.
-    ``trace`` (one member only) collects ``(iter, objective, res_p, res_d)``
-    rows. All members are stacked at once; a caller keeps the stack within
-    :func:`members_per_call`, as the EM fits do.
+    would get on its own. A member leaves the stack once both its residuals
+    are below their thresholds, or after ``max_iter`` iterations with its last
+    iterate and ``converged=False``. All members are stacked at once; a
+    caller keeps the stack within :func:`members_per_call`, as the EM fits do.
     """
     q = np.asarray(q_tables, dtype=float)
     lam = np.asarray(lams, dtype=float)
     phi0 = np.asarray(phi0s, dtype=float)
     if np.any(lam < 0) or rho <= 0:
         raise DomainError("need lam >= 0 and rho > 0")
+    if max_iter < 1:
+        raise DomainError("max_iter must be at least 1")
     if q.ndim != 3 or q.shape[1:] != (graph.n_vertices, graph.r - 1):
         raise DimensionError(f"q_table shape {q.shape[1:]} does not match graph over r={graph.r}")
     if lam.shape != q.shape[:1]:
@@ -405,23 +346,32 @@ def solve_phi_batch(
         raise DimensionError(f"phi0 shape {phi0.shape[1:]} does not match q_table shape {q.shape[1:]}")
     if not np.all(np.isfinite(phi0)):
         raise DomainError("phi0 must be finite")
-    if trace is not None and len(q) != 1:
-        raise DimensionError("a trace follows one member")
-    results = []
-    runs = _iterate(q, phi0, lam, graph, rho, eps_primal, eps_dual, max_iter, trace)
-    for b, (phi, iterations, res_p, res_d, converged) in enumerate(runs):
-        if not (converged or trace is not None):
-            rerun = _iterate(q[b : b + 1], phi0[b : b + 1], lam[b : b + 1], graph, rho,
-                             eps_primal, eps_dual, max_iter, [])
-            phi = rerun[0][0]
-        results.append(AdmmResult(
-            phi=MissingTable(graph.r, phi),
-            converged=converged,
-            iterations=iterations,
-            res_primal=res_p,
-            res_dual=res_d,
-            objective=phi_objective(phi, q[b], graph, float(lam[b])),
-        ))
+    state = init_state(graph, phi0)
+    results = [None] * len(q)
+    members = np.arange(len(q))
+    iteration = 0
+    while members.size:
+        vertex_sweep(state, q, graph, rho)
+        edge_sweep(state, graph, lam, rho)
+        dual_sweep(state, graph)
+        res_p = _norms(state.work)
+        res_d = _norms(np.subtract(state.copies, state.prev_copies, out=state.work))
+        iteration += 1
+        converged = (res_p < eps_primal) & (res_d < eps_dual)
+        done = converged | (iteration >= max_iter)
+        if done.any():
+            for b in np.flatnonzero(done):
+                results[members[b]] = AdmmResult(
+                    phi=MissingTable(graph.r, state.phi[b]),
+                    converged=bool(converged[b]),
+                    iterations=iteration,
+                    res_primal=float(res_p[b]),
+                    res_dual=float(res_d[b]),
+                    objective=phi_objective(state.phi[b], q[b], graph, float(lam[b])),
+                )
+            keep = ~done
+            members, q, lam = members[keep], q[keep], lam[keep]
+            _select(state, keep)
     return results
 
 
@@ -434,13 +384,12 @@ def solve_phi(
     eps_primal: float = 1.0,
     eps_dual: float = 1.0,
     max_iter: int = 100,
-    trace_path: str | Path | None = None,
 ) -> AdmmResult:
     """Run the splitting iteration on the aggregated responsibilities.
 
     Stops once both residuals drop below their thresholds, else at
-    ``max_iter``; a non-converged run returns the best iterate seen (by
-    objective) with ``converged=False`` rather than raising.
+    ``max_iter``; a non-converged run returns its last iterate with
+    ``converged=False`` rather than raising.
     """
     q = np.asarray(q_table, dtype=float)
     if phi0 is None:
@@ -448,11 +397,4 @@ def solve_phi(
     elif isinstance(phi0, MissingTable):
         phi0 = phi0.probs
     phi0 = np.asarray(phi0, dtype=float)
-    trace_rows = [] if trace_path is not None else None
-    result = solve_phi_batch(q[None], graph, [lam], rho, phi0[None], eps_primal, eps_dual, max_iter, trace_rows)[0]
-    if trace_rows is not None:
-        with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iter", "objective", "res_p", "res_d"])
-            writer.writerows(trace_rows)
-    return result
+    return solve_phi_batch(q[None], graph, [lam], rho, phi0[None], eps_primal, eps_dual, max_iter)[0]

@@ -29,6 +29,7 @@ of runs made one after another.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from collections.abc import Generator
 from dataclasses import asdict, dataclass, field
@@ -46,6 +47,8 @@ from .errors import (
 from .mallows import MallowsParams, MixtureParams, component_log_pmf, log_normalizer
 from .missing import Dataset, MissingTable, ObservationGroups
 from .perms import DEFAULT_CAP, Permutation, build_cayley_graph, index_of, perm_table, unindex
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -386,10 +389,16 @@ def _run_em(
             phi_new = phi
         elif lam > 0:
             solved = yield resp.q_table, phi.probs, lam
+            if not solved.converged:
+                logger.debug("EM iteration %d: phi-step unconverged after %d ADMM iterations, res_primal %.3g, "
+                             "res_dual %.3g", m, solved.iterations, solved.res_primal, solved.res_dual)
             # an inexact inner solve must never push the surrogate uphill
-            if solved.objective <= admm.phi_objective(phi.probs, resp.q_table, graph, lam):
+            previous = admm.phi_objective(phi.probs, resp.q_table, graph, lam)
+            if solved.objective <= previous:
                 phi_new = solved.phi
             else:
+                logger.debug("EM iteration %d: kept the previous phi, the solve would raise the "
+                             "surrogate from %.10g to %.10g", m, previous, solved.objective)
                 phi_new = phi
         else:
             phi_new = MissingTable(r, closed_form_phi(resp.q_table))

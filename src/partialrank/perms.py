@@ -89,10 +89,6 @@ class TopTRanking:
     def t(self) -> int:
         return len(self.items)
 
-    @classmethod
-    def from_permutation(cls, p: Permutation, t: int) -> "TopTRanking":
-        return cls(p.inverse[:t], p.r)
-
 
 def kendall_distance(a: Permutation, b: Permutation) -> int:
     """Inversion count between two rankings = minimal adjacent-transposition count."""

@@ -156,6 +156,18 @@ def augmented_lagrangian(state, q: np.ndarray, graph, lam: float, rho: float) ->
     return total
 
 
+def edge_update(a: np.ndarray, b: np.ndarray, lam: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize lam ||x - y||^2 + (rho / 2)(||a - x||^2 + ||b - y||^2) over (x, y).
+
+    Stationarity gives x + y = a + b and (4 lam + rho)(x - y) = rho (a - b),
+    so each copy is a convex combination of the two inputs.
+    """
+    weight = 0.5 * (1.0 + rho / (4.0 * lam + rho))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return weight * a + (1.0 - weight) * b, weight * b + (1.0 - weight) * a
+
+
 def admm_reference(
     q: np.ndarray,
     graph,
@@ -170,13 +182,12 @@ def admm_reference(
 
     Each edge {u, v} of ``graph.edges`` holds a copy of both endpoints' rows
     and a dual for each. An iteration solves every vertex by
-    :func:`vertex_update_bisection`, every edge by the closed-form minimizer
-    of lam ||x - y||^2 + (rho / 2)(||a - x||^2 + ||b - y||^2), and takes a dual
-    ascent step. The primal residual is the norm of all (row - copy)
-    differences, the dual residual that of the change in the copies; the run
-    stops once both are below their thresholds, or at ``max_iter`` with the
-    iterate of least objective. Returns ``(phi, iterations, converged,
-    res_primal, res_dual)``.
+    :func:`vertex_update_bisection`, every edge by :func:`edge_update`, and
+    takes a dual ascent step. The primal residual is the norm of all
+    (row - copy) differences, the dual residual that of the change in the
+    copies; the run stops once both are below their thresholds, or at
+    ``max_iter`` with its last iterate. Returns ``(phi, iterations,
+    converged, res_primal, res_dual)``.
     """
     q = np.asarray(q, dtype=float)
     edges = [(int(u), int(v)) for u, v in graph.edges]
@@ -188,16 +199,6 @@ def admm_reference(
     phi = np.array(phi0, dtype=float)
     copies = np.stack([np.stack([phi[u], phi[v]]) for u, v in edges])  # (E, 2, r-1)
     duals = np.zeros_like(copies)
-    weight = 0.5 * (1.0 + rho / (4.0 * lam + rho))
-    mask = q > 0
-
-    def objective(p: np.ndarray) -> float:
-        if np.any(p[mask] <= 0):
-            return np.inf
-        penalty = sum(float(((p[u] - p[v]) ** 2).sum()) for u, v in edges)
-        return -float((q[mask] * np.log(p[mask])).sum()) + lam * penalty
-
-    best_phi, best_obj = phi, np.inf
     res_p = res_d = np.inf
     for it in range(1, max_iter + 1):
         new_phi = np.empty_like(phi)
@@ -207,19 +208,14 @@ def admm_reference(
         phi = new_phi
         old = copies.copy()
         for e, (u, v) in enumerate(edges):
-            a, b = phi[u] + duals[e, 0], phi[v] + duals[e, 1]
-            copies[e, 0] = weight * a + (1.0 - weight) * b
-            copies[e, 1] = weight * b + (1.0 - weight) * a
+            copies[e, 0], copies[e, 1] = edge_update(phi[u] + duals[e, 0], phi[v] + duals[e, 1], lam, rho)
         gap = np.stack([phi[[u, v]] for u, v in edges]) - copies
         duals += gap
         res_p = math.sqrt(float((gap**2).sum()))
         res_d = math.sqrt(float(((copies - old) ** 2).sum()))
-        obj = objective(phi)
-        if obj < best_obj:
-            best_phi, best_obj = phi, obj
         if res_p < eps_primal and res_d < eps_dual:
             return phi, it, True, res_p, res_d
-    return best_phi, max_iter, False, res_p, res_d
+    return phi, max_iter, False, res_p, res_d
 
 
 def solve_phi_projected_gradient(

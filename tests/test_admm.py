@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import (
     admm_reference,
     augmented_lagrangian,
+    edge_update,
     project_simplex,
     solve_phi_projected_gradient,
     vertex_update_bisection,
@@ -18,7 +19,6 @@ from partialrank.admm import (
     dual_sweep,
     edge_penalty,
     edge_sweep,
-    edge_update,
     init_state,
     mixing_weight,
     phi_objective,
@@ -209,7 +209,7 @@ class TestSolvePhi:
             assert result.converged
             assert result.res_primal < 1e-4 and result.res_dual < 1e-4
 
-    def test_nonconvergence_returns_flagged_best(self):
+    def test_nonconvergence_returns_flagged_last(self):
         graph = build_cayley_graph(3)
         rng = np.random.default_rng(4)
         q = rng.random((6, 2)) * 4
@@ -237,15 +237,6 @@ class TestSolvePhi:
             phi0[0, 0] = bad
             with pytest.raises(DomainError):
                 solve_phi(np.ones((6, 2)), graph, 1.0, phi0=phi0)
-
-    def test_trace_emission(self, tmp_path):
-        graph = build_cayley_graph(3)
-        q = np.random.default_rng(5).random((6, 2))
-        path = tmp_path / "trace.csv"
-        result = solve_phi(q, graph, 1.0, 1.0, eps_primal=1e-6, eps_dual=1e-6, max_iter=200, trace_path=path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iter,objective,res_p,res_d"
-        assert len(lines) == 1 + result.iterations
 
 
 class TestSweepInvariants:
@@ -313,7 +304,7 @@ class TestSweepInvariants:
     @pytest.mark.parametrize("eps,max_iter", [(1e-3, 5000), (1e-12, 7)])
     def test_solve_phi_matches_loop_reference(self, r, lam, eps, max_iter):
         # the whole loop and its stopping rule against admm_reference on the
-        # edge list; (1e-12, 7) stops at max_iter
+        # edge list; (1e-12, 7) stops at max_iter with its last iterate
         graph = build_cayley_graph(r)
         rng = np.random.default_rng(100 + r)
         q = rng.random((graph.n_vertices, r - 1)) * 5
@@ -385,19 +376,6 @@ def test_members_per_call_stacks_only_where_it_pays():
     assert [admm.members_per_call(build_cayley_graph(r)) for r in (4, 5, 6, 7)] == [606, 68, 7, 1]
 
 
-def test_unconverged_result_is_the_best_traced_iterate(tmp_path):
-    graph = build_cayley_graph(4)
-    q = np.random.default_rng(91).random((24, 3)) * 5
-    path = tmp_path / "trace.csv"
-    kwargs = dict(eps_primal=1e-12, eps_dual=1e-12, max_iter=6)
-    traced = solve_phi(q, graph, 50.0, 1.0, trace_path=path, **kwargs)
-    plain = solve_phi(q, graph, 50.0, 1.0, **kwargs)
-    assert not plain.converged
-    assert _same_result(traced, plain)
-    objectives = [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
-    assert plain.objective == min(objectives)
-
-
 def test_batch_input_validation():
     graph = build_cayley_graph(3)
     q = np.ones((2, 6, 2))
@@ -408,8 +386,9 @@ def test_batch_input_validation():
         solve_phi_batch(q, graph, [1.0, 1.0], 1.0, phi0[:1])
     with pytest.raises(DomainError):
         solve_phi_batch(q, graph, [1.0, -1.0], 1.0, phi0)
-    with pytest.raises(DimensionError):
-        solve_phi_batch(q, graph, [1.0, 1.0], 1.0, phi0, trace=[])
+    for max_iter in (0, -1):
+        with pytest.raises(DomainError):
+            solve_phi_batch(q, graph, [1.0, 1.0], 1.0, phi0, max_iter=max_iter)
 
 
 def test_mixing_weight_is_elementwise():

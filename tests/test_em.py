@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -405,12 +406,25 @@ class TestLockstep:
         result = fit_me(datasets[k], config) if mode == "me" else fit(datasets[k], config)
         _assert_same_fit(result, fit_sequential(datasets[k], config, mode))
 
+    # ADMM capped at 3 iterations: every phi-step stops unconverged and returns
+    # its last iterate, and once in this fit that iterate would raise the
+    # surrogate, so EM keeps the previous phi
+    unconverged = FitConfig(lam=10.0, restarts=3, seed=7, em_max_iter=10, admm_max_iter=3,
+                            admm_eps_primal=1e-9, admm_eps_dual=1e-9)
+
     def test_unconverged_inner_solves_match(self, datasets):
-        # ADMM capped at 3 iterations: every phi-step stops unconverged and
-        # returns its best iterate
-        config = FitConfig(lam=10.0, restarts=3, seed=7, em_max_iter=10, admm_max_iter=3,
-                           admm_eps_primal=1e-9, admm_eps_dual=1e-9)
-        _assert_same_fit(fit(datasets[1], config), fit_sequential(datasets[1], config, "regularized"))
+        result = fit(datasets[1], self.unconverged)
+        _assert_same_fit(result, fit_sequential(datasets[1], self.unconverged, "regularized"))
+        assert np.diff(np.array(result.trace)).max() <= 1e-8
+
+    def test_unconverged_solves_and_kept_phi_are_logged(self, datasets, caplog):
+        with caplog.at_level(logging.DEBUG, logger="partialrank.em"):
+            fit(datasets[1], self.unconverged)
+        messages = [record.getMessage() for record in caplog.records if record.name == "partialrank.em"]
+        unconverged = [m for m in messages if "phi-step unconverged after 3 ADMM iterations" in m]
+        kept = [m for m in messages if "kept the previous phi" in m]
+        assert unconverged and kept
+        assert len(unconverged) + len(kept) == len(messages)
 
     def test_fit_many_matches_separate_fits(self, datasets):
         jobs = [
