@@ -9,7 +9,7 @@ Solves, for a fixed table of aggregated responsibilities ``q``:
 by keeping one copy of each endpoint per edge, so every iteration is a sweep
 of independent per-vertex updates, independent per-edge updates, and a dual
 ascent step. The per-vertex subproblem has a closed form up to the simplex
-multiplier nu, which a bracketed Newton search pins down (warm-started from the
+multiplier nu, which a monotone Newton search pins down (warm-started from the
 previous sweep's nu); the per-edge subproblem is an exact convex combination
 with a constant mixing weight
 
@@ -49,6 +49,7 @@ from .perms import CayleyGraph
 NU_TOL = 1e-12          # target on the simplex residual |sum(phi) - 1|
 NU_HARD_TOL = 1e-10     # failure threshold (would violate the row-sum contract)
 _MAX_NU_PASSES = 300    # passes of the multiplier search over the rows still active
+_DROP_ROWS = 1024       # frozen rows that pay for dropping them from the search's arrays
 _STATE_BYTES = 1 << 22  # cap on the slot buffers of one batched solve (4 MiB); see members_per_call
 
 
@@ -63,6 +64,7 @@ class AdmmState:
     duals: np.ndarray        # (B, r-1, V, r-1): dual of the constraint phi[b, v] == copies[b, j, v]
     prev_copies: np.ndarray  # (B, r-1, V, r-1): the copies before the last edge sweep
     work: np.ndarray         # (B, r-1, V, r-1): scratch for the sweeps and residuals
+    partner: np.ndarray      # (B, r-1, V): row of [b, j, N[v, j]] among the flattened (b, j, v) rows
 
 
 @dataclass(frozen=True)
@@ -82,76 +84,90 @@ def mixing_weight(lam: float | np.ndarray, rho: float) -> float | np.ndarray:
     return 0.5 * (1.0 + rho / (4.0 * lam + rho))
 
 
-def _phi_of_nu(
-    nu: np.ndarray, y: np.ndarray, two_q: np.ndarray, scaled_q: np.ndarray, scale: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _phi_of_nu(nu: np.ndarray, y: np.ndarray, two_q: np.ndarray, scaled_q: np.ndarray, scale: float) -> tuple:
     """Row minimizers at multiplier nu and their slopes -d phi / d nu.
 
     Rows are columns here: ``y``, ``two_q = 2 q`` and ``scaled_q = 2 scale q``
     are ``(r-1, rows)``. Stable on both signs of z = y + nu. The slope
-    phi / sqrt(z^2 + 2 scale q) is 0/0 = nan where q and z are both zero.
+    phi / sqrt(z^2 + 2 scale q) is 0/0 = nan where q and z are both zero, so
+    callers ignore divide and invalid warnings.
     """
     z = y + nu
     root = np.sqrt(z * z + scaled_q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pos = two_q / (root + z)
-        phi = np.where(z > 0, pos, (root - z) / scale)
-        return phi, phi / root
+    phi = np.where(z > 0, two_q / (root + z), (root - z) / scale)
+    return phi, phi / root
+
+
+def _row_mass(q: np.ndarray, rho: float, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the multiplier search needs of ``q`` (rows over its last axis), fixed
+    through a solve: ``2 q`` and ``2 scale q`` as ``(r-1, rows)``, and the q term of ``hi``."""
+    q = np.asarray(q, dtype=float)
+    q = q.reshape(-1, q.shape[-1]).T.copy()
+    scale = 2.0 * rho * degree
+    return 2.0 * q, 2.0 * scale * q, np.maximum(np.add.reduce(q, axis=0), 1.0)
 
 
 def _vertex_update_batch(
-    q: np.ndarray, y: np.ndarray, rho: float, degree: int, nu0: np.ndarray | None = None
+    mass: tuple, y: np.ndarray, rho: float, degree: int, nu0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve every per-vertex subproblem at once; rows land on the simplex.
 
+    ``mass`` is the rows' :func:`_row_mass` at the same rho and degree.
     Returns the rows and their multipliers. The row residual
-    s(nu) = sum(phi(nu)) - 1 is decreasing and convex in nu. Each pass takes
-    a Newton step on every row still active and falls back to the midpoint of
-    the row's bracket where the step is not finite or leaves the open bracket
-    (rtsafe, Numerical Recipes section 9.4). A row is frozen for good once
-    |s| <= NU_TOL or its bracket has collapsed; left active, converged rows
-    drift back out of the tolerance band through float noise. ``nu0`` is a
-    warm start, taken on the rows where it lies inside the bracket.
+    s(nu) = sum(phi(nu)) - 1 is decreasing and convex in nu, so Newton's
+    method is monotone on it: from a start left of the root (s >= 0) each
+    step climbs to the root without passing it, and from a start right of
+    the root one step lands left of it, clamped at ``lo`` where s(lo) >= 0.
+    The clamp also sends the nan step of a row whose slope is 0/0 to ``lo``.
+    A row is frozen once |s| <= NU_TOL or its step no longer moves nu, and
+    keeps that nu. ``nu0`` is a warm start, taken on the rows where it lies
+    strictly between ``lo`` and ``hi``, where s(hi) <= 0; the other rows
+    start from the midpoint.
 
     The search works on the transposes, ``(r-1, rows)``: a row's sums then
     run over axis 0, which adds its r-1 entries in the same order as a sum
     along the row does, and several times faster.
     """
     scale = 2.0 * rho * degree
-    q = np.asarray(q, dtype=float).T.copy()
+    two_q, scaled_q, q_term = mass
     y = np.asarray(y, dtype=float).T.copy()
-    lo = -y.max(axis=0) - rho * degree                    # s(lo) >= 0
-    hi = -y.min(axis=0) + np.maximum(q.sum(axis=0), 1.0)  # s(hi) <= 0
+    lo = -y.max(axis=0) - rho * degree  # s(lo) >= 0
+    hi = -y.min(axis=0) + q_term        # s(hi) <= 0
     nu = 0.5 * (lo + hi)
     if nu0 is not None:
         nu = np.where((lo < nu0) & (nu0 < hi), nu0, nu)
-    two_q, scaled_q = 2.0 * q, 2.0 * scale * q
-    phi_out = np.empty_like(q)
-    nu_out = np.empty_like(nu)
-    rows = np.arange(q.shape[1])
-    for _ in range(_MAX_NU_PASSES):
-        phi, slope = _phi_of_nu(nu, y, two_q, scaled_q, scale)
-        s = phi.sum(axis=0) - 1.0
-        above = s >= 0
-        lo = np.where(above, nu, lo)
-        hi = np.where(above, hi, nu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = nu + s / slope.sum(axis=0)
-        frozen = (np.abs(s) <= NU_TOL) | (hi - lo <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(nu)))
-        if frozen.any():
-            # take gathers columns about 3x faster than boolean or fancy indexing
-            done, active = np.flatnonzero(frozen), np.flatnonzero(~frozen)
-            phi_out[:, rows[done]] = np.take(phi, done, axis=1)
-            nu_out[rows[done]] = nu[done]
-            if not active.size:
+    rows = None  # the rows still searched, once frozen ones have been dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_NU_PASSES):
+            phi, slope = _phi_of_nu(nu, y, two_q, scaled_q, scale)
+            # the ufunc's own reduce skips the Python wrapper of .sum
+            s = np.add.reduce(phi, axis=0) - 1.0
+            slope = np.add.reduce(slope, axis=0)
+            # where z^2 underflows to 0 the slope is inf and the step stalls: send it to lo too
+            slope[slope == np.inf] = np.nan
+            step = np.fmax(nu + s / slope, lo)
+            frozen = (np.abs(s) <= NU_TOL) | (step == nu)
+            # a frozen row recomputes the same phi at the nu it keeps
+            nu = np.where(frozen, nu, step)
+            count = np.count_nonzero(frozen)
+            if count == frozen.size:
                 break
-            rows, lo, hi, step = (a[active] for a in (rows, lo, hi, step))
-            y, two_q, scaled_q = (np.take(a, active, axis=1) for a in (y, two_q, scaled_q))
-        nu = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+            if count >= _DROP_ROWS:
+                # take gathers columns about 3x faster than boolean or fancy indexing
+                if rows is None:
+                    phi_out, nu_out, rows = np.empty_like(y), np.empty_like(nu), np.arange(y.shape[1])
+                done, active = frozen.nonzero()[0], (~frozen).nonzero()[0]
+                phi_out[:, rows[done]] = phi.take(done, axis=1)
+                nu_out[rows[done]] = nu[done]
+                rows, lo, nu = rows[active], lo[active], nu[active]
+                y, two_q, scaled_q = (a.take(active, axis=1) for a in (y, two_q, scaled_q))
+        else:
+            phi = _phi_of_nu(nu, y, two_q, scaled_q, scale)[0]
+    if rows is None:
+        phi_out, nu_out = phi, nu
     else:
-        phi_out[:, rows] = _phi_of_nu(nu, y, two_q, scaled_q, scale)[0]
-        nu_out[rows] = nu
-    worst = np.max(np.abs(phi_out.sum(axis=0) - 1.0))
+        phi_out[:, rows], nu_out[rows] = phi, nu
+    worst = np.max(np.abs(np.add.reduce(phi_out, axis=0) - 1.0))
     if not worst <= NU_HARD_TOL:  # also catches a nan residual
         raise NumericError(f"simplex multiplier search stalled at residual {worst:.3e}")
     # trim float fuzz just past the box; the multiplier residual bounds the change
@@ -173,25 +189,12 @@ def vertex_update(q_row: np.ndarray, y: np.ndarray, rho: float, degree: int) -> 
         raise DomainError("responsibilities and y must be finite")
     if np.any(q_row < 0):
         raise DomainError("responsibilities must be nonnegative")
-    return _vertex_update_batch(q_row[None, :], y[None, :], rho, degree)[0][0]
+    return _vertex_update_batch(_row_mass(q_row[None, :], rho, degree), y[None, :], rho, degree)[0][0]
 
 
 # ---------------------------------------------------------------------------
 # Objective and diagnostics.
 # ---------------------------------------------------------------------------
-
-
-def _partner(slots: np.ndarray, graph: CayleyGraph, out: np.ndarray | None = None) -> np.ndarray:
-    """The other endpoint's entry on each slot's edge: ``slots[b, j, N[v, j]]``
-    for a ``(B, r-1, V, r-1)`` stack."""
-    # one take over flattened (slot, vertex) rows, row j V + N[v, j]; indexing
-    # with the pair of arrays (slot, N) gathers the same rows about 3x slower
-    # at r = 7. The rows are in range by construction of the graph, and mode
-    # "clip" lets take write straight into ``out`` where "raise" buffers a copy.
-    rows = graph.neighbors.T + np.arange(graph.r - 1)[:, None] * graph.n_vertices
-    # members follow one another in the flattened rows
-    rows = np.arange(slots.shape[0])[:, None, None] * rows.size + rows
-    return np.take(slots.reshape(-1, slots.shape[-1]), rows, axis=0, out=out, mode="clip")
 
 
 def edge_penalty(phi: np.ndarray, graph: CayleyGraph) -> float:
@@ -224,6 +227,9 @@ def init_state(graph: CayleyGraph, phi0: np.ndarray) -> AdmmState:
     """Copies equal to the rows and zero duals, for a ``(B, V, r-1)`` stack of starts."""
     phi = np.array(phi0, dtype=float)
     copies = np.repeat(phi[:, None], graph.r - 1, axis=1)
+    # member b's rows follow those of the members before it
+    partner = graph.neighbors.T + np.arange(graph.r - 1)[:, None] * graph.n_vertices
+    partner = np.arange(len(phi))[:, None, None] * partner.size + partner
     return AdmmState(
         phi=phi,
         nu=np.full(phi.shape[:-1], np.nan),
@@ -231,6 +237,7 @@ def init_state(graph: CayleyGraph, phi0: np.ndarray) -> AdmmState:
         duals=np.zeros_like(copies),
         prev_copies=copies.copy(),
         work=np.empty_like(copies),
+        partner=partner,
     )
 
 
@@ -240,22 +247,27 @@ def init_state(graph: CayleyGraph, phi0: np.ndarray) -> AdmmState:
 # depend on the others.
 
 
-def vertex_sweep(state: AdmmState, q: np.ndarray, graph: CayleyGraph, rho: float) -> None:
+def vertex_sweep(state: AdmmState, mass: tuple, graph: CayleyGraph, rho: float) -> None:
+    """New rows from the copies and duals; ``mass`` is the stack's :func:`_row_mass`."""
     y = np.subtract(state.duals, state.copies, out=state.work).sum(axis=1)
     y *= rho
     width = graph.r - 1
-    phi, nu = _vertex_update_batch(q.reshape(-1, width), y.reshape(-1, width), rho, width, state.nu.reshape(-1))
+    phi, nu = _vertex_update_batch(mass, y.reshape(-1, width), rho, width, state.nu.reshape(-1))
     state.phi, state.nu = phi.reshape(y.shape), nu.reshape(state.nu.shape)
 
 
-def edge_sweep(state: AdmmState, graph: CayleyGraph, lam: np.ndarray, rho: float) -> None:
+def edge_sweep(state: AdmmState, alpha: np.ndarray) -> None:
     """New copies into the stale buffer; the copies they replace become ``prev_copies``.
 
-    ``lam`` holds one strength per member.
+    ``alpha`` holds each member's :func:`mixing_weight`.
     """
-    alpha = mixing_weight(np.asarray(lam, dtype=float), rho)[:, None, None, None]
+    alpha = alpha[:, None, None, None]
     a = np.add(state.phi[:, None], state.duals, out=state.prev_copies)
-    b = _partner(a, graph, out=state.work)
+    # the other endpoint's entries, a[b, j, N[v, j]], by one take over the
+    # flattened rows: indexing with the pair of arrays (slot, N) is about 3x
+    # slower at r = 7. The rows are in range by construction, and mode "clip"
+    # lets take write straight into ``out`` where "raise" buffers a copy.
+    b = np.take(a.reshape(-1, a.shape[-1]), state.partner, axis=0, out=state.work, mode="clip")
     b *= 1.0 - alpha
     a *= alpha
     a += b
@@ -289,8 +301,9 @@ def _select(state: AdmmState, keep: np.ndarray) -> None:
         kept = getattr(state, name)
         kept[:count] = kept[keep]
         setattr(state, name, kept[:count])
-    # the contents of these two are dead between iterations
-    state.prev_copies, state.work = state.prev_copies[:count], state.work[:count]
+    # the contents of the two buffers are dead between iterations, and the
+    # members kept at the front take the front partner rows
+    state.prev_copies, state.work, state.partner = (a[:count] for a in (state.prev_copies, state.work, state.partner))
 
 
 def members_per_call(graph: CayleyGraph) -> int:
@@ -330,8 +343,7 @@ def solve_phi_batch(
     q = np.asarray(q_tables, dtype=float)
     lam = np.asarray(lams, dtype=float)
     phi0 = np.asarray(phi0s, dtype=float)
-    if np.any(lam < 0) or rho <= 0:
-        raise DomainError("need lam >= 0 and rho > 0")
+    alpha = mixing_weight(lam, rho)
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
     if q.ndim != 3 or q.shape[1:] != (graph.n_vertices, graph.r - 1):
@@ -347,12 +359,13 @@ def solve_phi_batch(
     if not np.all(np.isfinite(phi0)):
         raise DomainError("phi0 must be finite")
     state = init_state(graph, phi0)
+    mass = _row_mass(q, rho, graph.r - 1)
     results = [None] * len(q)
     members = np.arange(len(q))
     iteration = 0
     while members.size:
-        vertex_sweep(state, q, graph, rho)
-        edge_sweep(state, graph, lam, rho)
+        vertex_sweep(state, mass, graph, rho)
+        edge_sweep(state, alpha)
         dual_sweep(state, graph)
         res_p = _norms(state.work)
         res_d = _norms(np.subtract(state.copies, state.prev_copies, out=state.work))
@@ -370,7 +383,8 @@ def solve_phi_batch(
                     objective=phi_objective(state.phi[b], q[b], graph, float(lam[b])),
                 )
             keep = ~done
-            members, q, lam = members[keep], q[keep], lam[keep]
+            members, q, lam, alpha = members[keep], q[keep], lam[keep], alpha[keep]
+            mass = _row_mass(q, rho, graph.r - 1)
             _select(state, keep)
     return results
 

@@ -165,14 +165,7 @@ def _cmd_eval(config: dict) -> None:
                 posteriors = e_step(theta_hat, phi_hat, dataset, cap).posteriors()
                 err = classification_error(dataset.true_clusters, posteriors)
         if "generator" in truth_cfg:
-            truth = build_truth(
-                GeneratorSpec(
-                    kind=truth_cfg["generator"]["kind"],
-                    r=r,
-                    params={k: v for k, v in truth_cfg["generator"].items() if k != "kind"},
-                ),
-                cap,
-            )
+            truth = build_truth(_generator_spec({"generator": truth_cfg["generator"], "r": r}), cap)
             lp = l_par(truth.theta, truth.phi_table, theta_hat, phi_hat, cap)
             lc = l_comp(truth.theta, theta_hat, cap)
         elif "test" in truth_cfg:

@@ -360,8 +360,10 @@ def _run_em(
     mode: str,
     me_phi: MissingTable | None,
     cap: int,
+    job: int,
+    restart: int,
 ) -> Generator[tuple[np.ndarray, np.ndarray, float], admm.AdmmResult, tuple]:
-    """One EM run from one set of initial locations.
+    """One EM run from one set of initial locations, named in the log by ``job`` and ``restart``.
 
     A generator: every graph-regularized phi-step yields the request
     ``(q_table, phi0, lam)`` and receives its :class:`admm.AdmmResult`, so a
@@ -390,15 +392,16 @@ def _run_em(
         elif lam > 0:
             solved = yield resp.q_table, phi.probs, lam
             if not solved.converged:
-                logger.debug("EM iteration %d: phi-step unconverged after %d ADMM iterations, res_primal %.3g, "
-                             "res_dual %.3g", m, solved.iterations, solved.res_primal, solved.res_dual)
+                logger.debug("job %d restart %d, EM iteration %d: phi-step unconverged after %d ADMM iterations, "
+                             "res_primal %.3g, res_dual %.3g", job, restart, m, solved.iterations,
+                             solved.res_primal, solved.res_dual)
             # an inexact inner solve must never push the surrogate uphill
             previous = admm.phi_objective(phi.probs, resp.q_table, graph, lam)
             if solved.objective <= previous:
                 phi_new = solved.phi
             else:
-                logger.debug("EM iteration %d: kept the previous phi, the solve would raise the "
-                             "surrogate from %.10g to %.10g", m, previous, solved.objective)
+                logger.debug("job %d restart %d, EM iteration %d: kept the previous phi, the solve would raise "
+                             "the surrogate from %.10g to %.10g", job, restart, m, previous, solved.objective)
                 phi_new = phi
         else:
             phi_new = MissingTable(r, closed_form_phi(resp.q_table))
@@ -448,7 +451,7 @@ def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[Fit
         key = (dataset.r, config.rho, config.admm_eps_primal, config.admm_eps_dual, config.admm_max_iter)
         for j in range(config.restarts):
             rng = np.random.default_rng(children[j + 1])
-            runs.append((job, j, _run_em(dataset, config, inits[j], rng, mode, me_phi, cap), key))
+            runs.append((job, j, _run_em(dataset, config, inits[j], rng, mode, me_phi, cap, job, j), key))
         best.append(None)
 
     width = min((admm.members_per_call(build_cayley_graph(d.r, cap)) for d, _, _ in jobs), default=1)

@@ -28,6 +28,7 @@ and grouping work on these arrays; ``Dataset.rankings`` and
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -54,6 +55,15 @@ logger = logging.getLogger(__name__)
 ROW_SUM_TOL = 1e-10
 
 
+def _freeze_simplex_rows(rows: np.ndarray) -> None:
+    """Check that every row lies on the simplex, then make the array read-only."""
+    if np.any(rows < 0) or np.any(rows > 1):
+        raise DomainError("entries must lie in [0, 1]")
+    if np.max(np.abs(rows.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
+        raise DomainError("rows must sum to 1")
+    rows.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class MissingTable:
     """Per-vertex length distributions: ``probs[v, t-1] = P(t | pi_v)``."""
@@ -65,11 +75,7 @@ class MissingTable:
         expected = (math.factorial(self.r), self.r - 1)
         if self.probs.shape != expected:
             raise DimensionError(f"expected shape {expected}, got {self.probs.shape}")
-        if np.any(self.probs < 0) or np.any(self.probs > 1):
-            raise DomainError("entries must lie in [0, 1]")
-        if np.max(np.abs(self.probs.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-            raise DomainError("rows must sum to 1")
-        self.probs.flags.writeable = False
+        _freeze_simplex_rows(self.probs)
 
     @classmethod
     def uniform(cls, r: int, cap: int = DEFAULT_CAP) -> "MissingTable":
@@ -94,11 +100,7 @@ class ClusterMissingSpec:
     def __post_init__(self):
         if self.rows.ndim != 2 or self.rows.shape[1] != self.r - 1:
             raise DimensionError(f"expected (K, {self.r - 1}), got {self.rows.shape}")
-        if np.any(self.rows < 0) or np.any(self.rows > 1):
-            raise DomainError("entries must lie in [0, 1]")
-        if np.max(np.abs(self.rows.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-            raise DomainError("rows must sum to 1")
-        self.rows.flags.writeable = False
+        _freeze_simplex_rows(self.rows)
 
     @property
     def n_clusters(self) -> int:
@@ -391,46 +393,33 @@ class _CsvText:
     perm_index: dict[str, int]     # true_perm field -> vertex
 
 
-# Per-r objects and CSV fields shared by every Dataset view. Views build them
-# with cap = r: the cap guards the calls that create data (generate_dataset,
-# from_rankings, load_csv), and a view only reads tables at the dataset's r.
-_RANKINGS: dict[int, tuple[TopTRanking, ...]] = {}
-_PERMS: dict[int, tuple[Permutation, ...]] = {}
-_CSV_TEXT: dict[int, _CsvText] = {}
+# Per-r objects and CSV fields shared by every Dataset view, built once per r.
+# Views build them with cap = r: the cap guards the calls that create data
+# (generate_dataset, from_rankings, load_csv), and a view only reads tables
+# at the dataset's r.
 
 
+@functools.cache
 def _shared_rankings(r: int) -> tuple[TopTRanking, ...]:
     """One TopTRanking per partial ranking, in enumeration order."""
-    shared = _RANKINGS.get(r)
-    if shared is None:
-        shared = tuple(TopTRanking(p, r) for table in prefix_tables(r, r) for p in table.prefixes)
-        _RANKINGS[r] = shared
-    return shared
+    return tuple(TopTRanking(p, r) for table in prefix_tables(r, r) for p in table.prefixes)
 
 
+@functools.cache
 def _shared_perms(r: int) -> tuple[Permutation, ...]:
     """One Permutation per vertex, in vertex order."""
-    shared = _PERMS.get(r)
-    if shared is None:
-        shared = tuple(Permutation(tuple(ranks)) for ranks in perm_table(r, r).ranks.tolist())
-        _PERMS[r] = shared
-    return shared
+    return tuple(Permutation(tuple(ranks)) for ranks in perm_table(r, r).ranks.tolist())
 
 
 def _inverse(spellings: list[str]) -> dict[str, int]:
     return {spelling: i for i, spelling in enumerate(spellings)}
 
 
+@functools.cache
 def _csv_text(r: int) -> _CsvText:
-    text = _CSV_TEXT.get(r)
-    if text is None:
-        partial = [
-            f"{table.t},{'>'.join(map(str, prefix))}" for table in prefix_tables(r, r) for prefix in table.prefixes
-        ]
-        perm = [">".join(map(str, ordering)) for ordering in perm_table(r, r).orderings.tolist()]
-        text = _CsvText(partial, _inverse(partial), perm, _inverse(perm))
-        _CSV_TEXT[r] = text
-    return text
+    partial = [f"{table.t},{'>'.join(map(str, prefix))}" for table in prefix_tables(r, r) for prefix in table.prefixes]
+    perm = [">".join(map(str, ordering)) for ordering in perm_table(r, r).orderings.tolist()]
+    return _CsvText(partial, _inverse(partial), perm, _inverse(perm))
 
 
 # ---------------------------------------------------------------------------

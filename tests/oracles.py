@@ -135,6 +135,57 @@ def vertex_update_bisection(q_row, y_row, rho: float, degree: int) -> tuple[list
     return row(nu), nu
 
 
+def vertex_update_bracketed(q, y, rho: float, degree: int, nu0=None):
+    """The safeguarded Newton search on the simplex multiplier, row-batched.
+
+    Rows of ``q`` and ``y`` are vertices. Each pass takes a Newton step on
+    every active row and falls back to the midpoint of the row's bracket
+    where the step is not finite or leaves the open bracket (rtsafe,
+    Numerical Recipes section 9.4); a row is frozen once |s| <= 1e-12 or its
+    bracket has collapsed. ``nu0`` is a warm start, taken where it lies
+    inside the initial bracket. Returns ``(phi, nu, fired)``: ``fired`` marks
+    the rows where the safeguard acted, by a midpoint step or by a collapsed
+    bracket. It was the package's search before a clamped monotone Newton
+    step replaced it, and every row it solves without the safeguard must
+    come out of the new search bitwise the same.
+    """
+    scale = 2.0 * rho * degree
+    q = np.asarray(q, dtype=float).T.copy()
+    y = np.asarray(y, dtype=float).T.copy()
+    lo = -y.max(axis=0) - rho * degree
+    hi = -y.min(axis=0) + np.maximum(q.sum(axis=0), 1.0)
+    nu = 0.5 * (lo + hi)
+    if nu0 is not None:
+        nu = np.where((lo < nu0) & (nu0 < hi), nu0, nu)
+    phi_out, nu_out = np.empty_like(q), np.empty_like(nu)
+    fired = np.zeros(q.shape[1], dtype=bool)
+    rows = np.arange(q.shape[1])
+    for _ in range(300):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = y + nu
+            root = np.sqrt(z * z + 2.0 * scale * q)
+            phi = np.where(z > 0, 2.0 * q / (root + z), (root - z) / scale)
+            s = phi.sum(axis=0) - 1.0
+            step = nu + s / (phi / root).sum(axis=0)
+        above = s >= 0
+        lo, hi = np.where(above, nu, lo), np.where(above, hi, nu)
+        close = np.abs(s) <= 1e-12
+        collapsed = hi - lo <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(nu))
+        fired[rows[collapsed & ~close]] = True
+        frozen = close | collapsed
+        phi_out[:, rows[frozen]], nu_out[rows[frozen]] = phi[:, frozen], nu[frozen]
+        active = ~frozen
+        if not active.any():
+            break
+        rows, lo, hi, step, y, q = rows[active], lo[active], hi[active], step[active], y[:, active], q[:, active]
+        inside = (lo < step) & (step < hi)
+        fired[rows[~inside]] = True
+        nu = np.where(inside, step, 0.5 * (lo + hi))
+    else:
+        raise AssertionError("bracketed search ran out of passes")
+    return np.clip(phi_out, 0.0, 1.0).T, nu_out, fired
+
+
 def augmented_lagrangian(state, q: np.ndarray, graph, lam: float, rho: float) -> float:
     """The penalty-split objective driving the vertex and edge sweeps.
 

@@ -10,11 +10,14 @@ from oracles import (
     project_simplex,
     solve_phi_projected_gradient,
     vertex_update_bisection,
+    vertex_update_bracketed,
 )
 from partialrank import DomainError, NumericError, build_cayley_graph
 from partialrank import admm
 from partialrank.admm import (
     NU_HARD_TOL,
+    NU_TOL,
+    _row_mass,
     _vertex_update_batch,
     dual_sweep,
     edge_penalty,
@@ -85,7 +88,7 @@ class TestVertexUpdate:
     def test_nan_residual_fails_the_hard_tolerance(self):
         # nan > NU_HARD_TOL is False: the check must not let a nan row through
         with pytest.raises(NumericError):
-            _vertex_update_batch(np.array([[np.nan, 1.0]]), np.zeros((1, 2)), 1.0, 2)
+            _vertex_update_batch(_row_mass(np.array([[np.nan, 1.0]]), 1.0, 2), np.zeros((1, 2)), 1.0, 2)
 
 
 def _oracle_rows(q, y, rho, degree):
@@ -110,23 +113,82 @@ def test_batch_matches_scalar_bisection_oracle(r):
         far = np.where(np.arange(n) % 3 == 0, 1e6, -1e6)
         nan = np.full(n, np.nan)
         for nu0 in (None, hit, far, nan):
-            phi, nu = _vertex_update_batch(q, y, rho, degree, nu0)
+            phi, nu = _vertex_update_batch(_row_mass(q, rho, degree), y, rho, degree, nu0)
             assert np.abs(phi - expected).max() <= 1e-10
             assert np.abs(phi.sum(axis=1) - 1.0).max() <= NU_HARD_TOL
             # the returned multipliers reproduce the rows as a warm start
-            again, _ = _vertex_update_batch(q, y, rho, degree, nu)
+            again, _ = _vertex_update_batch(_row_mass(q, rho, degree), y, rho, degree, nu)
             assert np.abs(again - expected).max() <= 1e-10
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
 def test_cold_start_on_exact_zero_z(degree):
     # zero mass and a constant y with rho * degree = 1 put the first
-    # midpoint at nu = -y: every slope is 0/0 and the search must bisect
+    # midpoint at nu = -y: every slope is 0/0, and the clamp must send the
+    # nan step to the bracket's left end
     rho = 1.0 / degree
     assert rho * degree == 1.0
     y = np.full((1, degree), 3.0)
-    phi, _ = _vertex_update_batch(np.zeros((1, degree)), y, rho, degree)
+    phi, _ = _vertex_update_batch(_row_mass(np.zeros((1, degree)), rho, degree), y, rho, degree)
     assert np.abs(phi - 1.0 / degree).max() <= 1e-10
+
+
+def test_start_where_z_squared_underflows():
+    # zero mass, y = 0 and nu0 = -2e-297: z^2 underflows to 0, so the slope
+    # phi / sqrt(z^2) is inf and the Newton step alone would not move nu
+    phi, _ = _vertex_update_batch(_row_mass(np.zeros((1, 2)), 1.0, 2), np.zeros((1, 2)), 1.0, 2, np.array([-2e-297]))
+    assert np.abs(phi - 0.5).max() <= 1e-10
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+def test_newton_matches_bracketed_search_where_its_safeguard_never_fires(r):
+    # warm starts as a vertex sweep sees them: the multipliers of a nearby y
+    rng = np.random.default_rng(70 + r)
+    n, degree, rho = 300, r - 1, float(rng.uniform(0.2, 3.0))
+    y = rng.normal(size=(n, degree)) * 10 ** rng.uniform(-2, 2, size=(n, 1))
+    q = rng.random((n, degree)) * 10 ** rng.uniform(-4, 2, size=(n, 1))
+    q[rng.random((n, degree)) < 0.3] = 0.0
+    _, nu0, _ = vertex_update_bracketed(q, y + rng.normal(scale=1e-2, size=y.shape), rho, degree)
+    expected, expected_nu, fired = vertex_update_bracketed(q, y, rho, degree, nu0)
+    phi, nu = _vertex_update_batch(_row_mass(q, rho, degree), y, rho, degree, nu0)
+    calm = ~fired
+    assert calm.sum() >= n * 0.9
+    assert np.array_equal(phi[calm], expected[calm])
+    assert np.array_equal(nu[calm], expected_nu[calm])
+
+
+@given(st.integers(2, 6), st.booleans(), st.data())
+def test_search_matches_bisection_from_any_start(degree, zero_mass, data):
+    q = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 50)), min_size=degree, max_size=degree)))
+    if zero_mass:
+        q[:] = 0.0
+    y = np.array(data.draw(st.lists(st.floats(-100, 100), min_size=degree, max_size=degree)))
+    rho = data.draw(st.floats(0.05, 20))
+    lo, hi = -y.max() - rho * degree, -y.min() + max(q.sum(), 1.0)
+    # anywhere in the bracket; z = 0 on one entry (a 0/0 slope there at zero
+    # mass); and right of every -y, where a zero-mass row has zero slope
+    nu0 = data.draw(st.one_of(st.floats(lo, hi), st.sampled_from(list(-y)), st.floats(-y.min(), hi)))
+    phi, _ = _vertex_update_batch(_row_mass(q[None], rho, degree), y[None], rho, degree, np.array([nu0]))
+    expected, _ = vertex_update_bisection(q, y, rho, degree)
+    assert np.abs(phi[0] - expected).max() <= 1e-10
+
+
+def test_row_that_cannot_reach_nu_tol_stops_without_progress(monkeypatch):
+    # zero mass and y near 1e4: adjacent floats near the root are 1.8e-12
+    # apart and s changes by 1.8e-11 between them, so no nu there has
+    # |s| <= NU_TOL; the search stops once its step no longer moves nu
+    q, y, rho, degree = np.zeros((1, 3)), np.array([[1e4, 1e4 + 0.5, 1e4 - 1.25]]), 0.1, 3
+    mass = _row_mass(q, rho, degree)
+    passes = []
+    phi_of_nu = admm._phi_of_nu
+    monkeypatch.setattr(admm, "_phi_of_nu", lambda *args: passes.append(1) or phi_of_nu(*args))
+    phi, nu = _vertex_update_batch(mass, y, rho, degree)
+    assert NU_TOL < abs(phi.sum() - 1.0) <= NU_HARD_TOL
+    assert len(passes) <= 5 < admm._MAX_NU_PASSES
+    for neighbour in (np.nextafter(nu, -np.inf), np.nextafter(nu, np.inf)):
+        with np.errstate(invalid="ignore"):
+            row, _ = phi_of_nu(neighbour, y.T, mass[0], mass[1], 2.0 * rho * degree)
+        assert abs(row.sum() - 1.0) > NU_TOL
 
 
 class TestEdgeUpdate:
@@ -218,6 +280,19 @@ class TestSolvePhi:
         assert result.iterations == 3
         assert np.abs(result.phi.probs.sum(axis=1) - 1.0).max() <= 1e-10
 
+    @pytest.mark.parametrize("lam,rho", [(1.0, 0.1), (10.0, 1.0)])
+    def test_unconverged_solve_returns_its_last_iterate_not_its_best(self, lam, rho):
+        # on this q the objective rises at the second iteration, so the best
+        # of the two iterates is the first; the solver returns the last
+        graph = build_cayley_graph(3)
+        q = np.random.default_rng(17).gamma(0.5, 2.0, size=(6, 2))
+        first, last = (solve_phi(q, graph, lam, rho, eps_primal=1e-14, eps_dual=1e-14, max_iter=k) for k in (1, 2))
+        assert last.objective > first.objective
+        assert (last.iterations, last.converged) == (2, False)
+        phi, _, _, _, _ = admm_reference(q, graph, lam, rho, np.full((6, 2), 0.5), 1e-14, 1e-14, 2)
+        assert np.abs(last.phi.probs - phi).max() <= 1e-10
+        assert last.objective == phi_objective(last.phi.probs, q, graph, lam)
+
     def test_input_validation(self):
         graph = build_cayley_graph(3)
         with pytest.raises(DimensionError):
@@ -246,9 +321,9 @@ class TestSweepInvariants:
         q = rng.random((1, 6, 2)) * 3
         state = init_state(graph, np.full((1, 6, 2), 0.5))
         for _ in range(30):
-            vertex_sweep(state, q, graph, rho=1.0)
+            vertex_sweep(state, _row_mass(q, 1.0, 2), graph, rho=1.0)
             assert np.abs(state.phi.sum(axis=-1) - 1.0).max() <= 1e-10
-            edge_sweep(state, graph, lam=[1.0], rho=1.0)
+            edge_sweep(state, mixing_weight(np.array([1.0]), 1.0))
             dual_sweep(state, graph)
 
     def test_state_slot_shapes(self):
@@ -275,13 +350,13 @@ class TestSweepInvariants:
             for u, v in graph.edges:
                 ju, jv = slot[(int(u), int(v))], slot[(int(v), int(u))]
                 expected[ju, u], expected[jv, v] = edge_update(a[ju, u], a[jv, v], lam, rho)
-            edge_sweep(state, graph, [lam], rho)
+            edge_sweep(state, mixing_weight(np.array([lam]), rho))
             assert np.abs(state.copies[0] - expected).max() <= 1e-15
             assert np.array_equal(state.prev_copies, before)
             duals = state.duals + (state.phi[:, None] - state.copies)
             dual_sweep(state, graph)
             assert np.array_equal(state.duals, duals)
-            vertex_sweep(state, rng.random((1, graph.n_vertices, r - 1)), graph, rho)
+            vertex_sweep(state, _row_mass(rng.random((1, graph.n_vertices, r - 1)), rho, r - 1), graph, rho)
 
     def test_vertex_and_edge_steps_never_raise_the_lagrangian(self):
         graph = build_cayley_graph(3)
@@ -291,10 +366,10 @@ class TestSweepInvariants:
         state = init_state(graph, rng.dirichlet(np.ones(2), size=(1, 6)))
         for _ in range(25):
             before = augmented_lagrangian(state, q, graph, lam, rho)
-            vertex_sweep(state, q[None], graph, rho)
+            vertex_sweep(state, _row_mass(q, rho, 2), graph, rho)
             after_vertex = augmented_lagrangian(state, q, graph, lam, rho)
             assert after_vertex <= before + 1e-8
-            edge_sweep(state, graph, [lam], rho)
+            edge_sweep(state, mixing_weight(np.array([lam]), rho))
             after_edge = augmented_lagrangian(state, q, graph, lam, rho)
             assert after_edge <= after_vertex + 1e-8
             dual_sweep(state, graph)

@@ -370,7 +370,7 @@ def test_best_run_ending_at_zero_likelihood_raises(monkeypatch):
     probs[:, 1] = 1.0
     phi = MissingTable(3, probs)
 
-    def ended(dataset, config, init_vertices, rng, mode, me_phi, cap):
+    def ended(dataset, config, init_vertices, rng, mode, me_phi, cap, job, restart):
         return uniform_theta(3, 1.0), phi, [np.inf], False, None
         yield  # a generator that finishes on its first advance
 
@@ -425,6 +425,9 @@ class TestLockstep:
         kept = [m for m in messages if "kept the previous phi" in m]
         assert unconverged and kept
         assert len(unconverged) + len(kept) == len(messages)
+        # the 3 interleaved restarts each name themselves in their first line
+        first = [m for m in unconverged if "EM iteration 1:" in m]
+        assert sorted(m.split(",")[0] for m in first) == [f"job 0 restart {j}" for j in range(3)]
 
     def test_fit_many_matches_separate_fits(self, datasets):
         jobs = [
@@ -447,7 +450,7 @@ class TestLockstep:
         finals, delays = [5.0, 3.0, 3.0, 4.0], [0, 2, 1, 0]
         calls = iter(range(4))
 
-        def fake_run_em(dataset, config, init_vertices, rng, mode, me_phi, cap):
+        def fake_run_em(dataset, config, init_vertices, rng, mode, me_phi, cap, job, restart):
             j = next(calls)
 
             def run():
