@@ -35,7 +35,7 @@ from .experiments import ExperimentConfig, GeneratorSpec, build_truth, resample_
 from .losses import LossReport, classification_error, cross_validate, l_comp, l_par, l_par_empirical
 from .missing import Dataset, generate_dataset
 from .perms import DEFAULT_CAP, build_cayley_graph, write_edge_csv
-from .util import atomic_path
+from .util import atomic_path, require
 
 logger = logging.getLogger(__name__)
 
@@ -59,12 +59,6 @@ COMMANDS = ("simulate", "fit", "eval", "cv", "graph", "split", "experiment")
 # ---------------------------------------------------------------------------
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"missing required config field {key!r}")
-    return config[key]
-
-
 def _fit_config(config: dict) -> FitConfig:
     allowed = {f.name for f in fields(FitConfig)}
     overrides = dict(config.get("fit", {}))
@@ -82,15 +76,15 @@ def _fit_config(config: dict) -> FitConfig:
 
 
 def _generator_spec(config: dict) -> GeneratorSpec:
-    gen = dict(_require(config, "generator"))
+    gen = dict(require(config, "generator"))
     kind = gen.pop("kind", None)
     if kind not in ("tilt_concentration", "tilt_mixture"):
         raise ConfigError(f"unknown generator kind {kind!r}")
-    return GeneratorSpec(kind=kind, r=int(_require(config, "r")), params=gen)
+    return GeneratorSpec(kind=kind, r=int(require(config, "r")), params=gen)
 
 
 def _out_dir(config: dict) -> Path:
-    out = Path(_require(config, "out"))
+    out = Path(require(config, "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -110,9 +104,9 @@ def _check_distinct_paths(config: dict) -> None:
 
 
 def _cmd_graph(config: dict) -> None:
-    r = int(_require(config, "r"))
+    r = int(require(config, "r"))
     graph = build_cayley_graph(r, int(config.get("cap", DEFAULT_CAP)))
-    out = Path(_require(config, "out"))
+    out = Path(require(config, "out"))
     with atomic_path(out) as tmp:
         write_edge_csv(graph, tmp)
     logger.info("wrote %d edges to %s", graph.n_edges, out)
@@ -120,7 +114,7 @@ def _cmd_graph(config: dict) -> None:
 
 def _cmd_simulate(config: dict) -> None:
     spec = _generator_spec(config)
-    n = int(_require(config, "n"))
+    n = int(require(config, "n"))
     replicates = int(config.get("replicates", 1))
     seed = int(config.get("seed", 0))
     cap = int(config.get("cap", DEFAULT_CAP))
@@ -135,27 +129,27 @@ def _cmd_simulate(config: dict) -> None:
 
 def _cmd_fit(config: dict) -> None:
     _check_distinct_paths(config)
-    r = int(_require(config, "r"))
+    r = int(require(config, "r"))
     cap = int(config.get("cap", DEFAULT_CAP))
-    dataset = Dataset.load_csv(_require(config, "input"), r, cap)
+    dataset = Dataset.load_csv(require(config, "input"), r, cap)
     fit_cfg = _fit_config(config)
     method = dict(config.get("method", {"name": "R", "lam": fit_cfg.lam}))
     result = run_method(method, dataset, fit_cfg, cap)
-    out = Path(_require(config, "out"))
+    out = Path(require(config, "out"))
     with atomic_path(out) as tmp:
         result.save_json(tmp)
     logger.info("wrote fit (%s, nll=%.6g) to %s", result.method, result.nll, out)
 
 
 def _cmd_eval(config: dict) -> None:
-    r = int(_require(config, "r"))
+    r = int(require(config, "r"))
     cap = int(config.get("cap", DEFAULT_CAP))
-    truth_cfg = _require(config, "truth")
+    truth_cfg = require(config, "truth")
     param = str(config.get("param", ""))
     rows = []
-    for index, entry in enumerate(_require(config, "inputs")):
+    for index, entry in enumerate(require(config, "inputs")):
         entry = dict(entry)
-        theta_hat, phi_hat, method = load_fit_json(_require(entry, "fit"))
+        theta_hat, phi_hat, method = load_fit_json(require(entry, "fit"))
         if theta_hat.r != r:
             raise DimensionError(f"fit over r={theta_hat.r}, config says r={r}")
         err = None
@@ -193,10 +187,10 @@ def _cmd_eval(config: dict) -> None:
 
 def _cmd_cv(config: dict) -> None:
     _check_distinct_paths(config)
-    r = int(_require(config, "r"))
+    r = int(require(config, "r"))
     cap = int(config.get("cap", DEFAULT_CAP))
-    dataset = Dataset.load_csv(_require(config, "input"), r, cap)
-    grid = _require(config, "grid")
+    dataset = Dataset.load_csv(require(config, "input"), r, cap)
+    grid = require(config, "grid")
     result = cross_validate(dataset, grid, _fit_config(config), cap)
     out = _out_dir(config)
     with atomic_path(out / "cv_scores.json") as tmp:
@@ -218,14 +212,14 @@ def _cmd_cv(config: dict) -> None:
 
 def _cmd_split(config: dict) -> None:
     _check_distinct_paths(config)
-    r = int(_require(config, "r"))
+    r = int(require(config, "r"))
     cap = int(config.get("cap", DEFAULT_CAP))
-    dataset = Dataset.load_csv(_require(config, "input"), r, cap)
+    dataset = Dataset.load_csv(require(config, "input"), r, cap)
     splits = resample_splits(
         dataset,
-        int(_require(config, "test_size")),
-        _require(config, "train_sizes"),
-        int(_require(config, "resamples")),
+        int(require(config, "test_size")),
+        require(config, "train_sizes"),
+        int(require(config, "resamples")),
         int(config.get("seed", 0)),
     )
     out = _out_dir(config)
@@ -242,9 +236,9 @@ def _cmd_experiment(config: dict) -> None:
     spec = _generator_spec(config)
     cfg = ExperimentConfig(
         spec=spec,
-        methods=tuple(dict(m) for m in _require(config, "methods")),
+        methods=tuple(dict(m) for m in require(config, "methods")),
         fit=_fit_config(config),
-        n=int(_require(config, "n")),
+        n=int(require(config, "n")),
         replicates=int(config.get("replicates", 1)),
         seed=int(config.get("seed", 0)),
         workers=int(config.get("workers", 1)),

@@ -32,7 +32,7 @@ import json
 import logging
 import math
 from collections.abc import Generator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +72,9 @@ class FitConfig:
     def __post_init__(self):
         if self.n_clusters < 1 or self.restarts < 1 or self.em_max_iter < 1 or self.admm_max_iter < 1:
             raise DomainError("counts must be at least 1")
+        reals = (self.lam, self.rho, self.em_tol, self.admm_eps_primal, self.admm_eps_dual, self.c_min, self.c_max)
+        if not all(math.isfinite(x) for x in reals):
+            raise DomainError("lam, rho, tolerances and concentration bounds must be finite")
         if self.lam < 0 or self.rho <= 0:
             raise DomainError("need lam >= 0 and rho > 0")
         if min(self.em_tol, self.admm_eps_primal, self.admm_eps_dual) <= 0:
@@ -357,29 +360,29 @@ def _run_em(
     config: FitConfig,
     init_vertices: tuple[int, ...],
     rng: np.random.Generator,
-    mode: str,
-    me_phi: MissingTable | None,
+    fixed_phi: MissingTable | None,
     cap: int,
     job: int,
     restart: int,
 ) -> Generator[tuple[np.ndarray, np.ndarray, float], admm.AdmmResult, tuple]:
     """One EM run from one set of initial locations, named in the log by ``job`` and ``restart``.
 
-    A generator: every graph-regularized phi-step yields the request
-    ``(q_table, phi0, lam)`` and receives its :class:`admm.AdmmResult`, so a
-    caller can solve the pending requests of many runs in one batched call.
-    Returns ``(theta, phi, trace, converged, resp)``, where ``resp`` is the
-    E-step at the returned pair (None if some observation has zero
-    likelihood there). Runs at ``lam = 0`` and ME runs never yield.
+    A run with a ``fixed_phi`` (the ME baseline) keeps that missing table and
+    scores the plain NLL, so its lam is 0; any other run starts from the
+    uniform table at ``config.lam``. A generator: every graph-regularized
+    phi-step yields the request ``(q_table, phi0, lam)`` and receives its
+    :class:`admm.AdmmResult`, so a caller can solve the pending requests of
+    many runs in one batched call. Returns ``(theta, phi, trace, converged)``.
+    Runs at ``lam = 0`` and ME runs never yield.
     """
     r = dataset.r
     graph = build_cayley_graph(r, cap)
-    lam = config.lam if mode == "regularized" else 0.0
+    lam = config.lam if fixed_phi is None else 0.0
     theta = MixtureParams(
         tuple(MallowsParams(unindex(v, r), 1.0) for v in init_vertices),
         tuple(1.0 / config.n_clusters for _ in range(config.n_clusters)),
     )
-    phi = me_phi if mode == "me" else MissingTable.uniform(r, cap)
+    phi = MissingTable.uniform(r, cap) if fixed_phi is None else fixed_phi
     # each accepted pair's E-step scores it and serves the next iteration
     resp, current = _scored(theta, phi, dataset, lam, cap)
     trace = [current]
@@ -387,7 +390,7 @@ def _run_em(
     for m in range(1, config.em_max_iter + 1):
         if resp is None:
             resp = e_step(theta, phi, dataset, cap)  # raises DegenerateLikelihoodError
-        if mode == "me":
+        if fixed_phi is not None:
             phi_new = phi
         elif lam > 0:
             solved = yield resp.q_table, phi.probs, lam
@@ -420,57 +423,51 @@ def _run_em(
             converged = True
             break
         current = value
-    return theta, phi, trace, converged, resp
+    return theta, phi, trace, converged
 
 
-def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[FitResult]:
-    """Fit every ``(dataset, config, mode)`` job, all restarts of all jobs in lockstep.
+def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, cap: int, me: bool = False) -> list[FitResult]:
+    """Fit every ``(dataset, lam)`` job under ``config`` at its lam, all restarts of all jobs in lockstep.
 
-    Each run keeps its own rng and stopping; the loop collects the pending
-    phi-step requests of all live runs and solves those that share r, rho
-    and the ADMM limits in one :func:`admm.solve_phi_batch` call. At most
-    :func:`admm.members_per_call` runs are live at once, since each holds
-    its own tables and stacking more pays nothing: at r = 7 the runs go one
-    after another. Each job then keeps its best restart, the first one on
-    ties, exactly as runs made one after another would.
+    The jobs share r and every config field but lam. With ``me`` each job's
+    missing table is held at its empirical length histogram (the ME
+    baseline). Each run keeps its own rng and stopping; every lockstep round
+    solves the pending phi-step requests of all live runs in one
+    :func:`admm.solve_phi_batch` call. At most :func:`admm.members_per_call`
+    runs are live at once, since each holds its own tables and stacking more
+    pays nothing: at r = 7 the runs go one after another. Each job then keeps
+    its best restart, the first one on ties, exactly as runs made one after
+    another would.
     """
-    runs = []  # (job, restart, generator, what its requests share with a batch)
-    # per job, (restart, (theta, phi, trace, converged, posteriors)) of its best
-    # finished run; posteriors is None where some observation has zero likelihood
-    best: list[tuple | None] = []
-    for job, (dataset, config, mode) in enumerate(jobs):
-        if len(dataset) == 0:
-            raise DomainError("cannot fit an empty dataset")
-        n_vertices = perm_table(dataset.r, cap).n_vertices
-        children = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
-        inits = _initial_locations(np.random.default_rng(children[0]), n_vertices, config.n_clusters, config.restarts)
-        me_phi = None
-        if mode == "me":
+    if any(len(dataset) == 0 for dataset, _ in jobs):
+        raise DomainError("cannot fit an empty dataset")
+    graph = build_cayley_graph(jobs[0][0].r, cap)
+    children = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
+    inits = _initial_locations(np.random.default_rng(children[0]), graph.n_vertices, config.n_clusters, config.restarts)
+    runs = []  # (job, restart, generator)
+    for job, (dataset, lam) in enumerate(jobs):
+        fixed_phi = None
+        if me:
             counts = np.bincount(dataset.lengths, minlength=dataset.r)[1:]
-            me_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum(), cap)
-        key = (dataset.r, config.rho, config.admm_eps_primal, config.admm_eps_dual, config.admm_max_iter)
+            fixed_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum(), cap)
         for j in range(config.restarts):
-            rng = np.random.default_rng(children[j + 1])
-            runs.append((job, j, _run_em(dataset, config, inits[j], rng, mode, me_phi, cap, job, j), key))
-        best.append(None)
-
-    width = min((admm.members_per_call(build_cayley_graph(d.r, cap)) for d, _, _ in jobs), default=1)
+            run = _run_em(dataset, replace(config, lam=lam), inits[j], np.random.default_rng(children[j + 1]),
+                          fixed_phi, cap, job, j)
+            runs.append((job, j, run))
+    best: list[tuple | None] = [None] * len(jobs)  # per job, its best finished (restart, theta, phi, trace, converged)
+    width = admm.members_per_call(graph)
     waiting = iter(range(len(runs)))
     pending: dict[int, tuple] = {}
 
     def advance(i: int, solved: admm.AdmmResult | None) -> None:
-        job, j, run, _ = runs[i]
+        job, j, run = runs[i]
         try:
             pending[i] = run.send(solved)
         except StopIteration as stop:
-            # runs finish out of order; the lower restart wins ties. Only the
-            # best run's (n, K) posteriors are kept: every run's E-step, with
-            # its per-block weights, is dropped as soon as the run finishes
-            theta, phi, trace, converged, resp = stop.value
-            held = best[job]
-            if held is None or (trace[-1], j) < (held[1][2][-1], held[0]):
-                posteriors = None if resp is None else resp.posteriors()
-                best[job] = (j, (theta, phi, trace, converged, posteriors))
+            # runs finish out of order; the lower restart wins ties
+            held, trace = best[job], stop.value[2]
+            if held is None or (trace[-1], j) < (held[3][-1], held[0]):
+                best[job] = (j, *stop.value)
 
     while True:
         # a run that never yields (lam = 0, ME) finishes inside its first advance
@@ -478,66 +475,39 @@ def _fit_batch(jobs: list[tuple[Dataset, FitConfig, str]], cap: int) -> list[Fit
             advance(i, None)
         if not pending:
             break
-        requests = pending
-        pending = {}
-        batches: dict[tuple, list[int]] = {}
-        for i in requests:
-            batches.setdefault(runs[i][3], []).append(i)
-        for (r, rho, eps_primal, eps_dual, max_iter), members in batches.items():
-            solved = admm.solve_phi_batch(
-                np.stack([requests[i][0] for i in members]),
-                build_cayley_graph(r, cap),
-                np.array([requests[i][2] for i in members]),
-                rho,
-                np.stack([requests[i][1] for i in members]),
-                eps_primal,
-                eps_dual,
-                max_iter,
-            )
-            for i, result in zip(members, solved):
-                advance(i, result)
+        requests, pending = pending, {}
+        solved = admm.solve_phi_batch(
+            np.stack([q_table for q_table, _, _ in requests.values()]),
+            graph,
+            np.array([lam for _, _, lam in requests.values()]),
+            config.rho,
+            np.stack([phi0 for _, phi0, _ in requests.values()]),
+            config.admm_eps_primal,
+            config.admm_eps_dual,
+            config.admm_max_iter,
+        )
+        for i, result in zip(requests, solved):
+            advance(i, result)
 
-    fits = []
-    for (dataset, config, mode), (restart, outcome) in zip(jobs, best):
-        theta, phi, trace, converged, posteriors = outcome
-        if posteriors is None:
-            posteriors = e_step(theta, phi, dataset, cap).posteriors()  # raises DegenerateLikelihoodError
-        if mode == "me":
-            method = "ME"
-        elif config.lam > 0:
-            method = f"R{config.lam:g}"
-        else:
-            method = "NR"
-        fits.append(FitResult(
+    return [
+        FitResult(
             theta=theta,
             phi=phi,
             nll=trace[-1],
             trace=trace,
             restart=restart,
-            posteriors=posteriors,
+            posteriors=e_step(theta, phi, dataset, cap).posteriors(),  # raises DegenerateLikelihoodError
             converged=converged,
-            method=method,
-            config=config,
-        ))
-    return fits
-
-
-def _mode(config: FitConfig) -> str:
-    return "regularized" if config.lam > 0 else "nr"
+            method="ME" if me else f"R{lam:g}" if lam > 0 else "NR",
+            config=replace(config, lam=lam),
+        )
+        for (dataset, lam), (restart, theta, phi, trace, converged) in zip(jobs, best)
+    ]
 
 
 def fit(dataset: Dataset, config: FitConfig, cap: int = DEFAULT_CAP) -> FitResult:
     """The proposed estimator: graph-regularized when lam > 0, plain (NR) at lam = 0."""
-    return _fit_batch([(dataset, config, _mode(config))], cap)[0]
-
-
-def fit_many(jobs, cap: int = DEFAULT_CAP) -> list[FitResult]:
-    """``fit(dataset, config)`` for every ``(dataset, config)`` pair, run in lockstep.
-
-    The results are those of the separate calls, bit for bit; batching the
-    phi-steps of all runs only cuts the per-call overhead of small solves.
-    """
-    return _fit_batch([(dataset, config, _mode(config)) for dataset, config in jobs], cap)
+    return _fit_batch([(dataset, config.lam)], config, cap)[0]
 
 
 def fit_me(dataset: Dataset, config: FitConfig, cap: int = DEFAULT_CAP) -> FitResult:
@@ -547,4 +517,4 @@ def fit_me(dataset: Dataset, config: FitConfig, cap: int = DEFAULT_CAP) -> FitRe
     missing table is the empirical length histogram copied to every vertex
     and EM only runs on the ranking mixture.
     """
-    return _fit_batch([(dataset, config, "me")], cap)[0]
+    return _fit_batch([(dataset, config.lam)], config, cap, me=True)[0]

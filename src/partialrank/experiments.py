@@ -32,7 +32,7 @@ from .missing import (
     tilt_mixture_mechanism,
 )
 from .perms import DEFAULT_CAP, Permutation
-from .util import atomic_path
+from .util import atomic_path, require
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,21 @@ def build_truth(spec: GeneratorSpec, cap: int = DEFAULT_CAP) -> Truth:
     params = spec.params
     if spec.kind == "tilt_concentration":
         sigma0 = _ordering(params.get("sigma0"), spec.r)
-        theta = MixtureParams.single(sigma0, float(params["c"]))
+        c = float(require(params, "c"))
+        theta = MixtureParams.single(sigma0, c)
         mech = tilt_concentration_mechanism(
-            float(params["c"]), float(params["c_star"]), float(params["R"]), sigma0, cap
+            c, float(require(params, "c_star")), float(require(params, "R")), sigma0, cap
         )
         return Truth(theta, mech, mech)
     if spec.kind == "tilt_mixture":
-        orderings = params["sigmas"]
-        cs = params["cs"]
-        w = tuple(float(x) for x in params["w"])
+        orderings = require(params, "sigmas")
+        cs = require(params, "cs")
+        w = tuple(float(x) for x in require(params, "w"))
         components = tuple(
             MallowsParams(_ordering(o, spec.r), float(c)) for o, c in zip(orderings, cs)
         )
         theta = MixtureParams(components, w)
-        mech = tilt_mixture_mechanism(w, params["w_star"], float(params["R"]), spec.r)
+        mech = tilt_mixture_mechanism(w, require(params, "w_star"), float(require(params, "R")), spec.r)
         return Truth(theta, mech, induced_table(mech, theta, cap))
     raise ConfigError(f"unknown generator kind {spec.kind!r}")
 
@@ -87,9 +88,9 @@ def run_method(method: dict, dataset: Dataset, config: FitConfig, cap: int = DEF
     if name == "NR":
         return fit(dataset, replace(config, lam=0.0), cap)
     if name == "R":
-        return fit(dataset, replace(config, lam=float(method["lam"])), cap)
+        return fit(dataset, replace(config, lam=float(require(method, "lam"))), cap)
     if name == "RCV":
-        result = cross_validate(dataset, method["grid"], config, cap).refit
+        result = cross_validate(dataset, require(method, "grid"), config, cap).refit
         result.method = "RCV"
         return result
     raise ConfigError(f"unknown method {method!r}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .em import FitConfig, FitResult, fit_many
+from .em import FitConfig, FitResult, _fit_batch, fit
 from .errors import DimensionError, DomainError
 from .mallows import MixtureParams, mixture_pmf
 from .missing import Dataset, MissingTable, empirical_partial_counts, partial_prob_vector
@@ -121,7 +121,7 @@ def cross_validate(dataset: Dataset, lam_grid, config: FitConfig, cap: int = DEF
     half = len(dataset) // 2
     folds = (dataset.subset(order[:half]), dataset.subset(order[half:]))
     # every (lam, fold) fit in one lockstep batch: per lam, train on each half
-    fitted = fit_many([(train, replace(config, lam=lam)) for lam in grid for train in folds], cap)
+    fitted = _fit_batch([(train, lam) for lam in grid for train in folds], config, cap)
     scores: dict[float, float] = {}
     for i, lam in enumerate(grid):
         total = 0.0
@@ -129,5 +129,5 @@ def cross_validate(dataset: Dataset, lam_grid, config: FitConfig, cap: int = DEF
             total += _cv_fold_score(fitted_fold, test, cap)
         scores[lam] = total / 2.0
     best_lam = grid[int(np.argmin([scores[lam] for lam in grid]))]
-    refit = fit_many([(dataset, replace(config, lam=best_lam))], cap)[0]
+    refit = fit(dataset, replace(config, lam=best_lam), cap)
     return CvResult(best_lam, scores, refit)

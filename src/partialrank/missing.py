@@ -190,8 +190,7 @@ class Dataset:
             for p in true_perms:
                 if p.r != r:
                     raise DimensionError(f"true ranking over {p.r} items in r={r} dataset")
-            ordering_index = perm_table(r).ordering_index
-            vertices = [ordering_index[p.inverse] for p in true_perms]
+            vertices = [index_of(p) for p in true_perms]
         return cls(r, obs, vertices, true_clusters)
 
     def __len__(self) -> int:
@@ -372,7 +371,7 @@ def _parse_row(row, lineno: int, r: int, width: int, perm_col, cluster_col) -> t
             raise DataFormatError(f"true_perm field {spelling!r} ranks {perm.r} items, not {r}", line=lineno)
         if perm.inverse[:t] != items:
             raise DataFormatError(f"true_perm field {spelling!r} does not start with items {row[1]!r}", line=lineno)
-        vertex = perm_table(r, r).ordering_index[perm.inverse]
+        vertex = index_of(perm)
     if cluster_col is not None:
         try:
             cluster = int(row[cluster_col])

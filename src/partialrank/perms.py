@@ -171,7 +171,6 @@ class PermTable:
     ranks: np.ndarray       # (V, r) int16, lexicographic order
     orderings: np.ndarray   # (V, r) int16, items by rank (the inverses)
     pair_order: np.ndarray  # (V, r(r-1)/2) bool, ranks[v, i] < ranks[v, j] for item pairs i < j
-    ordering_index: dict    # ordering tuple -> vertex
 
     @property
     def n_vertices(self) -> int:
@@ -210,12 +209,11 @@ def perm_table(r: int, cap: int = DEFAULT_CAP) -> PermTable:
     if table is None:
         ranks = np.array(list(itertools.permutations(range(1, r + 1))), dtype=np.int16)
         orderings = np.argsort(ranks, axis=1).astype(np.int16) + 1
-        ordering_index = {tuple(int(x) for x in row): v for v, row in enumerate(orderings)}
         first, second = np.triu_indices(r, k=1)
         pair_order = ranks[:, first] < ranks[:, second]
         for arr in (ranks, orderings, pair_order):
             arr.flags.writeable = False
-        table = PermTable(r, ranks, orderings, pair_order, ordering_index)
+        table = PermTable(r, ranks, orderings, pair_order)
         _PERM_TABLES[r] = table
     return table
 

@@ -6,6 +6,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
+from .errors import ConfigError
+
 
 @contextmanager
 def atomic_path(path: str | Path):
@@ -17,3 +19,10 @@ def atomic_path(path: str | Path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def require(config: dict, key: str):
+    """``config[key]``, or a :class:`ConfigError` naming the missing field."""
+    if key not in config:
+        raise ConfigError(f"missing required config field {key!r}")
+    return config[key]

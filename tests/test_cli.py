@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -373,3 +374,30 @@ class TestErrors:
             {"command": "fit", "r": 3, "input": str(data), "out": str(data)},
         )
         assert run_cli(cfg) == 2
+
+    def fit_config(self, tmp_path, **fields):
+        data = tmp_path / "d.csv"
+        data.write_text("t,items\n1,2\n2,1>3\n")
+        payload = {"command": "fit", "r": 3, "input": str(data), "out": str(tmp_path / "o.json"), **fields}
+        return write_config(tmp_path, "f.json", payload)
+
+    @pytest.mark.parametrize("fields", [{"method": {"name": "R", "lam": math.nan}}, {"fit": {"em_tol": math.nan}}])
+    def test_non_finite_fit_setting_exits_5(self, tmp_path, fields):
+        cfg = self.fit_config(tmp_path, **fields)
+        assert "NaN" in cfg.read_text()  # Python's JSON reader accepts it
+        assert run_cli(cfg) == 5
+        assert not (tmp_path / "o.json").exists()
+
+    def test_r_without_lam_exits_2(self, tmp_path, capsys):
+        assert run_cli(self.fit_config(tmp_path, method={"name": "R"})) == 2
+        assert "'lam'" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+
+    def test_generator_without_c_exits_2(self, tmp_path, capsys):
+        generator = {key: value for key, value in GENERATOR.items() if key != "c"}
+        cfg = write_config(
+            tmp_path,
+            "s.json",
+            {"command": "simulate", "r": 3, "n": 10, "generator": generator, "out": str(tmp_path / "sim")},
+        )
+        assert run_cli(cfg) == 2
+        assert "'c'" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from partialrank import (
     generate_dataset,
 )
 from partialrank import admm, em
-from partialrank.em import Responsibilities, fit_many, load_fit_json, penalized_nll
+from partialrank.em import Responsibilities, load_fit_json, penalized_nll
 from partialrank.mallows import mixture_pmf
 from partialrank.perms import build_cayley_graph, compatible_set, index_of, kendall_distance, unindex
 
@@ -327,6 +328,12 @@ class TestFitConfig:
         with pytest.raises(DomainError):
             FitConfig(em_tol=0.0)
 
+    @pytest.mark.parametrize("name", ["lam", "rho", "em_tol", "admm_eps_primal", "admm_eps_dual", "c_min", "c_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(DomainError):
+            FitConfig(**{name: value})
+
 
 def test_penalized_nll_adds_edge_penalty():
     theta = MixtureParams.single(Permutation.identity(3), 1.0)
@@ -370,8 +377,8 @@ def test_best_run_ending_at_zero_likelihood_raises(monkeypatch):
     probs[:, 1] = 1.0
     phi = MissingTable(3, probs)
 
-    def ended(dataset, config, init_vertices, rng, mode, me_phi, cap, job, restart):
-        return uniform_theta(3, 1.0), phi, [np.inf], False, None
+    def ended(dataset, config, init_vertices, rng, fixed_phi, cap, job, restart):
+        return uniform_theta(3, 1.0), phi, [np.inf], False
         yield  # a generator that finishes on its first advance
 
     monkeypatch.setattr(em, "_run_em", ended)
@@ -406,6 +413,16 @@ class TestLockstep:
         result = fit_me(datasets[k], config) if mode == "me" else fit(datasets[k], config)
         _assert_same_fit(result, fit_sequential(datasets[k], config, mode))
 
+    def test_me_fit_does_not_depend_on_lam(self, datasets):
+        # a run with a fixed phi scores the plain NLL: lam only echoes in the config
+        config = FitConfig(restarts=3, seed=9, em_max_iter=20)
+        at_zero, at_ten = fit_me(datasets[2], replace(config, lam=0.0)), fit_me(datasets[2], replace(config, lam=10.0))
+        assert at_zero.theta == at_ten.theta
+        assert np.array_equal(at_zero.phi.probs, at_ten.phi.probs)
+        assert at_zero.trace == at_ten.trace
+        assert np.array_equal(at_zero.posteriors, at_ten.posteriors)
+        assert (at_zero.config.lam, at_ten.config.lam) == (0.0, 10.0)
+
     # ADMM capped at 3 iterations: every phi-step stops unconverged and returns
     # its last iterate, and once in this fit that iterate would raise the
     # surrogate, so EM keeps the previous phi
@@ -429,17 +446,47 @@ class TestLockstep:
         first = [m for m in unconverged if "EM iteration 1:" in m]
         assert sorted(m.split(",")[0] for m in first) == [f"job 0 restart {j}" for j in range(3)]
 
-    def test_fit_many_matches_separate_fits(self, datasets):
-        jobs = [
-            (datasets[1], FitConfig(lam=10.0, restarts=2, seed=1, em_max_iter=20)),
-            (datasets[2], FitConfig(lam=1.0, n_clusters=2, restarts=3, seed=2, em_max_iter=20)),
-            (datasets[1], FitConfig(lam=0.0, restarts=2, seed=3)),
-            (datasets[1], FitConfig(lam=100.0, restarts=1, seed=4, admm_max_iter=20, em_max_iter=20)),
-        ]
-        for batched, (dataset, config) in zip(fit_many(jobs), jobs):
-            alone = fit(dataset, config)
+    shared = FitConfig(restarts=2, seed=1, em_max_iter=20)
+
+    def jobs(self, datasets):
+        return [(datasets[1], 10.0), (datasets[2], 1.0), (datasets[1], 0.0), (datasets[1], 100.0)]
+
+    def test_driver_jobs_match_separate_fits(self, datasets):
+        jobs = self.jobs(datasets)
+        for batched, (dataset, lam) in zip(em._fit_batch(jobs, self.shared, 7), jobs):
+            alone = fit(dataset, replace(self.shared, lam=lam))
             assert batched.to_json_dict() == alone.to_json_dict()
             assert np.array_equal(batched.posteriors, alone.posteriors)
+
+    def test_each_lockstep_round_is_one_solve(self, datasets, monkeypatch):
+        # every run starts at once, so there are as many rounds as the longest
+        # run has phi-steps, and each round solves every pending request
+        steps, sizes = [], []
+        run_em, solve = em._run_em, admm.solve_phi_batch
+
+        def counted(*args):
+            index = len(steps)
+            steps.append(0)
+            run, solved = run_em(*args), None
+            while True:
+                try:
+                    request = run.send(solved)
+                except StopIteration as stop:
+                    return stop.value
+                steps[index] += 1
+                solved = yield request
+
+        def recording(q_tables, *args, **kwargs):
+            sizes.append(len(q_tables))
+            return solve(q_tables, *args, **kwargs)
+
+        monkeypatch.setattr(em, "_run_em", counted)
+        monkeypatch.setattr(admm, "solve_phi_batch", recording)
+        em._fit_batch(self.jobs(datasets), self.shared, 7)
+        assert len(steps) == 8 and steps[4:6] == [0, 0]  # the lam = 0 job never yields
+        assert len(sizes) == max(steps)
+        assert sum(sizes) == sum(steps)
+        assert sizes[0] == 6
 
     def test_lower_restart_wins_a_tie_it_finishes_second(self, datasets, monkeypatch):
         # restart 2 ties restart 1 on the final objective but finishes a
@@ -450,13 +497,13 @@ class TestLockstep:
         finals, delays = [5.0, 3.0, 3.0, 4.0], [0, 2, 1, 0]
         calls = iter(range(4))
 
-        def fake_run_em(dataset, config, init_vertices, rng, mode, me_phi, cap, job, restart):
+        def fake_run_em(dataset, config, init_vertices, rng, fixed_phi, cap, job, restart):
             j = next(calls)
 
             def run():
                 for _ in range(delays[j]):
                     yield np.ones((graph.n_vertices, 3)), phi.probs, 1.0
-                return theta, phi, [finals[j]], True, None
+                return theta, phi, [finals[j]], True
 
             return run()
 
@@ -467,10 +514,8 @@ class TestLockstep:
     def test_live_runs_capped_by_members_per_call(self, datasets, monkeypatch):
         # with room for two members per solve, at most two runs are live and
         # no solve stacks more; the fits do not change
-        jobs = [
-            (datasets[1], FitConfig(lam=10.0, restarts=3, seed=5, em_max_iter=15)),
-            (datasets[2], FitConfig(lam=1.0, n_clusters=2, restarts=2, seed=6, em_max_iter=15)),
-        ]
+        jobs = [(datasets[1], 10.0), (datasets[2], 1.0)]
+        config = FitConfig(restarts=3, seed=5, em_max_iter=15)
         sizes = []
         solve = admm.solve_phi_batch
 
@@ -479,13 +524,13 @@ class TestLockstep:
             return solve(q_tables, *args, **kwargs)
 
         monkeypatch.setattr(admm, "solve_phi_batch", recording)
-        wide = fit_many(jobs)
-        assert max(sizes) == 5
+        wide = em._fit_batch(jobs, config, 7)
+        assert max(sizes) == len(jobs) * config.restarts
         sizes.clear()
         graph = build_cayley_graph(4)
         monkeypatch.setattr(admm, "_STATE_BYTES", 2 * 4 * graph.n_vertices * 3 * 3 * 8)
         assert admm.members_per_call(graph) == 2
-        narrow = fit_many(jobs)
+        narrow = em._fit_batch(jobs, config, 7)
         assert max(sizes) == 2
         for a, b in zip(wide, narrow):
             assert a.to_json_dict() == b.to_json_dict()
