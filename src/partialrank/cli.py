@@ -35,7 +35,7 @@ from .experiments import ExperimentConfig, GeneratorSpec, build_truth, resample_
 from .losses import LossReport, classification_error, cross_validate, l_comp, l_par, l_par_empirical
 from .missing import Dataset, generate_dataset
 from .perms import DEFAULT_CAP, build_cayley_graph, write_edge_csv
-from .util import atomic_path, require
+from .util import is_number, require, require_numbers, require_typed, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -60,23 +60,22 @@ COMMANDS = ("simulate", "fit", "eval", "cv", "graph", "split", "experiment")
 
 
 def _fit_config(config: dict) -> FitConfig:
-    allowed = {f.name for f in fields(FitConfig)}
-    overrides = dict(config.get("fit", {}))
-    unknown = set(overrides) - allowed
+    overrides = dict(require_typed(config, "fit", dict)) if "fit" in config else {}
+    unknown = set(overrides) - {f.name for f in fields(FitConfig)}
     if unknown:
         raise ConfigError(f"unknown fit config fields: {sorted(unknown)}")
     if "K" in config:
-        overrides.setdefault("n_clusters", int(config["K"]))
+        overrides.setdefault("n_clusters", config["K"])
     if "seed" in config:
-        overrides.setdefault("seed", int(config["seed"]))
-    try:
-        return FitConfig(**overrides)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        overrides.setdefault("seed", config["seed"])
+    not_numbers = sorted(key for key, value in overrides.items() if not is_number(value))
+    if not_numbers:
+        raise ConfigError(f"fit config fields must be numbers: {not_numbers}")
+    return FitConfig(**overrides)
 
 
 def _generator_spec(config: dict) -> GeneratorSpec:
-    gen = dict(require(config, "generator"))
+    gen = dict(require_typed(config, "generator", dict))
     kind = gen.pop("kind", None)
     if kind not in ("tilt_concentration", "tilt_mixture"):
         raise ConfigError(f"unknown generator kind {kind!r}")
@@ -107,14 +106,13 @@ def _cmd_graph(config: dict) -> None:
     r = int(require(config, "r"))
     graph = build_cayley_graph(r, int(config.get("cap", DEFAULT_CAP)))
     out = Path(require(config, "out"))
-    with atomic_path(out) as tmp:
-        write_edge_csv(graph, tmp)
+    write_edge_csv(graph, out)
     logger.info("wrote %d edges to %s", graph.n_edges, out)
 
 
 def _cmd_simulate(config: dict) -> None:
     spec = _generator_spec(config)
-    n = int(require(config, "n"))
+    n = require(config, "n")
     replicates = int(config.get("replicates", 1))
     seed = int(config.get("seed", 0))
     cap = int(config.get("cap", DEFAULT_CAP))
@@ -122,8 +120,7 @@ def _cmd_simulate(config: dict) -> None:
     truth = build_truth(spec, cap)
     for index, (data_seed, _) in enumerate(experiments._replicate_seeds(seed, replicates)):
         dataset = generate_dataset(truth.theta, truth.mechanism, n, data_seed, cap)
-        with atomic_path(out / f"dataset_{index:03d}.csv") as tmp:
-            dataset.save_csv(tmp)
+        dataset.save_csv(out / f"dataset_{index:03d}.csv")
     logger.info("wrote %d datasets to %s", replicates, out)
 
 
@@ -133,11 +130,9 @@ def _cmd_fit(config: dict) -> None:
     cap = int(config.get("cap", DEFAULT_CAP))
     dataset = Dataset.load_csv(require(config, "input"), r, cap)
     fit_cfg = _fit_config(config)
-    method = dict(config.get("method", {"name": "R", "lam": fit_cfg.lam}))
-    result = run_method(method, dataset, fit_cfg, cap)
+    result = run_method(config.get("method", {"name": "R", "lam": fit_cfg.lam}), dataset, fit_cfg, cap)
     out = Path(require(config, "out"))
-    with atomic_path(out) as tmp:
-        result.save_json(tmp)
+    result.save_json(out)
     logger.info("wrote fit (%s, nll=%.6g) to %s", result.method, result.nll, out)
 
 
@@ -190,23 +185,11 @@ def _cmd_cv(config: dict) -> None:
     r = int(require(config, "r"))
     cap = int(config.get("cap", DEFAULT_CAP))
     dataset = Dataset.load_csv(require(config, "input"), r, cap)
-    grid = require(config, "grid")
-    result = cross_validate(dataset, grid, _fit_config(config), cap)
+    result = cross_validate(dataset, require_numbers(config, "grid"), _fit_config(config), cap)
     out = _out_dir(config)
-    with atomic_path(out / "cv_scores.json") as tmp:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            json.dump(
-                {
-                    "best_lam": result.best_lam,
-                    "scores": {repr(lam): score for lam, score in sorted(result.scores.items())},
-                },
-                fh,
-                indent=1,
-                sort_keys=True,
-            )
-            fh.write("\n")
-    with atomic_path(out / "refit.json") as tmp:
-        result.refit.save_json(tmp)
+    scores = {repr(lam): score for lam, score in sorted(result.scores.items())}
+    write_json(out / "cv_scores.json", {"best_lam": result.best_lam, "scores": scores})
+    result.refit.save_json(out / "refit.json")
     logger.info("selected lam=%g; wrote scores and refit to %s", result.best_lam, out)
 
 
@@ -224,11 +207,9 @@ def _cmd_split(config: dict) -> None:
     )
     out = _out_dir(config)
     for s, test_idx, trains in splits:
-        with atomic_path(out / f"test_{s:02d}.csv") as tmp:
-            dataset.subset(test_idx).save_csv(tmp)
+        dataset.subset(test_idx).save_csv(out / f"test_{s:02d}.csv")
         for size, train_idx in trains.items():
-            with atomic_path(out / f"train_{size}_{s:02d}.csv") as tmp:
-                dataset.subset(train_idx).save_csv(tmp)
+            dataset.subset(train_idx).save_csv(out / f"train_{size}_{s:02d}.csv")
     logger.info("wrote %d resamples to %s", len(splits), out)
 
 
@@ -236,9 +217,9 @@ def _cmd_experiment(config: dict) -> None:
     spec = _generator_spec(config)
     cfg = ExperimentConfig(
         spec=spec,
-        methods=tuple(dict(m) for m in require(config, "methods")),
+        methods=tuple(require_typed(config, "methods", list)),
         fit=_fit_config(config),
-        n=int(require(config, "n")),
+        n=require(config, "n"),
         replicates=int(config.get("replicates", 1)),
         seed=int(config.get("seed", 0)),
         workers=int(config.get("workers", 1)),

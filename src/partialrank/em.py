@@ -47,6 +47,7 @@ from .errors import (
 from .mallows import MallowsParams, MixtureParams, component_log_pmf, log_normalizer
 from .missing import Dataset, MissingTable, ObservationGroups
 from .perms import DEFAULT_CAP, Permutation, build_cayley_graph, index_of, perm_table, unindex
+from .util import check_integer, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -70,8 +71,10 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_clusters < 1 or self.restarts < 1 or self.em_max_iter < 1 or self.admm_max_iter < 1:
-            raise DomainError("counts must be at least 1")
+        for name in ("n_clusters", "em_max_iter", "admm_max_iter", "restarts"):
+            check_integer(getattr(self, name), name, 1)
+        check_integer(self.transition_iters, "transition_iters")
+        check_integer(self.seed, "seed")
         reals = (self.lam, self.rho, self.em_tol, self.admm_eps_primal, self.admm_eps_dual, self.c_min, self.c_max)
         if not all(math.isfinite(x) for x in reals):
             raise DomainError("lam, rho, tolerances and concentration bounds must be finite")
@@ -79,8 +82,6 @@ class FitConfig:
             raise DomainError("need lam >= 0 and rho > 0")
         if min(self.em_tol, self.admm_eps_primal, self.admm_eps_dual) <= 0:
             raise DomainError("tolerances must be positive")
-        if self.transition_iters < 0:
-            raise DomainError("transition_iters must be nonnegative")
         if not 0 < self.c_min < self.c_max:
             raise DomainError("need 0 < c_min < c_max")
 
@@ -297,9 +298,7 @@ class FitResult:
         }
 
     def save_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 def load_fit_json(path: str | Path) -> tuple[MixtureParams, MissingTable, str]:

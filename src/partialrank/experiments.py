@@ -10,7 +10,6 @@ any output byte.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,7 +31,7 @@ from .missing import (
     tilt_mixture_mechanism,
 )
 from .perms import DEFAULT_CAP, Permutation
-from .util import atomic_path, require
+from .util import atomic_open, require, require_number, require_numbers, require_typed, write_json
 
 
 @dataclass(frozen=True)
@@ -54,43 +53,46 @@ class Truth:
 def _ordering(value, r: int) -> Permutation:
     if value is None:
         return Permutation.identity(r)
-    return Permutation.from_ordering([int(x) for x in value])
+    if not isinstance(value, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in value):
+        raise ConfigError(f"an ordering must be a list of item ids, got {value!r}")
+    return Permutation.from_ordering(value)
 
 
 def build_truth(spec: GeneratorSpec, cap: int = DEFAULT_CAP) -> Truth:
     params = spec.params
     if spec.kind == "tilt_concentration":
         sigma0 = _ordering(params.get("sigma0"), spec.r)
-        c = float(require(params, "c"))
+        c = require_number(params, "c")
         theta = MixtureParams.single(sigma0, c)
         mech = tilt_concentration_mechanism(
-            c, float(require(params, "c_star")), float(require(params, "R")), sigma0, cap
+            c, require_number(params, "c_star"), require_number(params, "R"), sigma0, cap
         )
         return Truth(theta, mech, mech)
     if spec.kind == "tilt_mixture":
-        orderings = require(params, "sigmas")
-        cs = require(params, "cs")
-        w = tuple(float(x) for x in require(params, "w"))
-        components = tuple(
-            MallowsParams(_ordering(o, spec.r), float(c)) for o, c in zip(orderings, cs)
-        )
-        theta = MixtureParams(components, w)
-        mech = tilt_mixture_mechanism(w, require(params, "w_star"), float(require(params, "R")), spec.r)
+        orderings = require_typed(params, "sigmas", list)
+        cs, w, w_star = (require_numbers(params, key) for key in ("cs", "w", "w_star"))
+        if not len(orderings) == len(cs) == len(w) == len(w_star):
+            raise ConfigError("sigmas, cs, w and w_star must be lists of one length")
+        components = tuple(MallowsParams(_ordering(o, spec.r), float(c)) for o, c in zip(orderings, cs))
+        theta = MixtureParams(components, tuple(map(float, w)))
+        mech = tilt_mixture_mechanism(w, w_star, require_number(params, "R"), spec.r)
         return Truth(theta, mech, induced_table(mech, theta, cap))
     raise ConfigError(f"unknown generator kind {spec.kind!r}")
 
 
 def run_method(method: dict, dataset: Dataset, config: FitConfig, cap: int = DEFAULT_CAP) -> FitResult:
     """Dispatch one method spec: ME, NR, R (fixed lam), or RCV (grid)."""
+    if not isinstance(method, dict):
+        raise ConfigError(f"a method must be a JSON object, got {method!r}")
     name = str(method.get("name", "")).upper()
     if name == "ME":
         return fit_me(dataset, config, cap)
     if name == "NR":
         return fit(dataset, replace(config, lam=0.0), cap)
     if name == "R":
-        return fit(dataset, replace(config, lam=float(require(method, "lam"))), cap)
+        return fit(dataset, replace(config, lam=require_number(method, "lam")), cap)
     if name == "RCV":
-        result = cross_validate(dataset, require(method, "grid"), config, cap).refit
+        result = cross_validate(dataset, require_numbers(method, "grid"), config, cap).refit
         result.method = "RCV"
         return result
     raise ConfigError(f"unknown method {method!r}")
@@ -119,12 +121,11 @@ def _replicate_worker(payload) -> list[LossReport]:
     truth = build_truth(cfg.spec, cap)
     dataset = generate_dataset(truth.theta, truth.mechanism, cfg.n, data_seed, cap)
     if dataset_path is not None:
-        with atomic_path(dataset_path) as tmp:
-            dataset.save_csv(tmp)
+        dataset.save_csv(dataset_path)
     rows = []
     for method in cfg.methods:
         started = perf_counter()
-        result = run_method(dict(method), dataset, replace(cfg.fit, seed=fit_seed), cap)
+        result = run_method(method, dataset, replace(cfg.fit, seed=fit_seed), cap)
         elapsed_ms = (perf_counter() - started) * 1000.0
         err = None
         if cfg.fit.n_clusters > 1 and dataset.true_clusters is not None:
@@ -174,22 +175,21 @@ REPORT_HEADER = ["method", "replicate", "param", "l_par", "l_comp", "class_err",
 
 
 def write_report_csv(rows: list[LossReport], path: str | Path) -> None:
-    with atomic_path(path) as tmp:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(REPORT_HEADER)
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.method,
-                        row.replicate,
-                        row.param,
-                        repr(row.l_par),
-                        "" if row.l_comp is None else repr(row.l_comp),
-                        "" if row.classification_error is None else repr(row.classification_error),
-                        repr(row.runtime_ms),
-                    ]
-                )
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(REPORT_HEADER)
+        for row in rows:
+            writer.writerow(
+                [
+                    row.method,
+                    row.replicate,
+                    row.param,
+                    repr(row.l_par),
+                    "" if row.l_comp is None else repr(row.l_comp),
+                    "" if row.classification_error is None else repr(row.classification_error),
+                    repr(row.runtime_ms),
+                ]
+            )
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -212,10 +212,7 @@ def write_summary_json(rows: list[LossReport], path: str | Path) -> None:
         errs = [row.classification_error for row in chunk if row.classification_error is not None]
         entry["classification_error"] = _quartiles(errs) if errs else None
         summary[method] = entry
-    with atomic_path(path) as tmp:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    write_json(path, summary)
 
 
 # ---------------------------------------------------------------------------

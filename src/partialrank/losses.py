@@ -12,6 +12,7 @@ from .errors import DimensionError, DomainError
 from .mallows import MixtureParams, mixture_pmf
 from .missing import Dataset, MissingTable, empirical_partial_counts, partial_prob_vector
 from .perms import DEFAULT_CAP
+from .util import is_number
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,9 @@ def cross_validate(dataset: Dataset, lam_grid, config: FitConfig, cap: int = DEF
     """
     if len(dataset) < 2:
         raise DomainError("need at least two observations to form folds")
+    lam_grid = list(lam_grid)
+    if not all(map(is_number, lam_grid)):
+        raise DomainError(f"grid entries must be real numbers, got {lam_grid!r}")
     grid = sorted({float(lam) for lam in lam_grid})
     if not grid:
         raise DomainError("empty candidate grid")

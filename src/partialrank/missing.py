@@ -49,6 +49,7 @@ from .perms import (
     prefix_tables,
     vertex_prefix,
 )
+from .util import atomic_open, check_integer
 
 logger = logging.getLogger(__name__)
 
@@ -253,67 +254,66 @@ class Dataset:
             header.append("true_cluster")
             columns.append(list(map(str, self.true_clusters.tolist())))
         lines = [",".join(header), *map(",".join, zip(*columns))]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path) as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load_csv(cls, path: str | Path, r: int, cap: int = DEFAULT_CAP) -> "Dataset":
-        """Parse and validate a dataset file; errors carry line numbers.
+        """Parse and validate a dataset file in one pass; errors carry line numbers.
 
-        Rows spelled as :meth:`save_csv` writes them are looked up in per-r
-        tables. A row with any other field goes through :func:`_parse_row`,
-        which accepts other spellings of valid values (``02>5``, `` 3``) and
-        raises the row's first error.
+        Each field is looked up by its spelling in a dict that starts with the
+        spellings :meth:`save_csv` writes. A spelling met for the first time
+        goes through that field's parser, which accepts other spellings of
+        valid values (``02>5``, `` 3``) and raises the field's error, so a
+        non-canonical spelling costs what a canonical one does from then on.
         """
         check_cap(r, cap)
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            logger.warning("empty dataset file %s", path)
-            return cls(r, [])
-        header = rows[0]
-        if header[:2] != ["t", "items"]:
-            raise DataFormatError(f"expected header starting with t,items; got {header}", line=1)
-        width = len(header)
-        perm_col = header.index("true_perm") if "true_perm" in header else None
-        cluster_col = header.index("true_cluster") if "true_cluster" in header else None
-
         text = _csv_text(r)
-        cluster_ids: dict[str, int] = {}
-        obs: list[int] = []
-        vertices: list[int] = []
-        clusters: list[int] = []
-        for lineno, row in enumerate(rows[1:], start=2):
-            if not row:  # csv.reader yields [] for a blank line
-                continue
-            ok = len(row) == width
-            if ok:
-                key = text.partial_index.get(f"{row[0]},{row[1]}", -1)
-                ok = key >= 0
-            if ok and perm_col is not None:
-                vertex = text.perm_index.get(row[perm_col], -1)
-                ok = vertex >= 0 and row[perm_col].startswith(row[1] + ">")
-            if ok and cluster_col is not None:
-                spelling = row[cluster_col]
-                cluster = cluster_ids.get(spelling)
-                if cluster is None:
-                    cluster = cluster_ids[spelling] = _canonical_id(spelling)
-                ok = cluster >= 0
-            if not ok:
-                key, vertex, cluster = _parse_row(row, lineno, r, width, perm_col, cluster_col)
-            obs.append(key)
-            if perm_col is not None:
-                vertices.append(vertex)
-            if cluster_col is not None:
-                clusters.append(cluster)
+        partials, perms, cluster_ids = dict(text.partial_index), dict(text.perm_index), {}
+        obs, vertices, clusters = [], [], []
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    logger.warning("empty dataset file %s", path)
+                    return cls(r, [])
+                if header[:2] != ["t", "items"]:
+                    raise DataFormatError(f"expected header starting with t,items; got {header}", line=1)
+                width = len(header)
+                perm_col = header.index("true_perm") if "true_perm" in header else None
+                cluster_col = header.index("true_cluster") if "true_cluster" in header else None
+                for lineno, row in enumerate(reader, start=2):
+                    if not row:  # csv.reader yields [] for a blank line
+                        continue
+                    if len(row) != width:
+                        raise DataFormatError(f"expected {width} fields, got {len(row)}", line=lineno)
+                    key = partials.get((row[0], row[1]))
+                    if key is None:
+                        key = partials[row[0], row[1]] = _parse_partial(row[0], row[1], r, lineno)
+                    obs.append(key)
+                    if perm_col is not None:
+                        spelling = row[perm_col]
+                        vertex = perms.get(spelling)
+                        if vertex is None:
+                            vertex = perms[spelling] = _parse_perm(spelling, r, lineno)
+                        if key not in text.vertex_prefixes[vertex]:
+                            message = f"true_perm field {spelling!r} does not start with items {row[1]!r}"
+                            raise DataFormatError(message, line=lineno)
+                        vertices.append(vertex)
+                    if cluster_col is not None:
+                        spelling = row[cluster_col]
+                        cluster = cluster_ids.get(spelling)
+                        if cluster is None:
+                            cluster = cluster_ids[spelling] = _parse_cluster(spelling, lineno)
+                        clusters.append(cluster)
+        except csv.Error as exc:
+            raise DataFormatError(str(exc), line=reader.line_num) from exc
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"file is not valid UTF-8: {exc}") from exc
         if not obs:
             logger.warning("dataset file %s holds no observations", path)
-        return cls(
-            r,
-            obs,
-            None if perm_col is None else vertices,
-            None if cluster_col is None else clusters,
-        )
+        return cls(r, obs, None if perm_col is None else vertices, None if cluster_col is None else clusters)
 
 
 def _offsets(r: int) -> np.ndarray:
@@ -332,64 +332,56 @@ def _frozen_ids(values) -> np.ndarray | None:
     return arr
 
 
-def _canonical_id(spelling: str) -> int:
-    """The non-negative int64 that ``str`` spells as this field, else -1."""
-    if spelling.isascii() and spelling.isdigit():
-        value = int(spelling)
-        if str(value) == spelling and value < 2**63:
-            return value
-    return -1
-
-
-def _parse_row(row, lineno: int, r: int, width: int, perm_col, cluster_col) -> tuple[int, int, int]:
-    """Field-by-field parse of one row: (observation index, vertex or -1, cluster or -1)."""
-    if len(row) != width:
-        raise DataFormatError(f"expected {width} fields, got {len(row)}", line=lineno)
+def _parse_partial(t_field: str, items_field: str, r: int, lineno: int) -> int:
+    """The partial-ranking index that a ``t,items`` pair spells, else the pair's first error."""
     try:
-        t = int(row[0])
+        t = int(t_field)
     except ValueError as exc:
-        raise DataFormatError(f"bad length field {row[0]!r}", line=lineno) from exc
+        raise DataFormatError(f"bad length field {t_field!r}", line=lineno) from exc
     try:
-        items = tuple(int(x) for x in row[1].split(">"))
+        items = tuple(int(x) for x in items_field.split(">"))
     except ValueError as exc:
-        raise DataFormatError(f"bad items field {row[1]!r}", line=lineno) from exc
+        raise DataFormatError(f"bad items field {items_field!r}", line=lineno) from exc
     if t != len(items):
         raise DataFormatError(f"length {t} does not match {len(items)} items", line=lineno)
     try:
         TopTRanking(items, r)
     except DomainError as exc:
         raise DataFormatError(str(exc), line=lineno) from exc
-    obs = int(_offsets(r)[t - 1]) + prefix_tables(r, r)[t - 1].index[items]
-    vertex = cluster = -1
-    if perm_col is not None:
-        spelling = row[perm_col]
-        try:
-            perm = Permutation.from_ordering([int(x) for x in spelling.split(">")])
-        except (ValueError, DomainError) as exc:
-            raise DataFormatError(f"bad true_perm field {spelling!r}", line=lineno) from exc
-        if perm.r != r:
-            raise DataFormatError(f"true_perm field {spelling!r} ranks {perm.r} items, not {r}", line=lineno)
-        if perm.inverse[:t] != items:
-            raise DataFormatError(f"true_perm field {spelling!r} does not start with items {row[1]!r}", line=lineno)
-        vertex = index_of(perm)
-    if cluster_col is not None:
-        try:
-            cluster = int(row[cluster_col])
-        except ValueError as exc:
-            raise DataFormatError(f"bad true_cluster field {row[cluster_col]!r}", line=lineno) from exc
-        if not 0 <= cluster < 2**63:
-            raise DataFormatError(f"true_cluster {cluster} is not a non-negative component id", line=lineno)
-    return obs, vertex, cluster
+    return int(_offsets(r)[t - 1]) + prefix_tables(r, r)[t - 1].index[items]
+
+
+def _parse_perm(spelling: str, r: int, lineno: int) -> int:
+    """The vertex that a ``true_perm`` field spells, else its error."""
+    try:
+        perm = Permutation.from_ordering([int(x) for x in spelling.split(">")])
+    except (ValueError, DomainError) as exc:
+        raise DataFormatError(f"bad true_perm field {spelling!r}", line=lineno) from exc
+    if perm.r != r:
+        raise DataFormatError(f"true_perm field {spelling!r} ranks {perm.r} items, not {r}", line=lineno)
+    return index_of(perm)
+
+
+def _parse_cluster(spelling: str, lineno: int) -> int:
+    """The component id that a ``true_cluster`` field spells, else its error."""
+    try:
+        cluster = int(spelling)
+    except ValueError as exc:
+        raise DataFormatError(f"bad true_cluster field {spelling!r}", line=lineno) from exc
+    if not 0 <= cluster < 2**63:
+        raise DataFormatError(f"true_cluster {cluster} is not a non-negative component id", line=lineno)
+    return cluster
 
 
 @dataclass(frozen=True)
 class _CsvText:
     """The CSV fields :meth:`Dataset.save_csv` writes at one r, and their inverses."""
 
-    partial: list[str]             # "t,items" per partial-ranking index
-    partial_index: dict[str, int]  # "t,items" -> partial-ranking index
-    perm: list[str]                # true_perm field per vertex
-    perm_index: dict[str, int]     # true_perm field -> vertex
+    partial: list[str]                         # "t,items" per partial-ranking index
+    partial_index: dict[tuple[str, str], int]  # (t, items) -> partial-ranking index
+    perm: list[str]                            # true_perm field per vertex
+    perm_index: dict[str, int]                 # true_perm field -> vertex
+    vertex_prefixes: list[list[int]]           # per vertex, the partial-ranking indices of its prefixes
 
 
 # Per-r objects and CSV fields shared by every Dataset view, built once per r.
@@ -410,15 +402,17 @@ def _shared_perms(r: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(tuple(ranks)) for ranks in perm_table(r, r).ranks.tolist())
 
 
-def _inverse(spellings: list[str]) -> dict[str, int]:
-    return {spelling: i for i, spelling in enumerate(spellings)}
-
-
 @functools.cache
 def _csv_text(r: int) -> _CsvText:
-    partial = [f"{table.t},{'>'.join(map(str, prefix))}" for table in prefix_tables(r, r) for prefix in table.prefixes]
+    pairs = [(str(table.t), ">".join(map(str, prefix))) for table in prefix_tables(r, r) for prefix in table.prefixes]
     perm = [">".join(map(str, ordering)) for ordering in perm_table(r, r).orderings.tolist()]
-    return _CsvText(partial, _inverse(partial), perm, _inverse(perm))
+    return _CsvText(
+        [",".join(pair) for pair in pairs],
+        {pair: i for i, pair in enumerate(pairs)},
+        perm,
+        {spelling: v for v, spelling in enumerate(perm)},
+        (_offsets(r)[:-1] + vertex_prefix(r, r)).tolist(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +540,7 @@ def generate_dataset(
         raise DimensionError(f"mechanism over {mech.r} items, model over {theta.r}")
     if isinstance(mech, ClusterMissingSpec) and mech.n_clusters != theta.n_clusters:
         raise DimensionError("cluster counts differ")
+    check_integer(n, "n")
     r = theta.r
     rng = np.random.default_rng(rng_seed)
     vertices, clusters = sample_vertices(theta, n, rng, cap)

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
+from .util import atomic_open
 
 DEFAULT_CAP = 7
 
@@ -325,7 +326,7 @@ def build_cayley_graph(r: int, cap: int = DEFAULT_CAP) -> CayleyGraph:
 
 def write_edge_csv(graph: CayleyGraph, path: str | Path) -> None:
     """Edge list as CSV with header ``src,dst``, one edge per line."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["src", "dst"])
         for u, v in graph.edges:

@@ -19,6 +19,7 @@ from partialrank.cli import main
 from partialrank.em import load_fit_json
 from partialrank.experiments import _replicate_seeds
 from partialrank.missing import MissingTable
+from partialrank.util import atomic_open, write_json
 
 
 def write_config(tmp_path, name, payload):
@@ -388,6 +389,60 @@ class TestErrors:
         assert run_cli(cfg) == 5
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"command": "cv", "grid": "10"},
+            {"fit": [1]},
+            {"fit": {"restarts": "2"}},
+            {"method": "R"},
+            {"method": {"name": "R", "lam": "ten"}},
+            {"method": {"name": "R", "lam": None}},
+            {"method": {"name": "RCV", "grid": [1.0, "10"]}},
+        ],
+        ids=["cv grid string", "fit list", "fit field string", "method string", "lam string", "lam null", "rcv grid entry"],
+    )
+    def test_wrong_type_or_shape_exits_2(self, tmp_path, fields):
+        assert run_cli(self.fit_config(tmp_path, **fields)) == 2
+        assert not (tmp_path / "o.json").exists()
+
+    def test_mixture_lists_of_different_lengths_exit_2(self, tmp_path):
+        generator = {
+            "kind": "tilt_mixture",
+            "sigmas": [[1, 2, 3], [3, 2, 1]],
+            "cs": [1.0, 1.0, 1.0],
+            "w": [0.5, 0.5],
+            "w_star": [0.6, 0.4],
+            "R": 0.5,
+        }
+        out = tmp_path / "sim"
+        cfg = write_config(
+            tmp_path, "s.json", {"command": "simulate", "r": 3, "n": 10, "generator": generator, "out": str(out)}
+        )
+        assert run_cli(cfg) == 2
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("fields", [{"fit": {"restarts": 2.5}}, {"seed": -1}, {"K": 1.5}])
+    def test_non_integer_or_negative_count_exits_5(self, tmp_path, fields):
+        assert run_cli(self.fit_config(tmp_path, **fields)) == 5
+
+    def test_negative_n_exits_5(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "s.json",
+            {"command": "simulate", "r": 3, "n": -3, "generator": GENERATOR, "out": str(tmp_path / "sim")},
+        )
+        assert run_cli(cfg) == 5
+
+    def test_undecodable_input_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"t,items\n1,\xff\n")
+        cfg = write_config(
+            tmp_path, "f.json", {"command": "fit", "r": 3, "input": str(data), "out": str(tmp_path / "o.json")}
+        )
+        assert run_cli(cfg) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "DataFormatError"
+
     def test_r_without_lam_exits_2(self, tmp_path, capsys):
         assert run_cli(self.fit_config(tmp_path, method={"name": "R"})) == 2
         assert "'lam'" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
@@ -401,3 +456,25 @@ class TestErrors:
         )
         assert run_cli(cfg) == 2
         assert "'c'" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+
+
+class TestAtomicWriters:
+    def test_failed_json_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 1, "b": object()})  # fails after "a" is written
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_failed_csv_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        Dataset(3, [0, 1]).save_csv(path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("t,items\n")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]

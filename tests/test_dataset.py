@@ -118,6 +118,11 @@ VALID_SPELLINGS = {
         "2,3>1,3>1>2>4>5,-0\n"
     ),
     "truth columns swapped": "t,items,true_cluster,true_perm\n2,3>1,1,3>1>2>4>5\n",
+    "repeated spellings": (
+        "t,items,true_perm,true_cluster\n"
+        + "2,03>1,03>1>2>4>5,+1\n1, 3,3>2>1>4>5,1\n" * 50
+        + "4,3>1>2>4, 3>1>2>4>5,01\n2,03>1,03>1>2>4>5,+1\n" * 50
+    ),
 }
 
 

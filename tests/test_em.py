@@ -334,6 +334,25 @@ class TestFitConfig:
         with pytest.raises(DomainError):
             FitConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name", ["n_clusters", "em_max_iter", "admm_max_iter", "restarts", "transition_iters", "seed"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    def test_non_integer_counts_rejected(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            FitConfig(**{name: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            FitConfig(seed=-1)
+
+    @pytest.mark.parametrize("n", [-3, 2.5, True])
+    def test_generate_dataset_rejects_bad_n(self, n):
+        theta = MixtureParams.single(Permutation.identity(3), 1.0)
+        mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, Permutation.identity(3))
+        with pytest.raises(DomainError, match="n must be"):
+            generate_dataset(theta, mech, n, rng_seed=0)
+
 
 def test_penalized_nll_adds_edge_penalty():
     theta = MixtureParams.single(Permutation.identity(3), 1.0)

@@ -214,6 +214,11 @@ class TestCrossValidate:
         assert len([c for c in calls if c == 1.0]) == 3  # two folds plus the refit
         assert result.best_lam == 1.0  # tie resolved toward the smaller value
 
+    @pytest.mark.parametrize("grid", ["10", [1.0, "10"], [None], [True]])
+    def test_non_number_grid_rejected(self, small_dataset, grid):
+        with pytest.raises(DomainError, match="grid entries"):
+            cross_validate(small_dataset, grid, FitConfig(restarts=1, seed=0))
+
     def test_paper_grid_runs(self, small_dataset):
         config = FitConfig(restarts=1, seed=1, em_max_iter=30)
         result = cross_validate(small_dataset, [1.0, 10.0, 100.0], config)

@@ -253,20 +253,35 @@ class TestDatasetCsv:
             Dataset.load_csv(path, 4)  # t must be at most r-1
 
     @pytest.mark.parametrize(
-        "row,message",
+        "first,row,message",
         [
-            ("2,3>1,1>2>3,0", "ranks 3 items, not 4"),
-            ("2,3>1,3>2>1>4,0", "does not start with items"),
-            ("2,3>1,3>1>2>4,-3", "true_cluster -3"),
+            ("1,4,4>1>2>3,1", "2,3>1,1>2>3,0", "ranks 3 items, not 4"),
+            ("1,4,4>1>2>3,1", "2,3>1,3>2>1>4,0", "does not start with items"),
+            ("1,4,4>1>2>3,1", "2,3>1,3>1>2>4,-3", "true_cluster -3"),
+            # a spelling parsed once on a valid row is still checked against a later row's items
+            ("1,4,04>1>2>3,1", "2,3>1,04>1>2>3,0", "does not start with items"),
         ],
-        ids=["true_perm length", "true_perm prefix", "negative true_cluster"],
+        ids=["true_perm length", "true_perm prefix", "negative true_cluster", "remembered true_perm spelling"],
     )
-    def test_inconsistent_truth_rejected_with_line(self, tmp_path, row, message):
+    def test_inconsistent_truth_rejected_with_line(self, tmp_path, first, row, message):
         path = tmp_path / "bad.csv"
-        path.write_text(f"t,items,true_perm,true_cluster\n1,4,4>1>2>3,1\n{row}\n2,3>3,3>1>2>4,0\n")
+        path.write_text(f"t,items,true_perm,true_cluster\n{first}\n{row}\n2,3>3,3>1>2>4,0\n")
         with pytest.raises(DataFormatError, match=message) as err:
             Dataset.load_csv(path, 4)
         assert err.value.line == 3
+
+    def test_csv_error_is_a_format_error_with_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,items\n2,3>1\n1," + "1" * 200_000 + "\n")  # over csv's field size limit
+        with pytest.raises(DataFormatError, match="field limit") as err:
+            Dataset.load_csv(path, 4)
+        assert err.value.line == 3
+
+    def test_undecodable_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t,items\n1,\xff\n")
+        with pytest.raises(DataFormatError, match="not valid UTF-8"):
+            Dataset.load_csv(path, 4)
 
     def test_empty_file_warns(self, tmp_path, caplog):
         path = tmp_path / "empty.csv"
