@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import numbers
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -35,7 +36,7 @@ from .experiments import ExperimentConfig, GeneratorSpec, build_truth, resample_
 from .losses import LossReport, classification_error, cross_validate, l_comp, l_par, l_par_empirical
 from .missing import Dataset, generate_dataset
 from .perms import DEFAULT_CAP, build_cayley_graph, write_edge_csv
-from .util import is_number, require, require_numbers, require_typed, write_json
+from .util import field, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -55,46 +56,53 @@ COMMANDS = ("simulate", "fit", "eval", "cv", "graph", "split", "experiment")
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing.
+# Config plumbing: every field is read through ``util.field`` before any work.
 # ---------------------------------------------------------------------------
+
+_GENERATOR_FIELDS = {
+    "tilt_concentration": {"c": float, "c_star": float, "R": float},
+    "tilt_mixture": {"sigmas": [[int]], "cs": [float], "w": [float], "w_star": [float], "R": float},
+}
+_METHOD_FIELDS = {"ME": {}, "NR": {}, "R": {"lam": float}, "RCV": {"grid": [float]}}
 
 
 def _fit_config(config: dict) -> FitConfig:
-    overrides = dict(require_typed(config, "fit", dict)) if "fit" in config else {}
-    unknown = set(overrides) - {f.name for f in fields(FitConfig)}
+    block = field(config, "fit", dict, {})
+    unknown = set(block) - {f.name for f in fields(FitConfig)}
     if unknown:
         raise ConfigError(f"unknown fit config fields: {sorted(unknown)}")
-    if "K" in config:
-        overrides.setdefault("n_clusters", config["K"])
-    if "seed" in config:
-        overrides.setdefault("seed", config["seed"])
-    not_numbers = sorted(key for key, value in overrides.items() if not is_number(value))
-    if not_numbers:
-        raise ConfigError(f"fit config fields must be numbers: {not_numbers}")
-    return FitConfig(**overrides)
+    top_level = {"n_clusters": "K", "seed": "seed"}
+    values = {}
+    for f in fields(FitConfig):
+        default = field(config, top_level[f.name], int, f.default) if f.name in top_level else f.default
+        values[f.name] = field(block, f.name, int if isinstance(f.default, int) else numbers.Real, default)
+    return FitConfig(**values)
 
 
-def _generator_spec(config: dict) -> GeneratorSpec:
-    gen = dict(require_typed(config, "generator", dict))
-    kind = gen.pop("kind", None)
-    if kind not in ("tilt_concentration", "tilt_mixture"):
+def _generator_spec(gen: dict, r: int) -> GeneratorSpec:
+    kind = field(gen, "kind", str)
+    if kind not in _GENERATOR_FIELDS:
         raise ConfigError(f"unknown generator kind {kind!r}")
-    return GeneratorSpec(kind=kind, r=int(require(config, "r")), params=gen)
+    params = {key: field(gen, key, of) for key, of in _GENERATOR_FIELDS[kind].items()}
+    if kind == "tilt_concentration":
+        params["sigma0"] = field(gen, "sigma0", [int], None)
+    elif not len(params["sigmas"]) == len(params["cs"]) == len(params["w"]) == len(params["w_star"]):
+        raise ConfigError("sigmas, cs, w and w_star must be lists of one length")
+    return GeneratorSpec(kind=kind, r=r, params=params)
 
 
-def _out_dir(config: dict) -> Path:
-    out = Path(require(config, "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _method(spec: dict) -> dict:
+    name = field(spec, "name", str).upper()
+    if name not in _METHOD_FIELDS:
+        raise ConfigError(f"unknown method {spec!r}")
+    return {"name": name, **{key: field(spec, key, kind) for key, kind in _METHOD_FIELDS[name].items()}}
 
 
-def _check_distinct_paths(config: dict) -> None:
-    paths = []
-    for key in ("input", "out", "dataset"):
-        if key in config and config[key] is not None:
-            paths.append(str(Path(config[key])))
-    if len(paths) != len(set(paths)):
+def _input_and_out(config: dict) -> tuple[Path, Path]:
+    source, out = Path(field(config, "input", str)), Path(field(config, "out", str))
+    if source == out:
         raise ConfigError("referenced paths must be distinct")
+    return source, out
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +111,22 @@ def _check_distinct_paths(config: dict) -> None:
 
 
 def _cmd_graph(config: dict) -> None:
-    r = int(require(config, "r"))
-    graph = build_cayley_graph(r, int(config.get("cap", DEFAULT_CAP)))
-    out = Path(require(config, "out"))
+    r, cap = field(config, "r", int), field(config, "cap", int, DEFAULT_CAP)
+    out = Path(field(config, "out", str))
+    graph = build_cayley_graph(r, cap)
     write_edge_csv(graph, out)
     logger.info("wrote %d edges to %s", graph.n_edges, out)
 
 
 def _cmd_simulate(config: dict) -> None:
-    spec = _generator_spec(config)
-    n = require(config, "n")
-    replicates = int(config.get("replicates", 1))
-    seed = int(config.get("seed", 0))
-    cap = int(config.get("cap", DEFAULT_CAP))
-    out = _out_dir(config)
+    spec = _generator_spec(field(config, "generator", dict), field(config, "r", int))
+    n = field(config, "n", int)
+    replicates = field(config, "replicates", int, 1)
+    seed = field(config, "seed", int, 0)
+    cap = field(config, "cap", int, DEFAULT_CAP)
+    out = Path(field(config, "out", str))
     truth = build_truth(spec, cap)
+    out.mkdir(parents=True, exist_ok=True)
     for index, (data_seed, _) in enumerate(experiments._replicate_seeds(seed, replicates)):
         dataset = generate_dataset(truth.theta, truth.mechanism, n, data_seed, cap)
         dataset.save_csv(out / f"dataset_{index:03d}.csv")
@@ -125,48 +134,50 @@ def _cmd_simulate(config: dict) -> None:
 
 
 def _cmd_fit(config: dict) -> None:
-    _check_distinct_paths(config)
-    r = int(require(config, "r"))
-    cap = int(config.get("cap", DEFAULT_CAP))
-    dataset = Dataset.load_csv(require(config, "input"), r, cap)
+    source, out = _input_and_out(config)
+    r, cap = field(config, "r", int), field(config, "cap", int, DEFAULT_CAP)
     fit_cfg = _fit_config(config)
-    result = run_method(config.get("method", {"name": "R", "lam": fit_cfg.lam}), dataset, fit_cfg, cap)
-    out = Path(require(config, "out"))
+    method = _method(field(config, "method", dict, {"name": "R", "lam": fit_cfg.lam}))
+    result = run_method(method, Dataset.load_csv(source, r, cap), fit_cfg, cap)
     result.save_json(out)
     logger.info("wrote fit (%s, nll=%.6g) to %s", result.method, result.nll, out)
 
 
 def _cmd_eval(config: dict) -> None:
-    r = int(require(config, "r"))
-    cap = int(config.get("cap", DEFAULT_CAP))
-    truth_cfg = require(config, "truth")
-    param = str(config.get("param", ""))
+    r, cap = field(config, "r", int), field(config, "cap", int, DEFAULT_CAP)
+    inputs = [
+        (field(entry, "fit", str), field(entry, "dataset", str, None), field(entry, "replicate", int, index))
+        for index, entry in enumerate(field(config, "inputs", [dict]))
+    ]
+    param, out = field(config, "param", str, ""), Path(field(config, "out", str))
+    truth_cfg = field(config, "truth", dict)
+    if "generator" in truth_cfg:
+        truth = build_truth(_generator_spec(field(truth_cfg, "generator", dict), r), cap)
+    elif "test" in truth_cfg:
+        test = Dataset.load_csv(field(truth_cfg, "test", str), r, cap)
+    else:
+        raise ConfigError("truth must supply either a generator or a test dataset")
     rows = []
-    for index, entry in enumerate(require(config, "inputs")):
-        entry = dict(entry)
-        theta_hat, phi_hat, method = load_fit_json(require(entry, "fit"))
+    for fit_path, dataset_path, replicate in inputs:
+        theta_hat, phi_hat, method = load_fit_json(fit_path)
         if theta_hat.r != r:
             raise DimensionError(f"fit over r={theta_hat.r}, config says r={r}")
         err = None
-        if "dataset" in entry:
-            dataset = Dataset.load_csv(entry["dataset"], r, cap)
+        if dataset_path is not None:
+            dataset = Dataset.load_csv(dataset_path, r, cap)
             if dataset.true_clusters is not None and theta_hat.n_clusters > 1:
                 posteriors = e_step(theta_hat, phi_hat, dataset, cap).posteriors()
                 err = classification_error(dataset.true_clusters, posteriors)
         if "generator" in truth_cfg:
-            truth = build_truth(_generator_spec({"generator": truth_cfg["generator"], "r": r}), cap)
             lp = l_par(truth.theta, truth.phi_table, theta_hat, phi_hat, cap)
             lc = l_comp(truth.theta, theta_hat, cap)
-        elif "test" in truth_cfg:
-            test = Dataset.load_csv(truth_cfg["test"], r, cap)
+        else:
             lp = l_par_empirical(test, theta_hat, phi_hat, cap)
             lc = None
-        else:
-            raise ConfigError("truth must supply either a generator or a test dataset")
         rows.append(
             LossReport(
                 method=method,
-                replicate=int(entry.get("replicate", index)),
+                replicate=replicate,
                 param=param,
                 l_par=lp,
                 l_comp=lc,
@@ -174,19 +185,18 @@ def _cmd_eval(config: dict) -> None:
                 runtime_ms=0.0,
             )
         )
-    out = _out_dir(config)
+    out.mkdir(parents=True, exist_ok=True)
     experiments.write_report_csv(rows, out / "report.csv")
     experiments.write_summary_json(rows, out / "summary.json")
     logger.info("wrote %d loss rows to %s", len(rows), out)
 
 
 def _cmd_cv(config: dict) -> None:
-    _check_distinct_paths(config)
-    r = int(require(config, "r"))
-    cap = int(config.get("cap", DEFAULT_CAP))
-    dataset = Dataset.load_csv(require(config, "input"), r, cap)
-    result = cross_validate(dataset, require_numbers(config, "grid"), _fit_config(config), cap)
-    out = _out_dir(config)
+    source, out = _input_and_out(config)
+    r, cap = field(config, "r", int), field(config, "cap", int, DEFAULT_CAP)
+    grid, fit_cfg = field(config, "grid", [float]), _fit_config(config)
+    result = cross_validate(Dataset.load_csv(source, r, cap), grid, fit_cfg, cap)
+    out.mkdir(parents=True, exist_ok=True)
     scores = {repr(lam): score for lam, score in sorted(result.scores.items())}
     write_json(out / "cv_scores.json", {"best_lam": result.best_lam, "scores": scores})
     result.refit.save_json(out / "refit.json")
@@ -194,18 +204,13 @@ def _cmd_cv(config: dict) -> None:
 
 
 def _cmd_split(config: dict) -> None:
-    _check_distinct_paths(config)
-    r = int(require(config, "r"))
-    cap = int(config.get("cap", DEFAULT_CAP))
-    dataset = Dataset.load_csv(require(config, "input"), r, cap)
-    splits = resample_splits(
-        dataset,
-        int(require(config, "test_size")),
-        require(config, "train_sizes"),
-        int(require(config, "resamples")),
-        int(config.get("seed", 0)),
-    )
-    out = _out_dir(config)
+    source, out = _input_and_out(config)
+    r, cap = field(config, "r", int), field(config, "cap", int, DEFAULT_CAP)
+    test_size, train_sizes = field(config, "test_size", int), field(config, "train_sizes", [int])
+    resamples, seed = field(config, "resamples", int), field(config, "seed", int, 0)
+    dataset = Dataset.load_csv(source, r, cap)
+    splits = resample_splits(dataset, test_size, train_sizes, resamples, seed)
+    out.mkdir(parents=True, exist_ok=True)
     for s, test_idx, trains in splits:
         dataset.subset(test_idx).save_csv(out / f"test_{s:02d}.csv")
         for size, train_idx in trains.items():
@@ -214,20 +219,20 @@ def _cmd_split(config: dict) -> None:
 
 
 def _cmd_experiment(config: dict) -> None:
-    spec = _generator_spec(config)
     cfg = ExperimentConfig(
-        spec=spec,
-        methods=tuple(require_typed(config, "methods", list)),
+        spec=_generator_spec(field(config, "generator", dict), field(config, "r", int)),
+        methods=tuple(map(_method, field(config, "methods", [dict]))),
         fit=_fit_config(config),
-        n=require(config, "n"),
-        replicates=int(config.get("replicates", 1)),
-        seed=int(config.get("seed", 0)),
-        workers=int(config.get("workers", 1)),
-        keep_datasets=bool(config.get("keep_datasets", False)),
-        param_label=str(config.get("param", "")),
+        n=field(config, "n", int),
+        replicates=field(config, "replicates", int, 1),
+        seed=field(config, "seed", int, 0),
+        workers=field(config, "workers", int, 1),
+        keep_datasets=field(config, "keep_datasets", bool, False),
+        param_label=field(config, "param", str, ""),
     )
-    out = _out_dir(config)
-    rows = experiments.run_experiment(cfg, out, int(config.get("cap", DEFAULT_CAP)))
+    cap = field(config, "cap", int, DEFAULT_CAP)
+    out = Path(field(config, "out", str))
+    rows = experiments.run_experiment(cfg, out, cap)
     logger.info("wrote %d loss rows to %s", len(rows), out)
 
 
@@ -255,7 +260,7 @@ def run(config_path: str | Path, seed: int | None = None, out: str | Path | None
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
     if seed is not None:
-        config["seed"] = int(seed)
+        config["seed"] = seed
     if out is not None:
         config["out"] = str(out)
     _RUNNERS[command](config)

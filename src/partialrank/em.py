@@ -71,10 +71,11 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_clusters", "em_max_iter", "admm_max_iter", "restarts"):
-            check_integer(getattr(self, name), name, 1)
-        check_integer(self.transition_iters, "transition_iters")
-        check_integer(self.seed, "seed")
+        counts = {"n_clusters": 1, "em_max_iter": 1, "admm_max_iter": 1, "restarts": 1, "transition_iters": 0, "seed": 0}
+        for name, low in counts.items():
+            check_integer(getattr(self, name), name, low)
+            # a Python int, so the config echo in the fit JSON can be written
+            object.__setattr__(self, name, int(getattr(self, name)))
         reals = (self.lam, self.rho, self.em_tol, self.admm_eps_primal, self.admm_eps_dual, self.c_min, self.c_max)
         if not all(math.isfinite(x) for x in reals):
             raise DomainError("lam, rho, tolerances and concentration bounds must be finite")

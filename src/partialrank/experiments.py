@@ -18,7 +18,7 @@ from time import perf_counter
 import numpy as np
 
 from .em import FitConfig, FitResult, fit, fit_me
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 from .losses import LossReport, classification_error, cross_validate, l_comp, l_par
 from .mallows import MallowsParams, MixtureParams
 from .missing import (
@@ -31,7 +31,7 @@ from .missing import (
     tilt_mixture_mechanism,
 )
 from .perms import DEFAULT_CAP, Permutation
-from .util import atomic_open, require, require_number, require_numbers, require_typed, write_json
+from .util import atomic_open, check_integer, write_json
 
 
 @dataclass(frozen=True)
@@ -50,49 +50,37 @@ class Truth:
     phi_table: MissingTable  # per-vertex table the losses are scored against
 
 
-def _ordering(value, r: int) -> Permutation:
-    if value is None:
-        return Permutation.identity(r)
-    if not isinstance(value, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in value):
-        raise ConfigError(f"an ordering must be a list of item ids, got {value!r}")
-    return Permutation.from_ordering(value)
-
-
 def build_truth(spec: GeneratorSpec, cap: int = DEFAULT_CAP) -> Truth:
+    """The truth a generator spec describes; ``spec.params`` holds numbers and lists of item ids."""
     params = spec.params
     if spec.kind == "tilt_concentration":
-        sigma0 = _ordering(params.get("sigma0"), spec.r)
-        c = require_number(params, "c")
-        theta = MixtureParams.single(sigma0, c)
-        mech = tilt_concentration_mechanism(
-            c, require_number(params, "c_star"), require_number(params, "R"), sigma0, cap
-        )
+        sigma0 = params.get("sigma0")  # optional: the identity when absent
+        sigma0 = Permutation.identity(spec.r) if sigma0 is None else Permutation.from_ordering(sigma0)
+        if sigma0.r != spec.r:
+            raise DimensionError(f"sigma0 orders {sigma0.r} items, r is {spec.r}")
+        theta = MixtureParams.single(sigma0, params["c"])
+        mech = tilt_concentration_mechanism(params["c"], params["c_star"], params["R"], sigma0, cap)
         return Truth(theta, mech, mech)
     if spec.kind == "tilt_mixture":
-        orderings = require_typed(params, "sigmas", list)
-        cs, w, w_star = (require_numbers(params, key) for key in ("cs", "w", "w_star"))
-        if not len(orderings) == len(cs) == len(w) == len(w_star):
-            raise ConfigError("sigmas, cs, w and w_star must be lists of one length")
-        components = tuple(MallowsParams(_ordering(o, spec.r), float(c)) for o, c in zip(orderings, cs))
-        theta = MixtureParams(components, tuple(map(float, w)))
-        mech = tilt_mixture_mechanism(w, w_star, require_number(params, "R"), spec.r)
+        pairs = zip(params["sigmas"], params["cs"], strict=True)  # a surplus entry raises, not drops
+        components = tuple(MallowsParams(Permutation.from_ordering(o), float(c)) for o, c in pairs)
+        theta = MixtureParams(components, tuple(map(float, params["w"])))
+        mech = tilt_mixture_mechanism(params["w"], params["w_star"], params["R"], spec.r)
         return Truth(theta, mech, induced_table(mech, theta, cap))
     raise ConfigError(f"unknown generator kind {spec.kind!r}")
 
 
 def run_method(method: dict, dataset: Dataset, config: FitConfig, cap: int = DEFAULT_CAP) -> FitResult:
-    """Dispatch one method spec: ME, NR, R (fixed lam), or RCV (grid)."""
-    if not isinstance(method, dict):
-        raise ConfigError(f"a method must be a JSON object, got {method!r}")
-    name = str(method.get("name", "")).upper()
+    """Dispatch one method spec: ME, NR, R (fixed ``lam``), or RCV (``grid``)."""
+    name = method["name"]
     if name == "ME":
         return fit_me(dataset, config, cap)
     if name == "NR":
         return fit(dataset, replace(config, lam=0.0), cap)
     if name == "R":
-        return fit(dataset, replace(config, lam=require_number(method, "lam")), cap)
+        return fit(dataset, replace(config, lam=method["lam"]), cap)
     if name == "RCV":
-        result = cross_validate(dataset, require_numbers(method, "grid"), config, cap).refit
+        result = cross_validate(dataset, method["grid"], config, cap).refit
         result.method = "RCV"
         return result
     raise ConfigError(f"unknown method {method!r}")
@@ -224,7 +212,12 @@ def resample_splits(
     dataset: Dataset, test_size: int, train_sizes, resamples: int, seed: int
 ) -> list[tuple[int, np.ndarray, dict[int, np.ndarray]]]:
     """Repeatedly draw a test set, then per-size train sets from the rest."""
-    train_sizes = [int(x) for x in train_sizes]
+    check_integer(test_size, "test_size")
+    for size in train_sizes:
+        check_integer(size, "train size")
+    check_integer(resamples, "resamples")
+    if not train_sizes:
+        raise DomainError("need at least one train size")
     n = len(dataset)
     if test_size + max(train_sizes) > n:
         raise DomainError(

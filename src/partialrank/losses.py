@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,7 +13,6 @@ from .errors import DimensionError, DomainError
 from .mallows import MixtureParams, mixture_pmf
 from .missing import Dataset, MissingTable, empirical_partial_counts, partial_prob_vector
 from .perms import DEFAULT_CAP
-from .util import is_number
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def cross_validate(dataset: Dataset, lam_grid, config: FitConfig, cap: int = DEF
     if len(dataset) < 2:
         raise DomainError("need at least two observations to form folds")
     lam_grid = list(lam_grid)
-    if not all(map(is_number, lam_grid)):
+    if any(isinstance(lam, bool) or not isinstance(lam, numbers.Real) for lam in lam_grid):
         raise DomainError(f"grid entries must be real numbers, got {lam_grid!r}")
     grid = sorted({float(lam) for lam in lam_grid})
     if not grid:

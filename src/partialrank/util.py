@@ -31,40 +31,38 @@ def write_json(path: str | Path, payload) -> None:
         fh.write("\n")
 
 
-def require(config: dict, key: str):
-    """``config[key]``, or a :class:`ConfigError` naming the missing field."""
+REQUIRED = object()  # the default of a field that must be present
+
+
+def field(config: dict, key: str, kind, default=REQUIRED):
+    """``config[key]`` checked against ``kind``, or ``default`` when the key is absent.
+
+    ``kind`` is a type, or a one-element list ``[kind]`` for a list of values of
+    that kind. A missing field, or a value of another JSON type, raises
+    :class:`ConfigError`; a bool is never a number. ``int`` takes an integer
+    ``>= 0`` and raises :class:`DomainError` for any other number (``5.0``
+    included). ``float`` takes any number and returns it as a float;
+    ``numbers.Real`` returns it as written.
+    """
     if key not in config:
-        raise ConfigError(f"missing required config field {key!r}")
-    return config[key]
+        if default is REQUIRED:
+            raise ConfigError(f"missing required config field {key!r}")
+        return default
+    return _checked(config[key], key, kind)
 
 
-def require_typed(config: dict, key: str, kind: type):
-    """``config[key]``, or a :class:`ConfigError` unless it is present and a ``kind``."""
-    value = require(config, key)
+def _checked(value, key: str, kind):
+    if isinstance(kind, list):
+        return [_checked(item, key, kind[0]) for item in _checked(value, key, list)]
+    if kind in (int, float, numbers.Real):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
+        if kind is int:
+            check_integer(value, f"config field {key!r}")
+        return float(value) if kind is float else value
     if not isinstance(value, kind):
         raise ConfigError(f"config field {key!r} must be a {kind.__name__}, got {value!r}")
     return value
-
-
-def is_number(value) -> bool:
-    """A real number that is not a bool: what a JSON number parses to."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def require_number(config: dict, key: str) -> float:
-    """``config[key]`` as a float, or a :class:`ConfigError` unless it is a number."""
-    value = require(config, key)
-    if not is_number(value):
-        raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def require_numbers(config: dict, key: str) -> list:
-    """``config[key]``, or a :class:`ConfigError` unless it is a list of numbers."""
-    values = require_typed(config, key, list)
-    if not all(map(is_number, values)):
-        raise ConfigError(f"config field {key!r} must be a list of numbers, got {values!r}")
-    return values
 
 
 def check_integer(value, name: str, low: int = 0) -> None:

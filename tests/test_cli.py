@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,11 @@ from partialrank import (
     l_comp,
     tilt_concentration_mechanism,
 )
+from partialrank import experiments
 from partialrank.cli import main
 from partialrank.em import load_fit_json
-from partialrank.experiments import _replicate_seeds
+from partialrank.errors import DomainError
+from partialrank.experiments import _replicate_seeds, resample_splits
 from partialrank.missing import MissingTable
 from partialrank.util import atomic_open, write_json
 
@@ -283,6 +288,12 @@ class TestSplitCommand:
             assert len(Dataset.load_csv(out / f"train_20_{s:02d}.csv", 3)) == 20
             assert len(Dataset.load_csv(out / f"train_100_{s:02d}.csv", 3)) == 100
 
+    @pytest.mark.parametrize("sizes", [(50, [2.9], 1), (50.0, [20], 1), (50, [20], 2.0), (50, [True], 1)])
+    def test_library_rejects_non_integer_sizes(self, sizes):
+        ds = Dataset(3, list(range(5)) * 20)
+        with pytest.raises(DomainError, match="must be an integer"):
+            resample_splits(ds, *sizes, seed=0)
+
 
 class TestExperimentCommand:
     def test_parallel_matches_sequential(self, tmp_path):
@@ -434,6 +445,20 @@ class TestErrors:
         )
         assert run_cli(cfg) == 5
 
+    def test_sigma0_over_other_item_count_exits_4(self, tmp_path):
+        out = tmp_path / "sim"
+        generator = {**GENERATOR, "sigma0": [2, 1, 3]}
+        cfg = write_config(
+            tmp_path, "s.json", {"command": "simulate", "r": 4, "n": 10, "generator": generator, "out": str(out)}
+        )
+        assert run_cli(cfg) == 4
+        assert not out.exists()
+
+    def test_split_without_train_sizes_exits_5(self, tmp_path):
+        cfg = self.fit_config(tmp_path, command="split", test_size=1, train_sizes=[], resamples=1)
+        assert run_cli(cfg) == 5
+        assert not (tmp_path / "o.json").exists()
+
     def test_undecodable_input_exits_3(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_bytes(b"t,items\n1,\xff\n")
@@ -456,6 +481,145 @@ class TestErrors:
         )
         assert run_cli(cfg) == 2
         assert "'c'" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+
+    @pytest.mark.parametrize("inputs", [["x"], [[["fit", "a.json"]]]], ids=["string entry", "list of pairs"])
+    def test_eval_input_that_is_not_an_object_exits_2(self, tmp_path, inputs):
+        out = tmp_path / "ev"
+        cfg = write_config(
+            tmp_path,
+            "e.json",
+            {"command": "eval", "r": 3, "inputs": inputs, "truth": {"generator": GENERATOR}, "out": str(out)},
+        )
+        assert run_cli(cfg) == 2
+        assert not out.exists()
+
+    def test_experiment_checks_every_method_before_fitting(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit ran before the config was checked")
+
+        monkeypatch.setattr(experiments, "fit", refuse)
+        monkeypatch.setattr(experiments, "fit_me", refuse)
+        out = tmp_path / "exp"
+        payload = {
+            "command": "experiment",
+            "r": 3,
+            "n": 20,
+            "generator": GENERATOR,
+            "methods": [{"name": "NR"}, {"name": "R"}],
+            "fit": {"restarts": 1},
+            "out": str(out),
+        }
+        assert run_cli(write_config(tmp_path, "x.json", payload)) == 2
+        assert "'lam'" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert not (out / "report.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def table_inputs(tmp_path_factory):
+    """A dataset and a fit of it, for the config table's commands to read."""
+    root = tmp_path_factory.mktemp("inputs")
+    theta = MixtureParams.single(Permutation.identity(3), 1.0)
+    ds = generate_dataset(theta, tilt_concentration_mechanism(1.0, 1.2, 0.7, Permutation.identity(3)), 40, 4)
+    ds.save_csv(root / "d.csv")
+    fit(ds, FitConfig(lam=0.0, restarts=1)).save_json(root / "fit.json")
+    return root
+
+
+def table_config(command: str, inputs: Path, out: Path) -> dict:
+    """A valid config for each command; the table breaks one field of it."""
+    data, fits = str(inputs / "d.csv"), {"restarts": 1, "em_max_iter": 5}
+    return {
+        "graph": {"r": 3},
+        "simulate": {"r": 3, "n": 20, "replicates": 1, "seed": 0, "generator": GENERATOR},
+        "fit": {"r": 3, "input": data, "method": {"name": "NR"}, "fit": fits, "seed": 0},
+        "eval": {"r": 3, "inputs": [{"fit": str(inputs / "fit.json"), "replicate": 0}], "truth": {"test": data}},
+        "cv": {"r": 3, "input": data, "grid": [1, 10], "fit": fits, "seed": 0},
+        "split": {"r": 3, "input": data, "test_size": 10, "train_sizes": [5], "resamples": 1, "seed": 0},
+        "experiment": {
+            "r": 3,
+            "n": 20,
+            "generator": GENERATOR,
+            "methods": [{"name": "NR"}],
+            "fit": fits,
+            "replicates": 1,
+            "seed": 0,
+            "workers": 1,
+        },
+    }[command] | {"command": command, "out": str(out)}
+
+
+INTEGER_FIELDS = [
+    ("graph", "r"),
+    ("graph", "cap"),
+    ("simulate", "r"),
+    ("simulate", "n"),
+    ("simulate", "replicates"),
+    ("simulate", "seed"),
+    ("simulate", "cap"),
+    ("fit", "r"),
+    ("fit", "cap"),
+    ("fit", "seed"),
+    ("fit", "K"),
+    ("eval", "r"),
+    ("eval", "cap"),
+    ("eval", "replicate"),
+    ("cv", "r"),
+    ("cv", "cap"),
+    ("cv", "seed"),
+    ("split", "r"),
+    ("split", "cap"),
+    ("split", "test_size"),
+    ("split", "train_sizes"),
+    ("split", "resamples"),
+    ("split", "seed"),
+    ("experiment", "r"),
+    ("experiment", "cap"),
+    ("experiment", "n"),
+    ("experiment", "replicates"),
+    ("experiment", "seed"),
+    ("experiment", "workers"),
+]
+OTHER_FIELDS = [
+    *((command, "out", 5, 2) for command in ("graph", "simulate", "fit", "eval", "cv", "split", "experiment")),
+    ("experiment", "keep_datasets", "false", 2),
+    ("experiment", "param", 3, 2),
+    ("eval", "param", 3, 2),
+]
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("command", ["graph", "simulate", "fit", "eval", "cv", "split", "experiment"])
+    def test_table_configs_run(self, tmp_path, table_inputs, command):
+        out = tmp_path / "out"
+        assert run_cli(write_config(tmp_path, "config.json", table_config(command, table_inputs, out))) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, code",
+        [
+            (command, key, value, code)
+            for command, key in INTEGER_FIELDS
+            for value, code in ((4.9, 5), ("5", 2), (True, 2), (-1, 5))
+        ]
+        + OTHER_FIELDS,
+    )
+    def test_bad_field_exits_without_output(self, tmp_path, table_inputs, command, key, value, code):
+        config = table_config(command, table_inputs, tmp_path / "out")
+        if key == "train_sizes":
+            config[key] = [5, value]
+        elif key == "replicate":
+            config["inputs"][0][key] = value
+        else:
+            config[key] = value
+        assert run_cli(write_config(tmp_path, "config.json", config)) == code
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_readme_lists_every_fit_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"any `FitConfig` field: ([^)]*)\)", readme).group(1)
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(FitConfig)]
+
 
 
 class TestAtomicWriters:

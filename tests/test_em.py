@@ -346,6 +346,19 @@ class TestFitConfig:
         with pytest.raises(DomainError, match="seed"):
             FitConfig(seed=-1)
 
+    @pytest.mark.parametrize(
+        "name", ["n_clusters", "em_max_iter", "admm_max_iter", "restarts", "transition_iters", "seed"]
+    )
+    def test_numpy_counts_stored_as_python_ints(self, name):
+        assert type(getattr(FitConfig(**{name: np.int64(2)}), name)) is int
+
+    def test_numpy_seed_fit_saves(self, tmp_path):
+        ds = Dataset.from_rankings(3, [TopTRanking((1, 2), 3), TopTRanking((2,), 3)] * 5)
+        path = tmp_path / "fit.json"
+        fit(ds, FitConfig(lam=0.0, restarts=1, seed=np.int64(3))).save_json(path)
+        assert '"seed": 3' in path.read_text()
+        assert json.loads(path.read_text())["config"]["seed"] == 3
+
     @pytest.mark.parametrize("n", [-3, 2.5, True])
     def test_generate_dataset_rejects_bad_n(self, n):
         theta = MixtureParams.single(Permutation.identity(3), 1.0)
