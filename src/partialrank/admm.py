@@ -20,20 +20,20 @@ on the edge to ``N[v, j]``, where ``N = graph.neighbors`` and slot j swaps the
 items at positions j and j+1. That swap undoes itself, so ``N[N[v, j], j] == v``
 and the other endpoint's copy on the same edge sits at ``[j, N[v, j]]``. Every
 sweep is then a broadcast over ``(B, r-1, V, r-1)`` arrays (B members, see
-below) plus one gather, written into buffers the state owns. The slot axis
+below) plus one gather, written into buffers the stack owns. The slot axis
 comes before the vertex axis, and the multiplier search holds its rows
 length-major, so every sum over slots or lengths adds whole contiguous planes:
 numpy reduces an innermost axis only r-1 wide about ten times slower.
 
-The state has a leading member axis: :func:`solve_phi_batch` runs several
+The arrays have a leading member axis: a :class:`PhiStack` runs several
 problems on the same graph, each with its own ``q``, ``lam`` and start, in
-lockstep, and a member leaves the stack once it converges or has run
-``max_iter`` iterations; an unconverged member returns its last iterate.
-Every operation is row-local, so each member's iterates are bitwise those of
-its own :func:`solve_phi`. At r = 5 the arrays are so small that stacking
-members mostly saves numpy's per-call overhead; at r = 7 it saves nothing,
-and :func:`members_per_call` says how many members to stack. The objective
-is evaluated once per member, when it leaves the stack.
+lockstep. A member joins at the step after it is pushed, and leaves once it
+converges or has run ``max_iter`` iterations of its own; an unconverged member
+returns its last iterate. Every operation is row-local, so each member's
+iterates are bitwise those of its own :func:`solve_phi`. At r = 5 the arrays
+are so small that stacking members mostly saves numpy's per-call overhead; at
+r = 7 it saves nothing, and :func:`members_per_call` says how many members to
+stack. The objective is evaluated once per member, when it leaves the stack.
 """
 
 from __future__ import annotations
@@ -50,21 +50,7 @@ NU_TOL = 1e-12          # target on the simplex residual |sum(phi) - 1|
 NU_HARD_TOL = 1e-10     # failure threshold (would violate the row-sum contract)
 _MAX_NU_PASSES = 300    # passes of the multiplier search over the rows still active
 _DROP_ROWS = 1024       # frozen rows that pay for dropping them from the search's arrays
-_STATE_BYTES = 1 << 22  # cap on the slot buffers of one batched solve (4 MiB); see members_per_call
-
-
-@dataclass
-class AdmmState:
-    """Primal rows and their multipliers, per-neighbor-slot copies and duals,
-    and the buffers the sweeps write into, for a stack of B members."""
-
-    phi: np.ndarray          # (B, V, r-1)
-    nu: np.ndarray           # (B, V): simplex multipliers of the last vertex sweep, nan before it
-    copies: np.ndarray       # (B, r-1, V, r-1): [b, j, v] is v's copy on the edge to N[v, j]
-    duals: np.ndarray        # (B, r-1, V, r-1): dual of the constraint phi[b, v] == copies[b, j, v]
-    prev_copies: np.ndarray  # (B, r-1, V, r-1): the copies before the last edge sweep
-    work: np.ndarray         # (B, r-1, V, r-1): scratch for the sweeps and residuals
-    partner: np.ndarray      # (B, r-1, V): row of [b, j, N[v, j]] among the flattened (b, j, v) rows
+_STATE_BYTES = 1 << 22  # cap on the slot buffers of one stack (4 MiB); see members_per_call
 
 
 @dataclass(frozen=True)
@@ -223,60 +209,168 @@ def phi_objective(phi: np.ndarray, q: np.ndarray, graph: CayleyGraph, lam: float
 # ---------------------------------------------------------------------------
 
 
-def init_state(graph: CayleyGraph, phi0: np.ndarray) -> AdmmState:
-    """Copies equal to the rows and zero duals, for a ``(B, V, r-1)`` stack of starts."""
-    phi = np.array(phi0, dtype=float)
-    copies = np.repeat(phi[:, None], graph.r - 1, axis=1)
-    # member b's rows follow those of the members before it
-    partner = graph.neighbors.T + np.arange(graph.r - 1)[:, None] * graph.n_vertices
-    partner = np.arange(len(phi))[:, None, None] * partner.size + partner
-    return AdmmState(
-        phi=phi,
-        nu=np.full(phi.shape[:-1], np.nan),
-        copies=copies,
-        duals=np.zeros_like(copies),
-        prev_copies=copies.copy(),
-        work=np.empty_like(copies),
-        partner=partner,
-    )
+class PhiStack:
+    """Solves on one graph, at one rho, tolerance and ``max_iter``, that run
+    in lockstep as members of one stack and join and leave it one by one.
+
+    A member is one :func:`solve_phi` problem with its own ``q``, ``lam`` and
+    start. It carries its mixing weight, its iteration count, its rows and
+    their multipliers, and its copies and duals, each a slice along the
+    arrays' leading member axis. Every operation is row-local, so a member's
+    iterates are bitwise those of its own :func:`solve_phi`, whatever else is
+    stacked with it. A caller keeps the stack within :func:`members_per_call`,
+    as the EM fits do.
+    """
+
+    def __init__(self, graph: CayleyGraph, rho: float = 1.0, eps_primal: float = 1.0, eps_dual: float = 1.0,
+                 max_iter: int = 100):
+        if not rho > 0:
+            raise DomainError("need rho > 0")
+        if max_iter < 1:
+            raise DomainError("max_iter must be at least 1")
+        self.graph, self.rho, self.eps_primal, self.eps_dual, self.max_iter = graph, rho, eps_primal, eps_dual, max_iter
+        width, n = graph.r - 1, graph.n_vertices
+        # the empty stack; _regroup derives the buffers, the partner rows and the row mass
+        self.tags: list = []
+        self.q = self.phi = np.empty((0, n, width))  # (B, V, r-1)
+        self.lam, self.alpha, self.iterations = np.empty(0), np.empty(0), np.empty(0, dtype=int)
+        self.nu = np.empty((0, n))  # multipliers of the last vertex sweep, nan before it
+        # (B, r-1, V, r-1): [b, j, v] is v's copy on the edge to N[v, j], and the dual of phi[b, v] == copies[b, j, v]
+        self.copies = self.duals = np.empty((0, width, n, width))
+        self._left = np.empty(0, dtype=bool)  # the members that left at the last step
+        self._joining: list[tuple] = []       # (tag, q, phi0, lam, alpha) pushed since the last step
+        self._capacity, self._buffers = 0, {}
+        self._regroup()
+
+    def __len__(self) -> int:
+        return len(self.tags) - int(np.count_nonzero(self._left)) + len(self._joining)
+
+    def push(self, tag, q_table: np.ndarray, phi0: np.ndarray, lam: float) -> None:
+        """Add a member, named ``tag`` in what :meth:`step` returns; it joins at the next step."""
+        q = np.asarray(q_table, dtype=float)
+        phi0 = np.asarray(phi0, dtype=float)
+        alpha = mixing_weight(lam, self.rho)
+        if q.shape != self.q.shape[1:]:
+            raise DimensionError(f"q_table shape {q.shape} does not match graph over r={self.graph.r}")
+        if not np.all(np.isfinite(q)):
+            raise DomainError("responsibilities must be finite")
+        if np.any(q < 0):
+            raise DomainError("responsibilities must be nonnegative")
+        if phi0.shape != q.shape:
+            raise DimensionError(f"phi0 shape {phi0.shape} does not match q_table shape {q.shape}")
+        if not np.all(np.isfinite(phi0)):
+            raise DomainError("phi0 must be finite")
+        self._joining.append((tag, q, phi0, lam, alpha))
+
+    def _regroup(self) -> None:
+        """Drop the members that left and append the ones that joined, in one pass.
+
+        Members are packed into the front of buffers kept from one regroup to
+        the next, so a regroup allocates only when the stack outgrows them,
+        and an emptied stack frees them all. A joining member starts with
+        copies equal to its rows, zero duals and no multipliers. The row mass
+        is built here, never per iteration.
+        """
+        keep = ~self._left
+        tags, q, phi, lam, alpha = zip(*self._joining) if self._joining else ((),) * 5
+        count = int(np.count_nonzero(keep))
+        size = count + len(tags)
+        resize = not 0 < size <= self._capacity
+        width, n = self.graph.r - 1, self.graph.n_vertices
+        for name in ("q", "lam", "alpha", "iterations", "phi", "nu", "copies", "duals"):
+            kept = getattr(self, name)[keep]
+            if resize:
+                self._buffers[name] = np.empty((size, *kept.shape[1:]), kept.dtype)
+            buffer = self._buffers[name][:size]
+            buffer[:count] = kept
+            setattr(self, name, buffer)
+        if tags:
+            new = slice(count, size)
+            self.q[new], self.lam[new], self.alpha[new], self.phi[new] = q, lam, alpha, phi
+            self.iterations[new], self.nu[new], self.duals[new] = 0, np.nan, 0.0
+            self.copies[new] = self.phi[new, None]
+        self.tags = [tag for tag, kept in zip(self.tags, keep) if kept] + list(tags)
+        if resize:
+            self._capacity = size
+            # prev_copies (the copies before the last edge sweep) and work (scratch) hold nothing between steps
+            self._scratch = np.empty((2, *self.copies.shape))
+            # row of [b, j, N[v, j]] among the flattened (b, j, v) rows; member
+            # b's rows follow those of the members before it
+            partner = self.graph.neighbors.T + np.arange(width)[:, None] * n
+            self._partners = np.arange(size)[:, None, None] * partner.size + partner
+        self.prev_copies, self.work, self.partner = self._scratch[0, :size], self._scratch[1, :size], self._partners[:size]
+        self.mass = _row_mass(self.q, self.rho, width)
+        self._left, self._joining = np.zeros(len(self.tags), dtype=bool), []
+
+    def step(self) -> list[tuple]:
+        """One lockstep iteration; returns ``(tag, AdmmResult)`` for each member that left.
+
+        A member leaves once both its residuals are below their thresholds,
+        or after ``max_iter`` iterations with its last iterate and
+        ``converged=False``. Its objective is evaluated once, as it leaves.
+        """
+        if self._joining or self._left.any():
+            self._regroup()
+        if not self.tags:
+            return []
+        vertex_sweep(self)
+        edge_sweep(self)
+        dual_sweep(self)
+        res_p = _norms(self.work)
+        res_d = _norms(np.subtract(self.copies, self.prev_copies, out=self.work))
+        self.iterations += 1
+        converged = (res_p < self.eps_primal) & (res_d < self.eps_dual)
+        self._left = converged | (self.iterations >= self.max_iter)
+        left = [
+            (self.tags[b], AdmmResult(
+                phi=MissingTable(self.graph.r, self.phi[b]),
+                converged=bool(converged[b]),
+                iterations=int(self.iterations[b]),
+                res_primal=float(res_p[b]),
+                res_dual=float(res_d[b]),
+                objective=phi_objective(self.phi[b], self.q[b], self.graph, float(self.lam[b])),
+            ))
+            for b in np.flatnonzero(self._left)
+        ]
+        if self._left.all():
+            self._regroup()  # an empty stack holds no buffers while its runs take their E- and M-steps
+        return left
 
 
-# The sweeps write into the state's (B, r-1, V, r-1) buffers: at r = 7 each
+# The sweeps write into the stack's (B, r-1, V, r-1) buffers: at r = 7 each
 # fresh temporary would be a 1.4 MB allocation per member on every ADMM
 # iteration. Every operation is row-local, so a member's iterates do not
 # depend on the others.
 
 
-def vertex_sweep(state: AdmmState, mass: tuple, graph: CayleyGraph, rho: float) -> None:
-    """New rows from the copies and duals; ``mass`` is the stack's :func:`_row_mass`."""
-    y = np.subtract(state.duals, state.copies, out=state.work).sum(axis=1)
-    y *= rho
-    width = graph.r - 1
-    phi, nu = _vertex_update_batch(mass, y.reshape(-1, width), rho, width, state.nu.reshape(-1))
-    state.phi, state.nu = phi.reshape(y.shape), nu.reshape(state.nu.shape)
+def vertex_sweep(stack: PhiStack) -> None:
+    """New rows from the copies and duals, against the stack's row mass."""
+    y = np.subtract(stack.duals, stack.copies, out=stack.work).sum(axis=1)
+    y *= stack.rho
+    width = stack.graph.r - 1
+    phi, nu = _vertex_update_batch(stack.mass, y.reshape(-1, width), stack.rho, width, stack.nu.reshape(-1))
+    stack.phi, stack.nu = phi.reshape(y.shape), nu.reshape(stack.nu.shape)
 
 
-def edge_sweep(state: AdmmState, alpha: np.ndarray) -> None:
-    """New copies into the stale buffer; the copies they replace become ``prev_copies``.
-
-    ``alpha`` holds each member's :func:`mixing_weight`.
-    """
-    alpha = alpha[:, None, None, None]
-    a = np.add(state.phi[:, None], state.duals, out=state.prev_copies)
+def edge_sweep(stack: PhiStack) -> None:
+    """New copies into the stale buffer, at each member's mixing weight; the
+    copies they replace become ``prev_copies``."""
+    alpha = stack.alpha[:, None, None, None]
+    a = np.add(stack.phi[:, None], stack.duals, out=stack.prev_copies)
     # the other endpoint's entries, a[b, j, N[v, j]], by one take over the
     # flattened rows: indexing with the pair of arrays (slot, N) is about 3x
     # slower at r = 7. The rows are in range by construction, and mode "clip"
     # lets take write straight into ``out`` where "raise" buffers a copy.
-    b = np.take(a.reshape(-1, a.shape[-1]), state.partner, axis=0, out=state.work, mode="clip")
+    b = np.take(a.reshape(-1, a.shape[-1]), stack.partner, axis=0, out=stack.work, mode="clip")
     b *= 1.0 - alpha
     a *= alpha
     a += b
-    state.copies, state.prev_copies = a, state.copies
+    stack.copies, stack.prev_copies = a, stack.copies
 
 
-def dual_sweep(state: AdmmState, graph: CayleyGraph) -> None:
+def dual_sweep(stack: PhiStack) -> None:
     """Dual ascent; leaves the primal residual ``phi - copies`` in ``work``."""
-    state.duals += np.subtract(state.phi[:, None], state.copies, out=state.work)
+    stack.duals += np.subtract(stack.phi[:, None], stack.copies, out=stack.work)
 
 
 def _norms(diff: np.ndarray) -> np.ndarray:
@@ -288,26 +382,8 @@ def _norms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(diff, out=diff).sum(axis=(-3, -2, -1)))
 
 
-def _select(state: AdmmState, keep: np.ndarray) -> None:
-    """Keep the members of a batched state where ``keep`` is true.
-
-    The arrays are compacted into the front of their own buffers, so a
-    member leaving allocates no new state. ``phi`` is left as it is: the
-    next vertex sweep replaces it with a new array, and the rows of the
-    members that left stay valid.
-    """
-    count = int(keep.sum())
-    for name in ("nu", "copies", "duals"):
-        kept = getattr(state, name)
-        kept[:count] = kept[keep]
-        setattr(state, name, kept[:count])
-    # the contents of the two buffers are dead between iterations, and the
-    # members kept at the front take the front partner rows
-    state.prev_copies, state.work, state.partner = (a[:count] for a in (state.prev_copies, state.work, state.partner))
-
-
 def members_per_call(graph: CayleyGraph) -> int:
-    """How many members one batched solve on ``graph`` should stack.
+    """How many members a :class:`PhiStack` on ``graph`` should hold.
 
     Stacking pays while the stack's four slot buffers stay within
     ``_STATE_BYTES``: at r = 5 (61 KB per member) it cuts the cost of a
@@ -318,75 +394,6 @@ def members_per_call(graph: CayleyGraph) -> int:
     """
     member = 4 * graph.n_vertices * (graph.r - 1) ** 2 * np.dtype(float).itemsize
     return max(1, _STATE_BYTES // member)
-
-
-def solve_phi_batch(
-    q_tables: np.ndarray,
-    graph: CayleyGraph,
-    lams: np.ndarray,
-    rho: float,
-    phi0s: np.ndarray,
-    eps_primal: float = 1.0,
-    eps_dual: float = 1.0,
-    max_iter: int = 100,
-) -> list[AdmmResult]:
-    """:func:`solve_phi` for a stack of members that share the graph, rho, the
-    tolerances and ``max_iter``; member b has its own ``q_tables[b]``,
-    ``lams[b]`` and start ``phi0s[b]``.
-
-    The members iterate in lockstep, and each one's result is bitwise what it
-    would get on its own. A member leaves the stack once both its residuals
-    are below their thresholds, or after ``max_iter`` iterations with its last
-    iterate and ``converged=False``. All members are stacked at once; a
-    caller keeps the stack within :func:`members_per_call`, as the EM fits do.
-    """
-    q = np.asarray(q_tables, dtype=float)
-    lam = np.asarray(lams, dtype=float)
-    phi0 = np.asarray(phi0s, dtype=float)
-    alpha = mixing_weight(lam, rho)
-    if max_iter < 1:
-        raise DomainError("max_iter must be at least 1")
-    if q.ndim != 3 or q.shape[1:] != (graph.n_vertices, graph.r - 1):
-        raise DimensionError(f"q_table shape {q.shape[1:]} does not match graph over r={graph.r}")
-    if lam.shape != q.shape[:1]:
-        raise DimensionError(f"{lam.size} lam values for {len(q)} members")
-    if not np.all(np.isfinite(q)):
-        raise DomainError("responsibilities must be finite")
-    if np.any(q < 0):
-        raise DomainError("responsibilities must be nonnegative")
-    if phi0.shape != q.shape:
-        raise DimensionError(f"phi0 shape {phi0.shape[1:]} does not match q_table shape {q.shape[1:]}")
-    if not np.all(np.isfinite(phi0)):
-        raise DomainError("phi0 must be finite")
-    state = init_state(graph, phi0)
-    mass = _row_mass(q, rho, graph.r - 1)
-    results = [None] * len(q)
-    members = np.arange(len(q))
-    iteration = 0
-    while members.size:
-        vertex_sweep(state, mass, graph, rho)
-        edge_sweep(state, alpha)
-        dual_sweep(state, graph)
-        res_p = _norms(state.work)
-        res_d = _norms(np.subtract(state.copies, state.prev_copies, out=state.work))
-        iteration += 1
-        converged = (res_p < eps_primal) & (res_d < eps_dual)
-        done = converged | (iteration >= max_iter)
-        if done.any():
-            for b in np.flatnonzero(done):
-                results[members[b]] = AdmmResult(
-                    phi=MissingTable(graph.r, state.phi[b]),
-                    converged=bool(converged[b]),
-                    iterations=iteration,
-                    res_primal=float(res_p[b]),
-                    res_dual=float(res_d[b]),
-                    objective=phi_objective(state.phi[b], q[b], graph, float(lam[b])),
-                )
-            keep = ~done
-            members, q, lam, alpha = members[keep], q[keep], lam[keep], alpha[keep]
-            mass = _row_mass(q, rho, graph.r - 1)
-            _select(state, keep)
-    return results
 
 
 def solve_phi(
@@ -405,10 +412,12 @@ def solve_phi(
     ``max_iter``; a non-converged run returns its last iterate with
     ``converged=False`` rather than raising.
     """
-    q = np.asarray(q_table, dtype=float)
     if phi0 is None:
         phi0 = np.full((graph.n_vertices, graph.r - 1), 1.0 / (graph.r - 1))
     elif isinstance(phi0, MissingTable):
         phi0 = phi0.probs
-    phi0 = np.asarray(phi0, dtype=float)
-    return solve_phi_batch(q[None], graph, [lam], rho, phi0[None], eps_primal, eps_dual, max_iter)[0]
+    stack = PhiStack(graph, rho, eps_primal, eps_dual, max_iter)
+    stack.push(None, q_table, phi0, lam)
+    while not (left := stack.step()):
+        pass
+    return left[0][1]

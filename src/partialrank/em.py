@@ -21,9 +21,11 @@ The E-step also yields the observable likelihood, so each accepted
 Restarts run in lockstep. Each EM run is a generator that yields its
 graph-regularized missing-table steps as requests; one loop advances all
 runs of all jobs (the restarts of a fit, or every fold fit of a
-cross-validation) and solves the pending requests in one batched ADMM call.
-Every run keeps its own rng and stopping rule, so the fits are bitwise those
-of runs made one after another.
+cross-validation) and pushes each request onto one ADMM stack, which steps
+every pending solve at once. A run whose solve leaves the stack takes its E-
+and M-steps at once, and its next request joins at the next step. Every run
+keeps its own rng and stopping rule, so the fits are bitwise those of runs
+made one after another.
 """
 
 from __future__ import annotations
@@ -371,8 +373,8 @@ def _run_em(
     scores the plain NLL, so its lam is 0; any other run starts from the
     uniform table at ``config.lam``. A generator: every graph-regularized
     phi-step yields the request ``(q_table, phi0, lam)`` and receives its
-    :class:`admm.AdmmResult`, so a caller can solve the pending requests of
-    many runs in one batched call. Returns ``(theta, phi, trace, converged)``.
+    :class:`admm.AdmmResult`, so a caller can solve the requests of many runs
+    on one :class:`admm.PhiStack`. Returns ``(theta, phi, trace, converged)``.
     Runs at ``lam = 0`` and ME runs never yield.
     """
     r = dataset.r
@@ -431,13 +433,13 @@ def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, cap: int, m
 
     The jobs share r and every config field but lam. With ``me`` each job's
     missing table is held at its empirical length histogram (the ME
-    baseline). Each run keeps its own rng and stopping; every lockstep round
-    solves the pending phi-step requests of all live runs in one
-    :func:`admm.solve_phi_batch` call. At most :func:`admm.members_per_call`
-    runs are live at once, since each holds its own tables and stacking more
-    pays nothing: at r = 7 the runs go one after another. Each job then keeps
-    its best restart, the first one on ties, exactly as runs made one after
-    another would.
+    baseline). Each run keeps its own rng and stopping. Its phi-step requests
+    join one :class:`admm.PhiStack`; each step hands every result that left
+    the stack to its run, and that run's next request joins at once. At most
+    :func:`admm.members_per_call` runs are live at once, since each holds its
+    own tables and stacking more pays nothing: at r = 7 the runs go one after
+    another. Each job then keeps its best restart, the first one on ties,
+    exactly as runs made one after another would.
     """
     if any(len(dataset) == 0 for dataset, _ in jobs):
         raise DomainError("cannot fit an empty dataset")
@@ -455,14 +457,14 @@ def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, cap: int, m
                           fixed_phi, cap, job, j)
             runs.append((job, j, run))
     best: list[tuple | None] = [None] * len(jobs)  # per job, its best finished (restart, theta, phi, trace, converged)
+    stack = admm.PhiStack(graph, config.rho, config.admm_eps_primal, config.admm_eps_dual, config.admm_max_iter)
     width = admm.members_per_call(graph)
     waiting = iter(range(len(runs)))
-    pending: dict[int, tuple] = {}
 
     def advance(i: int, solved: admm.AdmmResult | None) -> None:
         job, j, run = runs[i]
         try:
-            pending[i] = run.send(solved)
+            stack.push(i, *run.send(solved))
         except StopIteration as stop:
             # runs finish out of order; the lower restart wins ties
             held, trace = best[job], stop.value[2]
@@ -471,22 +473,11 @@ def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, cap: int, m
 
     while True:
         # a run that never yields (lam = 0, ME) finishes inside its first advance
-        while len(pending) < width and (i := next(waiting, None)) is not None:
+        while len(stack) < width and (i := next(waiting, None)) is not None:
             advance(i, None)
-        if not pending:
+        if not len(stack):
             break
-        requests, pending = pending, {}
-        solved = admm.solve_phi_batch(
-            np.stack([q_table for q_table, _, _ in requests.values()]),
-            graph,
-            np.array([lam for _, _, lam in requests.values()]),
-            config.rho,
-            np.stack([phi0 for _, phi0, _ in requests.values()]),
-            config.admm_eps_primal,
-            config.admm_eps_dual,
-            config.admm_max_iter,
-        )
-        for i, result in zip(requests, solved):
+        for i, result in stack.step():
             advance(i, result)
 
     return [

@@ -143,8 +143,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, cap
         if cfg.keep_datasets and out_dir is not None:
             dataset_path = out_dir / f"dataset_{index:03d}.csv"
         payloads.append((cfg, index, data_seed, fit_seed, dataset_path, cap))
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # the pool starts every worker at once, so it gets no more than the replicates
+    workers = min(cfg.workers, cfg.replicates)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_replicate = list(pool.map(_replicate_worker, payloads))
     else:
         per_replicate = [_replicate_worker(p) for p in payloads]

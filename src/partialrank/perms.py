@@ -92,34 +92,11 @@ class TopTRanking:
 
 
 def kendall_distance(a: Permutation, b: Permutation) -> int:
-    """Inversion count between two rankings = minimal adjacent-transposition count."""
+    """Item pairs the two rankings order differently = minimal adjacent-transposition count."""
     if a.r != b.r:
         raise DimensionError(f"rankings over {a.r} and {b.r} items")
-    # b-ranks of the items in a's preference order; its inversion count is d(a, b)
-    seq = [b.ranks[item - 1] for item in a.inverse]
-    return _count_inversions(seq)
-
-
-def _count_inversions(seq: list[int]) -> int:
-    """Merge-sort inversion counting, O(r log r)."""
-    n = len(seq)
-    if n < 2:
-        return 0
-    mid = n // 2
-    left, right = seq[:mid], seq[mid:]
-    count = _count_inversions(left) + _count_inversions(right)
-    i = j = k = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            seq[k] = left[i]
-            i += 1
-        else:
-            seq[k] = right[j]
-            j += 1
-            count += len(left) - i
-        k += 1
-    seq[k:] = left[i:] if i < len(left) else right[j:]
-    return count
+    ra, rb = a.ranks, b.ranks
+    return sum((ra[i] < ra[j]) != (rb[i] < rb[j]) for i in range(a.r) for j in range(i + 1, a.r))
 
 
 def index_of(p: Permutation) -> int:

@@ -189,7 +189,7 @@ def vertex_update_bracketed(q, y, rho: float, degree: int, nu0=None):
 def augmented_lagrangian(state, q: np.ndarray, graph, lam: float, rho: float) -> float:
     """The penalty-split objective driving the vertex and edge sweeps.
 
-    For an ``admm.AdmmState`` of one member in the slot-major layout:
+    For an ``admm.PhiStack`` of one member in the slot-major layout:
     ``copies[0, j, v]`` is vertex v's copy on the edge to ``N[v, j]``
     (``N = graph.neighbors``), so the other endpoint's copy on that edge is
     ``copies[0, j, N[v, j]]``. ``q`` is the member's ``(V, r-1)`` table.

@@ -12,25 +12,25 @@ from oracles import (
     vertex_update_bisection,
     vertex_update_bracketed,
 )
-from partialrank import DomainError, NumericError, build_cayley_graph
+from partialrank import DomainError, NumericError, Permutation, build_cayley_graph
 from partialrank import admm
 from partialrank.admm import (
     NU_HARD_TOL,
     NU_TOL,
+    PhiStack,
     _row_mass,
     _vertex_update_batch,
     dual_sweep,
     edge_penalty,
     edge_sweep,
-    init_state,
     mixing_weight,
     phi_objective,
     solve_phi,
-    solve_phi_batch,
     vertex_sweep,
     vertex_update,
 )
 from partialrank.errors import DimensionError
+from partialrank.perms import index_of, unindex
 
 
 class TestVertexUpdate:
@@ -314,21 +314,31 @@ class TestSolvePhi:
                 solve_phi(np.ones((6, 2)), graph, 1.0, phi0=phi0)
 
 
+def _pushed(graph, phi0, q=None, lam=1.0, rho=1.0):
+    """A stack holding one member per start in ``phi0`` (unit mass unless ``q``
+    is given), regrouped so that the sweeps can run on it directly."""
+    stack = PhiStack(graph, rho)
+    for b, start in enumerate(phi0):
+        stack.push(b, np.ones_like(start) if q is None else q[b], start, lam)
+    stack._regroup()
+    return stack
+
+
 class TestSweepInvariants:
     def test_rows_on_simplex_after_every_vertex_sweep(self):
         graph = build_cayley_graph(3)
         rng = np.random.default_rng(6)
         q = rng.random((1, 6, 2)) * 3
-        state = init_state(graph, np.full((1, 6, 2), 0.5))
+        state = _pushed(graph, np.full((1, 6, 2), 0.5), q, lam=1.0, rho=1.0)
         for _ in range(30):
-            vertex_sweep(state, _row_mass(q, 1.0, 2), graph, rho=1.0)
+            vertex_sweep(state)
             assert np.abs(state.phi.sum(axis=-1) - 1.0).max() <= 1e-10
-            edge_sweep(state, mixing_weight(np.array([1.0]), 1.0))
-            dual_sweep(state, graph)
+            edge_sweep(state)
+            dual_sweep(state)
 
     def test_state_slot_shapes(self):
         graph = build_cayley_graph(3)
-        state = init_state(graph, np.full((3, 6, 2), 0.5))
+        state = _pushed(graph, np.full((3, 6, 2), 0.5))
         assert state.copies.shape == state.duals.shape == (3, 2, graph.n_vertices, 2)
         assert state.prev_copies.shape == state.work.shape == (3, 2, graph.n_vertices, 2)
         assert state.nu.shape == (3, graph.n_vertices)
@@ -340,7 +350,7 @@ class TestSweepInvariants:
         graph = build_cayley_graph(r)
         rng = np.random.default_rng(60 + r)
         lam, rho = 3.0, 1.5
-        state = init_state(graph, rng.dirichlet(np.ones(r - 1), size=(1, graph.n_vertices)))
+        state = _pushed(graph, rng.dirichlet(np.ones(r - 1), size=(1, graph.n_vertices)), lam=lam, rho=rho)
         state.duals[...] = rng.normal(scale=0.1, size=state.duals.shape)
         slot = {(int(v), int(u)): j for v in range(graph.n_vertices) for j, u in enumerate(graph.neighbors[v])}
         for _ in range(3):
@@ -350,29 +360,30 @@ class TestSweepInvariants:
             for u, v in graph.edges:
                 ju, jv = slot[(int(u), int(v))], slot[(int(v), int(u))]
                 expected[ju, u], expected[jv, v] = edge_update(a[ju, u], a[jv, v], lam, rho)
-            edge_sweep(state, mixing_weight(np.array([lam]), rho))
+            edge_sweep(state)
             assert np.abs(state.copies[0] - expected).max() <= 1e-15
             assert np.array_equal(state.prev_copies, before)
             duals = state.duals + (state.phi[:, None] - state.copies)
-            dual_sweep(state, graph)
+            dual_sweep(state)
             assert np.array_equal(state.duals, duals)
-            vertex_sweep(state, _row_mass(rng.random((1, graph.n_vertices, r - 1)), rho, r - 1), graph, rho)
+            state.mass = _row_mass(rng.random((1, graph.n_vertices, r - 1)), rho, r - 1)
+            vertex_sweep(state)
 
     def test_vertex_and_edge_steps_never_raise_the_lagrangian(self):
         graph = build_cayley_graph(3)
         rng = np.random.default_rng(7)
         q = rng.random((6, 2)) * 3
         lam, rho = 2.0, 1.0
-        state = init_state(graph, rng.dirichlet(np.ones(2), size=(1, 6)))
+        state = _pushed(graph, rng.dirichlet(np.ones(2), size=(1, 6)), q[None], lam, rho)
         for _ in range(25):
             before = augmented_lagrangian(state, q, graph, lam, rho)
-            vertex_sweep(state, _row_mass(q, rho, 2), graph, rho)
+            vertex_sweep(state)
             after_vertex = augmented_lagrangian(state, q, graph, lam, rho)
             assert after_vertex <= before + 1e-8
-            edge_sweep(state, mixing_weight(np.array([lam]), rho))
+            edge_sweep(state)
             after_edge = augmented_lagrangian(state, q, graph, lam, rho)
             assert after_edge <= after_vertex + 1e-8
-            dual_sweep(state, graph)
+            dual_sweep(state)
 
     @pytest.mark.parametrize("r", [3, 4])
     @pytest.mark.parametrize("lam", [0.5, 10.0])
@@ -428,10 +439,25 @@ def _same_result(a, b) -> bool:
     ) == (b.iterations, b.res_primal, b.res_dual, b.converged, b.objective)
 
 
+def _solve_staggered(graph, q, lams, phi0, max_iter):
+    """Each member's result from one stack: two members join at once, then one more per step."""
+    stack = PhiStack(graph, 1.0, max_iter=max_iter)
+    for b in (0, 1):
+        stack.push(b, q[b], phi0[b], float(lams[b]))
+    results = {}
+    for b in range(2, len(lams)):
+        results.update(stack.step())
+        stack.push(b, q[b], phi0[b], float(lams[b]))
+    while len(stack):
+        results.update(stack.step())
+    return [results[b] for b in range(len(lams))]
+
+
 @pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
 def test_batch_matches_per_member_solves(r):
-    # members differ in lam and q, converge at different iterations, and at
-    # least one stops at max_iter; each must get bitwise its own solve
+    # members differ in lam and q, join at different iterations, converge at
+    # different iterations, and at least one stops at max_iter; each must get
+    # bitwise its own solve
     graph = build_cayley_graph(r)
     rng = np.random.default_rng(80 + r)
     lams = np.array([0.5, 3.0, 10.0, 100.0] if r == 7 else [0.5, 1.0, 3.0, 10.0, 100.0, 1000.0])
@@ -439,11 +465,55 @@ def test_batch_matches_per_member_solves(r):
     q[rng.random(q.shape) < 0.2] = 0.0
     phi0 = rng.dirichlet(np.ones(r - 1), size=(lams.size, graph.n_vertices))
     max_iter = {3: 5, 4: 12, 5: 30, 6: 30, 7: 12}[r]
-    batch = solve_phi_batch(q, graph, lams, 1.0, phi0, max_iter=max_iter)
+    batch = _solve_staggered(graph, q, lams, phi0, max_iter)
     alone = [solve_phi(q[b], graph, float(lams[b]), 1.0, phi0=phi0[b], max_iter=max_iter) for b in range(lams.size)]
     assert len({res.iterations for res in alone}) > 1
     assert any(res.converged for res in alone) and not all(res.converged for res in alone)
     assert all(_same_result(a, b) for a, b in zip(batch, alone))
+
+
+def test_stack_counts_its_members_and_frees_its_buffers_when_empty():
+    graph = build_cayley_graph(4)
+    q = np.random.default_rng(5).random((2, graph.n_vertices, 3))
+    stack = PhiStack(graph, 1.0, eps_primal=1e-12, eps_dual=1e-12, max_iter=3)
+    assert len(stack) == 0 and stack.step() == []
+    stack.push("a", q[0], np.full((graph.n_vertices, 3), 1 / 3), 1.0)
+    assert len(stack) == 1 and stack.copies.shape[0] == 0  # joins at the next step
+    assert stack.step() == []
+    stack.push("b", q[1], np.full((graph.n_vertices, 3), 1 / 3), 1.0)
+    assert len(stack) == 2
+    assert [tag for tag, _ in stack.step()] == []
+    assert [tag for tag, _ in stack.step()] == ["a"]
+    assert len(stack) == 1
+    assert [tag for tag, _ in stack.step()] == ["b"]
+    assert len(stack) == 0
+    assert all(a.shape[0] == 0 for a in (stack.copies, stack.duals, stack.prev_copies, stack.work))
+
+
+@pytest.mark.parametrize("r", [6, 7])
+def test_solve_phi_is_equivariant_under_item_relabeling(r):
+    # relabeling the items by a bijection g maps each vertex to another and
+    # keeps every neighbor slot, so the relabeled q gives the relabeled rows;
+    # with eps 1e-12 both solves run all max_iter iterations
+    graph = build_cayley_graph(r)
+    rng = np.random.default_rng(90 + r)
+    g = rng.permutation(r) + 1
+    image = np.array([
+        index_of(Permutation.from_ordering([int(g[item - 1]) for item in unindex(v, r).inverse]))
+        for v in range(graph.n_vertices)
+    ])
+    assert np.array_equal(graph.neighbors[image], image[graph.neighbors])
+    assert admm.members_per_call(graph) == (1 if r == 7 else 7)
+    q = rng.random((graph.n_vertices, r - 1)) * 20
+    q[rng.random(q.shape) < 0.2] = 0.0
+    phi0 = rng.dirichlet(np.ones(r - 1), size=graph.n_vertices)
+    moved_q, moved_phi0 = np.empty_like(q), np.empty_like(phi0)
+    moved_q[image], moved_phi0[image] = q, phi0
+    kwargs = dict(eps_primal=1e-12, eps_dual=1e-12, max_iter=8)
+    plain = solve_phi(q, graph, 10.0, 1.0, phi0=phi0, **kwargs)
+    moved = solve_phi(moved_q, graph, 10.0, 1.0, phi0=moved_phi0, **kwargs)
+    assert plain.iterations == moved.iterations == 8
+    assert np.allclose(moved.phi.probs[image], plain.phi.probs, rtol=1e-9, atol=0)
 
 
 def test_members_per_call_stacks_only_where_it_pays():
@@ -455,15 +525,19 @@ def test_batch_input_validation():
     graph = build_cayley_graph(3)
     q = np.ones((2, 6, 2))
     phi0 = np.full((2, 6, 2), 0.5)
+    stack = PhiStack(graph)
     with pytest.raises(DimensionError):
-        solve_phi_batch(q, graph, [1.0], 1.0, phi0)
+        stack.push(0, q, phi0, 1.0)  # two members' tables as one
     with pytest.raises(DimensionError):
-        solve_phi_batch(q, graph, [1.0, 1.0], 1.0, phi0[:1])
+        stack.push(0, q[0], phi0[:1], 1.0)
     with pytest.raises(DomainError):
-        solve_phi_batch(q, graph, [1.0, -1.0], 1.0, phi0)
+        stack.push(0, q[0], phi0[0], -1.0)
     for max_iter in (0, -1):
         with pytest.raises(DomainError):
-            solve_phi_batch(q, graph, [1.0, 1.0], 1.0, phi0, max_iter=max_iter)
+            PhiStack(graph, 1.0, max_iter=max_iter)
+    with pytest.raises(DomainError):
+        PhiStack(graph, 0.0)
+    assert len(stack) == 0
 
 
 def test_mixing_weight_is_elementwise():

@@ -1,9 +1,12 @@
 """Smoke test of the benchmark: every workload at r = 4, every metric and check.
 
 Runs ``bench/selfcheck.py`` in a subprocess; it writes only under the
-git-ignored ``bench/out/``.
+git-ignored ``bench/out/``. The tracer's targets are checked by reading
+``bench/tracing.py`` alone.
 """
 
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +20,22 @@ def test_bench_selfcheck_passes():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     assert "selfcheck passed" in out.stdout
+
+
+# traced names the package no longer has, each on its way out of the benchmark
+GONE = {("perms", "distance_matrix")}
+
+
+def test_every_traced_function_exists():
+    # a traced function that is renamed away reads 0 in its per-layer metric
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr in tracing.TRACED:
+        owner = importlib.import_module(f"partialrank.{module}")
+        for name in attr.split("."):
+            owner = getattr(owner, name, None)
+        if owner is None:
+            missing.append((module, attr))
+    assert set(missing) <= GONE

@@ -490,35 +490,61 @@ class TestLockstep:
             assert batched.to_json_dict() == alone.to_json_dict()
             assert np.array_equal(batched.posteriors, alone.posteriors)
 
-    def test_each_lockstep_round_is_one_solve(self, datasets, monkeypatch):
-        # every run starts at once, so there are as many rounds as the longest
-        # run has phi-steps, and each round solves every pending request
-        steps, sizes = [], []
-        run_em, solve = em._run_em, admm.solve_phi_batch
+    def test_finished_run_rejoins_before_the_slowest_member_leaves(self, datasets, monkeypatch):
+        # a run whose phi-step left the stack takes its E- and M-steps and its
+        # next request joins at the next step, while a slower member is still
+        # stacked; each member-iteration is one its own solve would make
+        requests, members, left = [], [], []
+        run_em, sweep, step = em._run_em, admm.vertex_sweep, admm.PhiStack.step
 
-        def counted(*args):
-            index = len(steps)
-            steps.append(0)
+        def recorded(*args):
             run, solved = run_em(*args), None
             while True:
                 try:
                     request = run.send(solved)
                 except StopIteration as stop:
                     return stop.value
-                steps[index] += 1
+                requests.append((args[-2], request))
                 solved = yield request
 
-        def recording(q_tables, *args, **kwargs):
-            sizes.append(len(q_tables))
-            return solve(q_tables, *args, **kwargs)
+        def recording_step(stack):
+            done = step(stack)
+            left.append({tag for tag, _ in done})
+            return done
 
-        monkeypatch.setattr(em, "_run_em", counted)
-        monkeypatch.setattr(admm, "solve_phi_batch", recording)
+        monkeypatch.setattr(em, "_run_em", recorded)
+        monkeypatch.setattr(admm, "vertex_sweep", lambda stack: members.append(set(stack.tags)) or sweep(stack))
+        monkeypatch.setattr(admm.PhiStack, "step", recording_step)
         em._fit_batch(self.jobs(datasets), self.shared, 7)
-        assert len(steps) == 8 and steps[4:6] == [0, 0]  # the lam = 0 job never yields
-        assert len(sizes) == max(steps)
-        assert sum(sizes) == sum(steps)
-        assert sizes[0] == 6
+        monkeypatch.undo()
+        assert len(members) == len(left)
+        assert {job for job, _ in requests} == {0, 1, 3}  # the lam = 0 job never yields
+        # at some step a run leaves and is back at the next one, beside a member that stayed
+        assert any(left[s] & members[s + 1] and members[s] - left[s] for s in range(len(members) - 1))
+        graph, shared = build_cayley_graph(4), self.shared
+        solo = [
+            admm.solve_phi(q_table, graph, lam, shared.rho, phi0, shared.admm_eps_primal, shared.admm_eps_dual,
+                           shared.admm_max_iter).iterations
+            for _, (q_table, phi0, lam) in requests
+        ]
+        assert sum(len(m) for m in members) == sum(solo)
+
+    def test_runs_finishing_out_of_order_match_runs_one_by_one(self, datasets, monkeypatch):
+        # restarts that need different numbers of EM iterations finish in
+        # another order than they started in
+        finished, run_em = [], em._run_em
+
+        def recorded(*args):
+            value = yield from run_em(*args)
+            finished.append(args[-1])
+            return value
+
+        monkeypatch.setattr(em, "_run_em", recorded)
+        config = FitConfig(n_clusters=2, lam=3.0, restarts=5, seed=12, em_max_iter=25)
+        result = fit(datasets[2], config)
+        assert sorted(finished) == list(range(5)) and finished != sorted(finished)
+        monkeypatch.undo()
+        _assert_same_fit(result, fit_sequential(datasets[2], config, "regularized"))
 
     def test_lower_restart_wins_a_tie_it_finishes_second(self, datasets, monkeypatch):
         # restart 2 ties restart 1 on the final objective but finishes a
@@ -549,13 +575,13 @@ class TestLockstep:
         jobs = [(datasets[1], 10.0), (datasets[2], 1.0)]
         config = FitConfig(restarts=3, seed=5, em_max_iter=15)
         sizes = []
-        solve = admm.solve_phi_batch
+        step = admm.PhiStack.step
 
-        def recording(q_tables, *args, **kwargs):
-            sizes.append(len(q_tables))
-            return solve(q_tables, *args, **kwargs)
+        def recording(stack):
+            sizes.append(len(stack))
+            return step(stack)
 
-        monkeypatch.setattr(admm, "solve_phi_batch", recording)
+        monkeypatch.setattr(admm.PhiStack, "step", recording)
         wide = em._fit_batch(jobs, config, 7)
         assert max(sizes) == len(jobs) * config.restarts
         sizes.clear()
