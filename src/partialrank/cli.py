@@ -35,7 +35,7 @@ from .errors import (
 from .experiments import ExperimentConfig, GeneratorSpec, build_truth, resample_splits, run_method
 from .losses import LossReport, classification_error, cross_validate, l_comp, l_par, l_par_empirical
 from .missing import Dataset, generate_dataset
-from .perms import DEFAULT_CAP, build_cayley_graph, write_edge_csv
+from .perms import build_cayley_graph, write_edge_csv
 from .util import field, write_json
 
 logger = logging.getLogger(__name__)
@@ -52,8 +52,6 @@ EXIT_CODES = {
     OSError: 9,
 }
 
-COMMANDS = ("simulate", "fit", "eval", "cv", "graph", "split", "experiment")
-
 
 # ---------------------------------------------------------------------------
 # Config plumbing: every field is read through ``util.field`` before any work.
@@ -66,11 +64,16 @@ _GENERATOR_FIELDS = {
 _METHOD_FIELDS = {"ME": {}, "NR": {}, "R": {"lam": float}, "RCV": {"grid": [float]}}
 
 
-def _fit_config(config: dict) -> FitConfig:
-    block = field(config, "fit", dict, {})
-    unknown = set(block) - {f.name for f in fields(FitConfig)}
+def _known(block: dict, allowed, where: str) -> dict:
+    """``block`` itself, once every key in it is one of ``allowed``."""
+    unknown = set(block) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown fit config fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where} config fields: {sorted(unknown)}")
+    return block
+
+
+def _fit_config(config: dict) -> FitConfig:
+    block = _known(field(config, "fit", dict, {}), [f.name for f in fields(FitConfig)], "fit")
     top_level = {"n_clusters": "K", "seed": "seed"}
     values = {}
     for f in fields(FitConfig):
@@ -88,6 +91,7 @@ def _generator_spec(gen: dict, r: int) -> GeneratorSpec:
         params["sigma0"] = field(gen, "sigma0", [int], None)
     elif not len(params["sigmas"]) == len(params["cs"]) == len(params["w"]) == len(params["w_star"]):
         raise ConfigError("sigmas, cs, w and w_star must be lists of one length")
+    _known(gen, ("kind", *params), "generator")
     return GeneratorSpec(kind=kind, r=r, params=params)
 
 
@@ -95,7 +99,9 @@ def _method(spec: dict) -> dict:
     name = field(spec, "name", str).upper()
     if name not in _METHOD_FIELDS:
         raise ConfigError(f"unknown method {spec!r}")
-    return {"name": name, **{key: field(spec, key, kind) for key, kind in _METHOD_FIELDS[name].items()}}
+    method = {"name": name, **{key: field(spec, key, kind) for key, kind in _METHOD_FIELDS[name].items()}}
+    _known(spec, method, "method")
+    return method
 
 
 def _input_and_out(config: dict) -> tuple[Path, Path]:
@@ -111,9 +117,8 @@ def _input_and_out(config: dict) -> tuple[Path, Path]:
 
 
 def _cmd_graph(config: dict) -> None:
-    r, cap = field(config, "r", int), field(config, "cap", int, DEFAULT_CAP)
-    out = Path(field(config, "out", str))
-    graph = build_cayley_graph(r, cap)
+    r, out = field(config, "r", int), Path(field(config, "out", str))
+    graph = build_cayley_graph(r)
     write_edge_csv(graph, out)
     logger.info("wrote %d edges to %s", graph.n_edges, out)
 
@@ -123,38 +128,37 @@ def _cmd_simulate(config: dict) -> None:
     n = field(config, "n", int)
     replicates = field(config, "replicates", int, 1)
     seed = field(config, "seed", int, 0)
-    cap = field(config, "cap", int, DEFAULT_CAP)
     out = Path(field(config, "out", str))
-    truth = build_truth(spec, cap)
+    truth = build_truth(spec)
     out.mkdir(parents=True, exist_ok=True)
     for index, (data_seed, _) in enumerate(experiments._replicate_seeds(seed, replicates)):
-        dataset = generate_dataset(truth.theta, truth.mechanism, n, data_seed, cap)
+        dataset = generate_dataset(truth.theta, truth.mechanism, n, data_seed)
         dataset.save_csv(out / f"dataset_{index:03d}.csv")
     logger.info("wrote %d datasets to %s", replicates, out)
 
 
 def _cmd_fit(config: dict) -> None:
     source, out = _input_and_out(config)
-    r, cap = field(config, "r", int), field(config, "cap", int, DEFAULT_CAP)
-    fit_cfg = _fit_config(config)
+    r, fit_cfg = field(config, "r", int), _fit_config(config)
     method = _method(field(config, "method", dict, {"name": "R", "lam": fit_cfg.lam}))
-    result = run_method(method, Dataset.load_csv(source, r, cap), fit_cfg, cap)
+    result = run_method(method, Dataset.load_csv(source, r), fit_cfg)
     result.save_json(out)
     logger.info("wrote fit (%s, nll=%.6g) to %s", result.method, result.nll, out)
 
 
 def _cmd_eval(config: dict) -> None:
-    r, cap = field(config, "r", int), field(config, "cap", int, DEFAULT_CAP)
-    inputs = [
-        (field(entry, "fit", str), field(entry, "dataset", str, None), field(entry, "replicate", int, index))
-        for index, entry in enumerate(field(config, "inputs", [dict]))
-    ]
+    r = field(config, "r", int)
+    inputs = []
+    for index, entry in enumerate(field(config, "inputs", [dict])):
+        _known(entry, ("fit", "dataset", "replicate"), "inputs entry")
+        fit_path, dataset_path = field(entry, "fit", str), field(entry, "dataset", str, None)
+        inputs.append((fit_path, dataset_path, field(entry, "replicate", int, index)))
     param, out = field(config, "param", str, ""), Path(field(config, "out", str))
-    truth_cfg = field(config, "truth", dict)
+    truth_cfg = _known(field(config, "truth", dict), ("generator", "test"), "truth")
     if "generator" in truth_cfg:
-        truth = build_truth(_generator_spec(field(truth_cfg, "generator", dict), r), cap)
+        truth = build_truth(_generator_spec(field(truth_cfg, "generator", dict), r))
     elif "test" in truth_cfg:
-        test = Dataset.load_csv(field(truth_cfg, "test", str), r, cap)
+        test = Dataset.load_csv(field(truth_cfg, "test", str), r)
     else:
         raise ConfigError("truth must supply either a generator or a test dataset")
     rows = []
@@ -164,15 +168,15 @@ def _cmd_eval(config: dict) -> None:
             raise DimensionError(f"fit over r={theta_hat.r}, config says r={r}")
         err = None
         if dataset_path is not None:
-            dataset = Dataset.load_csv(dataset_path, r, cap)
+            dataset = Dataset.load_csv(dataset_path, r)
             if dataset.true_clusters is not None and theta_hat.n_clusters > 1:
-                posteriors = e_step(theta_hat, phi_hat, dataset, cap).posteriors()
+                posteriors = e_step(theta_hat, phi_hat, dataset).posteriors()
                 err = classification_error(dataset.true_clusters, posteriors)
         if "generator" in truth_cfg:
-            lp = l_par(truth.theta, truth.phi_table, theta_hat, phi_hat, cap)
-            lc = l_comp(truth.theta, theta_hat, cap)
+            lp = l_par(truth.theta, truth.phi_table, theta_hat, phi_hat)
+            lc = l_comp(truth.theta, theta_hat)
         else:
-            lp = l_par_empirical(test, theta_hat, phi_hat, cap)
+            lp = l_par_empirical(test, theta_hat, phi_hat)
             lc = None
         rows.append(
             LossReport(
@@ -193,9 +197,8 @@ def _cmd_eval(config: dict) -> None:
 
 def _cmd_cv(config: dict) -> None:
     source, out = _input_and_out(config)
-    r, cap = field(config, "r", int), field(config, "cap", int, DEFAULT_CAP)
-    grid, fit_cfg = field(config, "grid", [float]), _fit_config(config)
-    result = cross_validate(Dataset.load_csv(source, r, cap), grid, fit_cfg, cap)
+    r, grid, fit_cfg = field(config, "r", int), field(config, "grid", [float]), _fit_config(config)
+    result = cross_validate(Dataset.load_csv(source, r), grid, fit_cfg)
     out.mkdir(parents=True, exist_ok=True)
     scores = {repr(lam): score for lam, score in sorted(result.scores.items())}
     write_json(out / "cv_scores.json", {"best_lam": result.best_lam, "scores": scores})
@@ -205,10 +208,10 @@ def _cmd_cv(config: dict) -> None:
 
 def _cmd_split(config: dict) -> None:
     source, out = _input_and_out(config)
-    r, cap = field(config, "r", int), field(config, "cap", int, DEFAULT_CAP)
+    r = field(config, "r", int)
     test_size, train_sizes = field(config, "test_size", int), field(config, "train_sizes", [int])
     resamples, seed = field(config, "resamples", int), field(config, "seed", int, 0)
-    dataset = Dataset.load_csv(source, r, cap)
+    dataset = Dataset.load_csv(source, r)
     splits = resample_splits(dataset, test_size, train_sizes, resamples, seed)
     out.mkdir(parents=True, exist_ok=True)
     for s, test_idx, trains in splits:
@@ -230,21 +233,23 @@ def _cmd_experiment(config: dict) -> None:
         keep_datasets=field(config, "keep_datasets", bool, False),
         param_label=field(config, "param", str, ""),
     )
-    cap = field(config, "cap", int, DEFAULT_CAP)
     out = Path(field(config, "out", str))
-    rows = experiments.run_experiment(cfg, out, cap)
+    rows = experiments.run_experiment(cfg, out)
     logger.info("wrote %d loss rows to %s", len(rows), out)
 
 
-_RUNNERS = {
-    "graph": _cmd_graph,
-    "simulate": _cmd_simulate,
-    "fit": _cmd_fit,
-    "eval": _cmd_eval,
-    "cv": _cmd_cv,
-    "split": _cmd_split,
-    "experiment": _cmd_experiment,
+# each command's runner and the top-level fields it reads, besides "command"
+_COMMANDS = {
+    "simulate": (_cmd_simulate, ("r", "n", "replicates", "seed", "generator", "out")),
+    "fit": (_cmd_fit, ("r", "input", "method", "fit", "K", "seed", "out")),
+    "eval": (_cmd_eval, ("r", "inputs", "truth", "param", "out")),
+    "cv": (_cmd_cv, ("r", "input", "grid", "fit", "K", "seed", "out")),
+    "graph": (_cmd_graph, ("r", "out")),
+    "split": (_cmd_split, ("r", "input", "test_size", "train_sizes", "resamples", "seed", "out")),
+    "experiment": (_cmd_experiment, ("r", "n", "replicates", "seed", "generator", "methods", "fit", "K", "workers",
+                                     "keep_datasets", "param", "out")),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config_path: str | Path, seed: int | None = None, out: str | Path | None = None) -> None:
@@ -259,11 +264,13 @@ def run(config_path: str | Path, seed: int | None = None, out: str | Path | None
     command = config.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
+    runner, known = _COMMANDS[command]
+    _known(config, ("command", *known), command)
     if seed is not None:
         config["seed"] = seed
     if out is not None:
         config["out"] = str(out)
-    _RUNNERS[command](config)
+    runner(config)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -39,8 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import admm
+from . import admm, util
 from .errors import (
+    DataFormatError,
     DegenerateClusterError,
     DegenerateLikelihoodError,
     DimensionError,
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .mallows import MallowsParams, MixtureParams, component_log_pmf, log_normalizer
 from .missing import Dataset, MissingTable, ObservationGroups
-from .perms import DEFAULT_CAP, Permutation, build_cayley_graph, index_of, perm_table, unindex
+from .perms import Permutation, build_cayley_graph, index_of, perm_table, unindex
 from .util import check_integer, write_json
 
 logger = logging.getLogger(__name__)
@@ -111,7 +112,7 @@ class Responsibilities:
         return table[first[self.groups.obs_block] + self.groups.obs_pos]
 
 
-def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int = DEFAULT_CAP) -> Responsibilities:
+def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset) -> Responsibilities:
     """Posterior weights over compatible rankings, in log space throughout.
 
     The normalizers of the weights also give the observable negative
@@ -119,10 +120,10 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset, cap: int =
     """
     if theta.r != dataset.r or phi.r != dataset.r:
         raise DimensionError("model, mechanism, and data disagree on item count")
-    groups = dataset.groups(cap)
-    n_vertices = perm_table(dataset.r, cap).n_vertices
+    groups = dataset.groups()
+    n_vertices = perm_table(dataset.r).n_vertices
     k = theta.n_clusters
-    log_comp = component_log_pmf(theta, cap) + np.log(theta.weights)[:, None]
+    log_comp = component_log_pmf(theta) + np.log(theta.weights)[:, None]
     with np.errstate(divide="ignore"):
         log_phi = np.log(phi.probs)
 
@@ -186,7 +187,6 @@ def m_step_theta(
     n_clusters: int | None = None,
     c_min: float = 1e-4,
     c_max: float = 20.0,
-    cap: int = DEFAULT_CAP,
 ) -> MixtureParams:
     """Exact per-component minimizers given the aggregated responsibilities.
 
@@ -202,7 +202,7 @@ def m_step_theta(
         raise DimensionError(f"responsibilities carry K={q.n_clusters}, requested {n_clusters}")
     if dataset.r != q.r:
         raise DimensionError("responsibilities and data disagree on item count")
-    pair_order = perm_table(q.r, cap).pair_order
+    pair_order = perm_table(q.r).pair_order
     components = []
     total = q.cluster_mass.sum()
     for k in range(q.n_clusters):
@@ -229,27 +229,25 @@ def m_step_theta(
 
 
 def _scored(
-    theta: MixtureParams, phi: MissingTable, dataset: Dataset, lam: float, cap: int
+    theta: MixtureParams, phi: MissingTable, dataset: Dataset, lam: float
 ) -> tuple[Responsibilities | None, float]:
     """The E-step at (theta, phi) and the penalized NLL it gives.
 
     ``(None, inf)`` when some observation has zero likelihood.
     """
     try:
-        resp = e_step(theta, phi, dataset, cap)
+        resp = e_step(theta, phi, dataset)
     except DegenerateLikelihoodError:
         return None, np.inf
     value = resp.nll
     if lam > 0:
-        value += lam * admm.edge_penalty(phi.probs, build_cayley_graph(dataset.r, cap))
+        value += lam * admm.edge_penalty(phi.probs, build_cayley_graph(dataset.r))
     return resp, value
 
 
-def penalized_nll(
-    theta: MixtureParams, phi: MissingTable, dataset: Dataset, lam: float, cap: int = DEFAULT_CAP
-) -> float:
+def penalized_nll(theta: MixtureParams, phi: MissingTable, dataset: Dataset, lam: float) -> float:
     """The estimation objective: observable NLL plus lam times the penalty."""
-    return _scored(theta, phi, dataset, lam, cap)[1]
+    return _scored(theta, phi, dataset, lam)[1]
 
 
 def closed_form_phi(q_table: np.ndarray) -> np.ndarray:
@@ -305,17 +303,27 @@ class FitResult:
 
 
 def load_fit_json(path: str | Path) -> tuple[MixtureParams, MissingTable, str]:
-    """Reload the fitted parameters (and method label) from a saved result."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    components = tuple(
-        MallowsParams(Permutation.from_ordering([int(x) for x in entry["sigma"].split(">")]), float(entry["c"]))
-        for entry in payload["theta"]["components"]
-    )
-    weights = tuple(float(entry["w"]) for entry in payload["theta"]["components"])
+    """Reload the fitted parameters (and method label) from a saved result.
+
+    A file that is not JSON, or that lacks a field or holds one of the wrong
+    type, raises :class:`DataFormatError`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object")
+        entries = util.field(util.field(payload, "theta", dict), "components", [dict])
+        orderings = [[int(x) for x in util.field(entry, "sigma", str).split(">")] for entry in entries]
+        cs = [util.field(entry, "c", float) for entry in entries]
+        weights = [util.field(entry, "w", float) for entry in entries]
+        r, rows = util.field(payload, "r", int), util.field(payload, "phi", [[float]])
+        method = util.field(payload, "method", str, "?")
+    except ValueError as exc:  # bad JSON, bad UTF-8 and bad fields alike
+        raise DataFormatError(f"fit file {path}: {exc}") from exc
+    components = tuple(MallowsParams(Permutation.from_ordering(o), c) for o, c in zip(orderings, cs))
     theta = MixtureParams(components, tuple(w / sum(weights) for w in weights))
-    phi = MissingTable(int(payload["r"]), np.array(payload["phi"], dtype=float))
-    return theta, phi, payload.get("method", "?")
+    return theta, MissingTable(r, np.array(rows, dtype=float)), method
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +371,6 @@ def _run_em(
     init_vertices: tuple[int, ...],
     rng: np.random.Generator,
     fixed_phi: MissingTable | None,
-    cap: int,
     job: int,
     restart: int,
 ) -> Generator[tuple[np.ndarray, np.ndarray, float], admm.AdmmResult, tuple]:
@@ -378,20 +385,20 @@ def _run_em(
     Runs at ``lam = 0`` and ME runs never yield.
     """
     r = dataset.r
-    graph = build_cayley_graph(r, cap)
+    graph = build_cayley_graph(r)
     lam = config.lam if fixed_phi is None else 0.0
     theta = MixtureParams(
         tuple(MallowsParams(unindex(v, r), 1.0) for v in init_vertices),
         tuple(1.0 / config.n_clusters for _ in range(config.n_clusters)),
     )
-    phi = MissingTable.uniform(r, cap) if fixed_phi is None else fixed_phi
+    phi = MissingTable.uniform(r) if fixed_phi is None else fixed_phi
     # each accepted pair's E-step scores it and serves the next iteration
-    resp, current = _scored(theta, phi, dataset, lam, cap)
+    resp, current = _scored(theta, phi, dataset, lam)
     trace = [current]
     converged = False
     for m in range(1, config.em_max_iter + 1):
         if resp is None:
-            resp = e_step(theta, phi, dataset, cap)  # raises DegenerateLikelihoodError
+            resp = e_step(theta, phi, dataset)  # raises DegenerateLikelihoodError
         if fixed_phi is not None:
             phi_new = phi
         elif lam > 0:
@@ -410,12 +417,12 @@ def _run_em(
                 phi_new = phi
         else:
             phi_new = MissingTable(r, closed_form_phi(resp.q_table))
-        theta_new = m_step_theta(resp, dataset, config.n_clusters, config.c_min, config.c_max, cap)
-        resp_new, value = _scored(theta_new, phi_new, dataset, lam, cap)
+        theta_new = m_step_theta(resp, dataset, config.n_clusters, config.c_min, config.c_max)
+        resp_new, value = _scored(theta_new, phi_new, dataset, lam)
         if m <= config.transition_iters:
             proposal = _propose_transition(theta_new, rng, graph)
             if proposal is not None:
-                alt_resp, alt = _scored(proposal, phi_new, dataset, lam, cap)
+                alt_resp, alt = _scored(proposal, phi_new, dataset, lam)
                 if alt <= value:
                     theta_new, resp_new, value = proposal, alt_resp, alt
         theta, phi, resp = theta_new, phi_new, resp_new
@@ -428,7 +435,7 @@ def _run_em(
     return theta, phi, trace, converged
 
 
-def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, cap: int, me: bool = False) -> list[FitResult]:
+def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, me: bool = False) -> list[FitResult]:
     """Fit every ``(dataset, lam)`` job under ``config`` at its lam, all restarts of all jobs in lockstep.
 
     The jobs share r and every config field but lam. With ``me`` each job's
@@ -443,7 +450,7 @@ def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, cap: int, m
     """
     if any(len(dataset) == 0 for dataset, _ in jobs):
         raise DomainError("cannot fit an empty dataset")
-    graph = build_cayley_graph(jobs[0][0].r, cap)
+    graph = build_cayley_graph(jobs[0][0].r)
     children = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
     inits = _initial_locations(np.random.default_rng(children[0]), graph.n_vertices, config.n_clusters, config.restarts)
     runs = []  # (job, restart, generator)
@@ -451,10 +458,10 @@ def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, cap: int, m
         fixed_phi = None
         if me:
             counts = np.bincount(dataset.lengths, minlength=dataset.r)[1:]
-            fixed_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum(), cap)
+            fixed_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum())
         for j in range(config.restarts):
             run = _run_em(dataset, replace(config, lam=lam), inits[j], np.random.default_rng(children[j + 1]),
-                          fixed_phi, cap, job, j)
+                          fixed_phi, job, j)
             runs.append((job, j, run))
     best: list[tuple | None] = [None] * len(jobs)  # per job, its best finished (restart, theta, phi, trace, converged)
     stack = admm.PhiStack(graph, config.rho, config.admm_eps_primal, config.admm_eps_dual, config.admm_max_iter)
@@ -487,7 +494,7 @@ def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, cap: int, m
             nll=trace[-1],
             trace=trace,
             restart=restart,
-            posteriors=e_step(theta, phi, dataset, cap).posteriors(),  # raises DegenerateLikelihoodError
+            posteriors=e_step(theta, phi, dataset).posteriors(),  # raises DegenerateLikelihoodError
             converged=converged,
             method="ME" if me else f"R{lam:g}" if lam > 0 else "NR",
             config=replace(config, lam=lam),
@@ -496,16 +503,16 @@ def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, cap: int, m
     ]
 
 
-def fit(dataset: Dataset, config: FitConfig, cap: int = DEFAULT_CAP) -> FitResult:
+def fit(dataset: Dataset, config: FitConfig) -> FitResult:
     """The proposed estimator: graph-regularized when lam > 0, plain (NR) at lam = 0."""
-    return _fit_batch([(dataset, config.lam)], config, cap)[0]
+    return _fit_batch([(dataset, config.lam)], config)[0]
 
 
-def fit_me(dataset: Dataset, config: FitConfig, cap: int = DEFAULT_CAP) -> FitResult:
+def fit_me(dataset: Dataset, config: FitConfig) -> FitResult:
     """Homogeneous-missingness baseline.
 
     The likelihood splits into a missing part and a ranking part, so the
     missing table is the empirical length histogram copied to every vertex
     and EM only runs on the ranking mixture.
     """
-    return _fit_batch([(dataset, config.lam)], config, cap, me=True)[0]
+    return _fit_batch([(dataset, config.lam)], config, me=True)[0]

@@ -14,7 +14,7 @@ class DimensionError(PartialRankError, ValueError):
 
 
 class CapacityError(PartialRankError, ValueError):
-    """Requested item count exceeds the enumeration cap."""
+    """The item count r exceeds ``perms.MAX_R``, the largest r whose S_r is enumerated."""
 
 
 class DomainError(PartialRankError, ValueError):

@@ -30,7 +30,7 @@ from .missing import (
     tilt_concentration_mechanism,
     tilt_mixture_mechanism,
 )
-from .perms import DEFAULT_CAP, Permutation
+from .perms import Permutation
 from .util import atomic_open, check_integer, write_json
 
 
@@ -50,7 +50,7 @@ class Truth:
     phi_table: MissingTable  # per-vertex table the losses are scored against
 
 
-def build_truth(spec: GeneratorSpec, cap: int = DEFAULT_CAP) -> Truth:
+def build_truth(spec: GeneratorSpec) -> Truth:
     """The truth a generator spec describes; ``spec.params`` holds numbers and lists of item ids."""
     params = spec.params
     if spec.kind == "tilt_concentration":
@@ -59,28 +59,28 @@ def build_truth(spec: GeneratorSpec, cap: int = DEFAULT_CAP) -> Truth:
         if sigma0.r != spec.r:
             raise DimensionError(f"sigma0 orders {sigma0.r} items, r is {spec.r}")
         theta = MixtureParams.single(sigma0, params["c"])
-        mech = tilt_concentration_mechanism(params["c"], params["c_star"], params["R"], sigma0, cap)
+        mech = tilt_concentration_mechanism(params["c"], params["c_star"], params["R"], sigma0)
         return Truth(theta, mech, mech)
     if spec.kind == "tilt_mixture":
         pairs = zip(params["sigmas"], params["cs"], strict=True)  # a surplus entry raises, not drops
         components = tuple(MallowsParams(Permutation.from_ordering(o), float(c)) for o, c in pairs)
         theta = MixtureParams(components, tuple(map(float, params["w"])))
         mech = tilt_mixture_mechanism(params["w"], params["w_star"], params["R"], spec.r)
-        return Truth(theta, mech, induced_table(mech, theta, cap))
+        return Truth(theta, mech, induced_table(mech, theta))
     raise ConfigError(f"unknown generator kind {spec.kind!r}")
 
 
-def run_method(method: dict, dataset: Dataset, config: FitConfig, cap: int = DEFAULT_CAP) -> FitResult:
+def run_method(method: dict, dataset: Dataset, config: FitConfig) -> FitResult:
     """Dispatch one method spec: ME, NR, R (fixed ``lam``), or RCV (``grid``)."""
     name = method["name"]
     if name == "ME":
-        return fit_me(dataset, config, cap)
+        return fit_me(dataset, config)
     if name == "NR":
-        return fit(dataset, replace(config, lam=0.0), cap)
+        return fit(dataset, replace(config, lam=0.0))
     if name == "R":
-        return fit(dataset, replace(config, lam=method["lam"]), cap)
+        return fit(dataset, replace(config, lam=method["lam"]))
     if name == "RCV":
-        result = cross_validate(dataset, method["grid"], config, cap).refit
+        result = cross_validate(dataset, method["grid"], config).refit
         result.method = "RCV"
         return result
     raise ConfigError(f"unknown method {method!r}")
@@ -105,15 +105,15 @@ def _replicate_seeds(seed: int, replicates: int) -> list[tuple[int, int]]:
 
 
 def _replicate_worker(payload) -> list[LossReport]:
-    cfg, index, data_seed, fit_seed, dataset_path, cap = payload
-    truth = build_truth(cfg.spec, cap)
-    dataset = generate_dataset(truth.theta, truth.mechanism, cfg.n, data_seed, cap)
+    cfg, index, data_seed, fit_seed, dataset_path = payload
+    truth = build_truth(cfg.spec)
+    dataset = generate_dataset(truth.theta, truth.mechanism, cfg.n, data_seed)
     if dataset_path is not None:
         dataset.save_csv(dataset_path)
     rows = []
     for method in cfg.methods:
         started = perf_counter()
-        result = run_method(method, dataset, replace(cfg.fit, seed=fit_seed), cap)
+        result = run_method(method, dataset, replace(cfg.fit, seed=fit_seed))
         elapsed_ms = (perf_counter() - started) * 1000.0
         err = None
         if cfg.fit.n_clusters > 1 and dataset.true_clusters is not None:
@@ -123,8 +123,8 @@ def _replicate_worker(payload) -> list[LossReport]:
                 method=result.method,
                 replicate=index,
                 param=cfg.param_label,
-                l_par=l_par(truth.theta, truth.phi_table, result.theta, result.phi, cap),
-                l_comp=l_comp(truth.theta, result.theta, cap),
+                l_par=l_par(truth.theta, truth.phi_table, result.theta, result.phi),
+                l_comp=l_comp(truth.theta, result.theta),
                 classification_error=err,
                 runtime_ms=elapsed_ms,
             )
@@ -132,7 +132,7 @@ def _replicate_worker(payload) -> list[LossReport]:
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, cap: int = DEFAULT_CAP) -> list[LossReport]:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[LossReport]:
     """Run every replicate (optionally in a worker pool) and collect rows in order."""
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -142,7 +142,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, cap
         dataset_path = None
         if cfg.keep_datasets and out_dir is not None:
             dataset_path = out_dir / f"dataset_{index:03d}.csv"
-        payloads.append((cfg, index, data_seed, fit_seed, dataset_path, cap))
+        payloads.append((cfg, index, data_seed, fit_seed, dataset_path))
     # the pool starts every worker at once, so it gets no more than the replicates
     workers = min(cfg.workers, cfg.replicates)
     if workers > 1:

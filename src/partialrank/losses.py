@@ -12,7 +12,6 @@ from .em import FitConfig, FitResult, _fit_batch, fit
 from .errors import DimensionError, DomainError
 from .mallows import MixtureParams, mixture_pmf
 from .missing import Dataset, MissingTable, empirical_partial_counts, partial_prob_vector
-from .perms import DEFAULT_CAP
 
 
 @dataclass(frozen=True)
@@ -36,35 +35,29 @@ class LossReport:
             raise DomainError("classification error must lie in [0, 1]")
 
 
-def l_par(
-    theta: MixtureParams,
-    phi: MissingTable,
-    theta_hat: MixtureParams,
-    phi_hat: MissingTable,
-    cap: int = DEFAULT_CAP,
-) -> float:
+def l_par(theta: MixtureParams, phi: MissingTable, theta_hat: MixtureParams, phi_hat: MissingTable) -> float:
     """Absolute-difference sum over every top-t ranking, enumerated exactly."""
     if theta.r != theta_hat.r:
         raise DimensionError("models disagree on item count")
-    truth = partial_prob_vector(theta, phi, cap)
-    estimate = partial_prob_vector(theta_hat, phi_hat, cap)
+    truth = partial_prob_vector(theta, phi)
+    estimate = partial_prob_vector(theta_hat, phi_hat)
     return float(np.abs(truth - estimate).sum())
 
 
-def l_par_empirical(test: Dataset, theta_hat: MixtureParams, phi_hat: MissingTable, cap: int = DEFAULT_CAP) -> float:
+def l_par_empirical(test: Dataset, theta_hat: MixtureParams, phi_hat: MissingTable) -> float:
     """Same loss with the held-out empirical distribution as the truth."""
     if len(test) == 0:
         raise DomainError("need a non-empty test set")
-    empirical = empirical_partial_counts(test, cap) / len(test)
-    estimate = partial_prob_vector(theta_hat, phi_hat, cap)
+    empirical = empirical_partial_counts(test) / len(test)
+    estimate = partial_prob_vector(theta_hat, phi_hat)
     return float(np.abs(empirical - estimate).sum())
 
 
-def l_comp(theta: MixtureParams, theta_hat: MixtureParams, cap: int = DEFAULT_CAP) -> float:
+def l_comp(theta: MixtureParams, theta_hat: MixtureParams) -> float:
     """Absolute-difference sum over every complete ranking."""
     if theta.r != theta_hat.r:
         raise DimensionError("models disagree on item count")
-    return float(np.abs(mixture_pmf(theta, cap) - mixture_pmf(theta_hat, cap)).sum())
+    return float(np.abs(mixture_pmf(theta) - mixture_pmf(theta_hat)).sum())
 
 
 def classification_error(truth, posteriors: np.ndarray) -> float:
@@ -101,12 +94,12 @@ class CvResult:
     refit: FitResult
 
 
-def _cv_fold_score(fitted: FitResult, heldout: Dataset, cap: int) -> float:
+def _cv_fold_score(fitted: FitResult, heldout: Dataset) -> float:
     """Score one fitted fold on its held-out half (hook for tests)."""
-    return l_par_empirical(heldout, fitted.theta, fitted.phi, cap)
+    return l_par_empirical(heldout, fitted.theta, fitted.phi)
 
 
-def cross_validate(dataset: Dataset, lam_grid, config: FitConfig, cap: int = DEFAULT_CAP) -> CvResult:
+def cross_validate(dataset: Dataset, lam_grid, config: FitConfig) -> CvResult:
     """Two-fold CV on the held-out partial-ranking loss; ties pick the smaller lam.
 
     The split is a seeded half/half shuffle; the winner is refit on the full
@@ -125,13 +118,13 @@ def cross_validate(dataset: Dataset, lam_grid, config: FitConfig, cap: int = DEF
     half = len(dataset) // 2
     folds = (dataset.subset(order[:half]), dataset.subset(order[half:]))
     # every (lam, fold) fit in one lockstep batch: per lam, train on each half
-    fitted = _fit_batch([(train, lam) for lam in grid for train in folds], config, cap)
+    fitted = _fit_batch([(train, lam) for lam in grid for train in folds], config)
     scores: dict[float, float] = {}
     for i, lam in enumerate(grid):
         total = 0.0
         for fitted_fold, test in zip(fitted[2 * i : 2 * i + 2], (folds[1], folds[0])):
-            total += _cv_fold_score(fitted_fold, test, cap)
+            total += _cv_fold_score(fitted_fold, test)
         scores[lam] = total / 2.0
     best_lam = grid[int(np.argmin([scores[lam] for lam in grid]))]
-    refit = fit(dataset, replace(config, lam=best_lam), cap)
+    refit = fit(dataset, replace(config, lam=best_lam))
     return CvResult(best_lam, scores, refit)

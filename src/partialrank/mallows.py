@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .perms import DEFAULT_CAP, Permutation, distances_from, index_of, kendall_distance, perm_table, unindex
+from .perms import Permutation, distances_from, index_of, kendall_distance, perm_table, unindex
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -84,27 +84,27 @@ def log_normalizer(c: float, r: int) -> float:
     return total - r * math.log(-math.expm1(-c))
 
 
-def component_log_pmf(theta: MixtureParams, cap: int = DEFAULT_CAP) -> np.ndarray:
+def component_log_pmf(theta: MixtureParams) -> np.ndarray:
     """Per-component log probabilities over all of S_r, shape (K, V)."""
     r = theta.r
-    v = perm_table(r, cap).n_vertices
+    v = perm_table(r).n_vertices
     out = np.empty((theta.n_clusters, v))
     for k, comp in enumerate(theta.components):
-        dist = distances_from(r, index_of(comp.sigma), cap)
+        dist = distances_from(r, index_of(comp.sigma))
         out[k] = -comp.c * dist - log_normalizer(comp.c, r)
     return out
 
 
-def log_mixture_pmf(theta: MixtureParams, cap: int = DEFAULT_CAP) -> np.ndarray:
+def log_mixture_pmf(theta: MixtureParams) -> np.ndarray:
     """Mixture log pmf over all of S_r, shape (V,)."""
-    logits = component_log_pmf(theta, cap) + np.log(theta.weights)[:, None]
+    logits = component_log_pmf(theta) + np.log(theta.weights)[:, None]
     top = logits.max(axis=0)
     return top + np.log(np.exp(logits - top).sum(axis=0))
 
 
-def mixture_pmf(theta: MixtureParams, cap: int = DEFAULT_CAP) -> np.ndarray:
+def mixture_pmf(theta: MixtureParams) -> np.ndarray:
     """Mixture pmf over all of S_r, shape (V,); strictly positive."""
-    return np.exp(log_mixture_pmf(theta, cap))
+    return np.exp(log_mixture_pmf(theta))
 
 
 def complete_pmf(pi: Permutation, theta: MixtureParams) -> float:
@@ -122,9 +122,7 @@ def complete_pmf(pi: Permutation, theta: MixtureParams) -> float:
     return float(np.exp(total_log))
 
 
-def sample_vertices(
-    theta: MixtureParams, n: int, rng: np.random.Generator, cap: int = DEFAULT_CAP
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_vertices(theta: MixtureParams, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw n (vertex index, cluster id) pairs by exact inverse-CDF sampling.
 
     Draw order is fixed (cluster uniforms first, then ranking uniforms) so
@@ -133,7 +131,7 @@ def sample_vertices(
     weights_cdf = np.cumsum(theta.weights)
     clusters = np.searchsorted(weights_cdf, rng.random(n), side="right")
     clusters = np.minimum(clusters, theta.n_clusters - 1).astype(np.int64)
-    pmf_cdf = np.cumsum(np.exp(component_log_pmf(theta, cap)), axis=1)
+    pmf_cdf = np.cumsum(np.exp(component_log_pmf(theta)), axis=1)
     u = rng.random(n)
     vertices = np.empty(n, dtype=np.int64)
     for k in range(theta.n_clusters):
@@ -143,10 +141,8 @@ def sample_vertices(
     return vertices, clusters
 
 
-def sample_complete(
-    theta: MixtureParams, n: int, rng_seed: int, cap: int = DEFAULT_CAP
-) -> list[tuple[Permutation, int]]:
+def sample_complete(theta: MixtureParams, n: int, rng_seed: int) -> list[tuple[Permutation, int]]:
     """n i.i.d. draws of (complete ranking, cluster id), deterministic per seed."""
     rng = np.random.default_rng(rng_seed)
-    vertices, clusters = sample_vertices(theta, n, rng, cap)
+    vertices, clusters = sample_vertices(theta, n, rng)
     return [(unindex(int(v), theta.r), int(k)) for v, k in zip(vertices, clusters)]

@@ -23,6 +23,12 @@ vertex index of its latent complete ranking. Generation, the CSV round trip
 and grouping work on these arrays; ``Dataset.rankings`` and
 ``Dataset.true_perms`` are views built from per-r shared objects, and
 ``Dataset.from_rankings`` converts object lists.
+
+Every per-r table here (the shared objects and the CSV fields) is cached with
+``functools.cache`` and built on the tables of :mod:`partialrank.perms`, so
+``r > perms.MAX_R`` raises :class:`~partialrank.errors.CapacityError` where a
+table is first needed: a dataset without truth can be made above the limit,
+but not grouped, read, written or viewed.
 """
 
 from __future__ import annotations
@@ -39,10 +45,8 @@ import numpy as np
 from .errors import DataFormatError, DimensionError, DomainError
 from .mallows import MixtureParams, component_log_pmf, log_normalizer, mixture_pmf, sample_vertices
 from .perms import (
-    DEFAULT_CAP,
     Permutation,
     TopTRanking,
-    check_cap,
     distances_from,
     index_of,
     perm_table,
@@ -79,14 +83,14 @@ class MissingTable:
         _freeze_simplex_rows(self.probs)
 
     @classmethod
-    def uniform(cls, r: int, cap: int = DEFAULT_CAP) -> "MissingTable":
-        v = perm_table(r, cap).n_vertices
+    def uniform(cls, r: int) -> "MissingTable":
+        v = perm_table(r).n_vertices
         return cls(r, np.full((v, r - 1), 1.0 / (r - 1)))
 
     @classmethod
-    def homogeneous(cls, r: int, row, cap: int = DEFAULT_CAP) -> "MissingTable":
+    def homogeneous(cls, r: int, row) -> "MissingTable":
         """The same length distribution at every vertex (the MAR case)."""
-        v = perm_table(r, cap).n_vertices
+        v = perm_table(r).n_vertices
         row = np.asarray(row, dtype=float)
         return cls(r, np.tile(row, (v, 1)))
 
@@ -166,7 +170,7 @@ class Dataset:
             if vertices.min() < 0 or vertices.max() >= math.factorial(self.r):
                 raise DomainError(f"true vertex index outside 0..{math.factorial(self.r) - 1}")
             t = self.lengths
-            implied = offsets[t - 1] + vertex_prefix(self.r, self.r)[vertices, t - 1]
+            implied = offsets[t - 1] + vertex_prefix(self.r)[vertices, t - 1]
             bad = np.flatnonzero(implied != self.obs)
             if bad.size:
                 raise DomainError(f"true ranking of observation {bad[0]} does not start with its observed items")
@@ -218,10 +222,10 @@ class Dataset:
         truth = (None if a is None else a[indices] for a in (self.true_vertices, self.true_clusters))
         return Dataset(self.r, self.obs[indices], *truth)
 
-    def groups(self, cap: int = DEFAULT_CAP) -> ObservationGroups:
+    def groups(self) -> ObservationGroups:
         """Group observations sharing a prefix; cached after the first call."""
         if self._groups is None:
-            tables = prefix_tables(self.r, cap)
+            tables = prefix_tables(self.r)
             offsets = _offsets(self.r)
             counts = np.bincount(self.obs, minlength=offsets[-1])
             present = np.flatnonzero(counts)  # ascending, so by t and then by row
@@ -258,7 +262,7 @@ class Dataset:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
-    def load_csv(cls, path: str | Path, r: int, cap: int = DEFAULT_CAP) -> "Dataset":
+    def load_csv(cls, path: str | Path, r: int) -> "Dataset":
         """Parse and validate a dataset file in one pass; errors carry line numbers.
 
         Each field is looked up by its spelling in a dict that starts with the
@@ -267,7 +271,6 @@ class Dataset:
         valid values (``02>5``, `` 3``) and raises the field's error, so a
         non-canonical spelling costs what a canonical one does from then on.
         """
-        check_cap(r, cap)
         text = _csv_text(r)
         partials, perms, cluster_ids = dict(text.partial_index), dict(text.perm_index), {}
         obs, vertices, clusters = [], [], []
@@ -348,7 +351,7 @@ def _parse_partial(t_field: str, items_field: str, r: int, lineno: int) -> int:
         TopTRanking(items, r)
     except DomainError as exc:
         raise DataFormatError(str(exc), line=lineno) from exc
-    return int(_offsets(r)[t - 1]) + prefix_tables(r, r)[t - 1].index[items]
+    return int(_offsets(r)[t - 1]) + prefix_tables(r)[t - 1].index[items]
 
 
 def _parse_perm(spelling: str, r: int, lineno: int) -> int:
@@ -385,33 +388,30 @@ class _CsvText:
 
 
 # Per-r objects and CSV fields shared by every Dataset view, built once per r.
-# Views build them with cap = r: the cap guards the calls that create data
-# (generate_dataset, from_rankings, load_csv), and a view only reads tables
-# at the dataset's r.
 
 
 @functools.cache
 def _shared_rankings(r: int) -> tuple[TopTRanking, ...]:
     """One TopTRanking per partial ranking, in enumeration order."""
-    return tuple(TopTRanking(p, r) for table in prefix_tables(r, r) for p in table.prefixes)
+    return tuple(TopTRanking(p, r) for table in prefix_tables(r) for p in table.prefixes)
 
 
 @functools.cache
 def _shared_perms(r: int) -> tuple[Permutation, ...]:
     """One Permutation per vertex, in vertex order."""
-    return tuple(Permutation(tuple(ranks)) for ranks in perm_table(r, r).ranks.tolist())
+    return tuple(Permutation(tuple(ranks)) for ranks in perm_table(r).ranks.tolist())
 
 
 @functools.cache
 def _csv_text(r: int) -> _CsvText:
-    pairs = [(str(table.t), ">".join(map(str, prefix))) for table in prefix_tables(r, r) for prefix in table.prefixes]
-    perm = [">".join(map(str, ordering)) for ordering in perm_table(r, r).orderings.tolist()]
+    pairs = [(str(table.t), ">".join(map(str, prefix))) for table in prefix_tables(r) for prefix in table.prefixes]
+    perm = [">".join(map(str, ordering)) for ordering in perm_table(r).orderings.tolist()]
     return _CsvText(
         [",".join(pair) for pair in pairs],
         {pair: i for i, pair in enumerate(pairs)},
         perm,
         {spelling: v for v, spelling in enumerate(perm)},
-        (_offsets(r)[:-1] + vertex_prefix(r, r)).tolist(),
+        (_offsets(r)[:-1] + vertex_prefix(r)).tolist(),
     )
 
 
@@ -420,27 +420,25 @@ def _csv_text(r: int) -> _CsvText:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_partial_rankings(r: int, cap: int = DEFAULT_CAP) -> list[TopTRanking]:
+def enumerate_partial_rankings(r: int) -> list[TopTRanking]:
     """Canonical enumeration of all top-t rankings: t ascending, prefixes lex."""
-    check_cap(r, cap)
     return list(_shared_rankings(r))
 
 
-def partial_prob_vector(theta: MixtureParams, phi: MissingTable, cap: int = DEFAULT_CAP) -> np.ndarray:
+def partial_prob_vector(theta: MixtureParams, phi: MissingTable) -> np.ndarray:
     """Probabilities of every partial ranking, in enumeration order."""
     if theta.r != phi.r:
         raise DimensionError(f"model over {theta.r} items, mechanism over {phi.r}")
-    pmf = mixture_pmf(theta, cap)
+    pmf = mixture_pmf(theta)
     chunks = []
-    for table in prefix_tables(theta.r, cap):
+    for table in prefix_tables(theta.r):
         members = table.members
         chunks.append((phi.probs[members, table.t - 1] * pmf[members]).sum(axis=1))
     return np.concatenate(chunks)
 
 
-def empirical_partial_counts(dataset: Dataset, cap: int = DEFAULT_CAP) -> np.ndarray:
+def empirical_partial_counts(dataset: Dataset) -> np.ndarray:
     """Observation counts aligned with :func:`enumerate_partial_rankings`."""
-    check_cap(dataset.r, cap)
     return np.bincount(dataset.obs, minlength=_offsets(dataset.r)[-1])
 
 
@@ -459,9 +457,7 @@ def partial_pmf(tau: TopTRanking, theta: MixtureParams, phi: MissingTable) -> fl
 # ---------------------------------------------------------------------------
 
 
-def tilt_concentration_mechanism(
-    c: float, c_star: float, big_r: float, sigma0: Permutation, cap: int = DEFAULT_CAP
-) -> MissingTable:
+def tilt_concentration_mechanism(c: float, c_star: float, big_r: float, sigma0: Permutation) -> MissingTable:
     """Binary mechanism whose complete-observation rate tilts the concentration.
 
     Row pi is (1 - C_pi, 0, ..., 0, C_pi) with
@@ -478,7 +474,7 @@ def tilt_concentration_mechanism(
     r = sigma0.r
     if r < 3:
         raise DomainError("binary mechanism needs r >= 3 so that t=1 and t=r-1 differ")
-    dist = distances_from(r, index_of(sigma0), cap)
+    dist = distances_from(r, index_of(sigma0))
     log_ratio = log_normalizer(c, r) - log_normalizer(c_star, r)
     rate = np.minimum(1.0, big_r * np.exp(log_ratio - (c_star - c) * dist))
     probs = np.zeros((dist.shape[0], r - 1))
@@ -511,7 +507,7 @@ def tilt_mixture_mechanism(w, w_star, big_r: float, r: int) -> ClusterMissingSpe
     return ClusterMissingSpec(r, rows)
 
 
-def induced_table(spec: ClusterMissingSpec, theta: MixtureParams, cap: int = DEFAULT_CAP) -> MissingTable:
+def induced_table(spec: ClusterMissingSpec, theta: MixtureParams) -> MissingTable:
     """Per-vertex table equivalent to a per-cluster mechanism.
 
     P(t | pi) = sum_k P(k | pi) phi_{k,t}; the induced (pi, t) joint law equals
@@ -521,20 +517,14 @@ def induced_table(spec: ClusterMissingSpec, theta: MixtureParams, cap: int = DEF
         raise DimensionError("cluster counts differ")
     if spec.r != theta.r:
         raise DimensionError("item counts differ")
-    logits = component_log_pmf(theta, cap) + np.log(theta.weights)[:, None]
+    logits = component_log_pmf(theta) + np.log(theta.weights)[:, None]
     top = logits.max(axis=0)
     gamma = np.exp(logits - top)
     gamma /= gamma.sum(axis=0)
     return MissingTable(spec.r, gamma.T @ spec.rows)
 
 
-def generate_dataset(
-    theta: MixtureParams,
-    mech: MissingTable | ClusterMissingSpec,
-    n: int,
-    rng_seed: int,
-    cap: int = DEFAULT_CAP,
-) -> Dataset:
+def generate_dataset(theta: MixtureParams, mech: MissingTable | ClusterMissingSpec, n: int, rng_seed: int) -> Dataset:
     """Draw (pi, k), draw t given pi or k, truncate; truth rides along."""
     if mech.r != theta.r:
         raise DimensionError(f"mechanism over {mech.r} items, model over {theta.r}")
@@ -543,7 +533,7 @@ def generate_dataset(
     check_integer(n, "n")
     r = theta.r
     rng = np.random.default_rng(rng_seed)
-    vertices, clusters = sample_vertices(theta, n, rng, cap)
+    vertices, clusters = sample_vertices(theta, n, rng)
     if isinstance(mech, ClusterMissingSpec):
         rows = mech.rows[clusters]
     else:
@@ -552,5 +542,5 @@ def generate_dataset(
     draws = rng.random(n)
     ts = (draws[:, None] > cdf).sum(axis=1) + 1
     ts = np.minimum(ts, r - 1)
-    obs = _offsets(r)[ts - 1] + vertex_prefix(r, cap)[vertices, ts - 1]
+    obs = _offsets(r)[ts - 1] + vertex_prefix(r)[vertices, ts - 1]
     return Dataset(r, obs, vertices, clusters)

@@ -11,13 +11,16 @@ ranks ahead; Kendall distance counts the pairs where two rows disagree
 (Fligner & Verducci 1986), so distances come from it without a V x V matrix.
 ``CayleyGraph.neighbors`` lists the distance-1 neighbors by swapped position.
 
-Everything here is exponential in ``r`` by construction; enumeration-backed
-helpers refuse ``r`` above a cap (default 7, override per call).
+Everything here is exponential in ``r`` by construction. Every r!-sized table
+is built on :func:`perm_table`, which raises ``CapacityError`` for
+``r > MAX_R`` before it enumerates, and each per-r table is built once and
+cached with ``functools.cache``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import CapacityError, DimensionError, DomainError
 from .util import atomic_open
 
-DEFAULT_CAP = 7
+MAX_R = 7  # the largest r whose S_r is enumerated (7! = 5040 vertices)
 
 
 @dataclass(frozen=True)
@@ -165,38 +168,24 @@ class PrefixTable:
     members: np.ndarray                # (G, (r-t)!) int32, each row ascending
 
 
-_PERM_TABLES: dict[int, PermTable] = {}
-_PREFIX_TABLES: dict[int, list[PrefixTable]] = {}
-_VERTEX_PREFIX: dict[int, np.ndarray] = {}
-_GRAPHS: dict[int, "CayleyGraph"] = {}
-
-
-def check_cap(r: int, cap: int = DEFAULT_CAP) -> None:
-    if r > cap:
-        raise CapacityError(
-            f"r={r} exceeds cap {cap} ({math.factorial(r)} vertices); "
-            "pass a larger cap explicitly to override"
-        )
-
-
-def perm_table(r: int, cap: int = DEFAULT_CAP) -> PermTable:
+@functools.cache
+def perm_table(r: int) -> PermTable:
+    """S_r enumerated; the one place that refuses ``r > MAX_R``."""
     if r < 1:
         raise DomainError("need r >= 1")
-    check_cap(r, cap)
-    table = _PERM_TABLES.get(r)
-    if table is None:
-        ranks = np.array(list(itertools.permutations(range(1, r + 1))), dtype=np.int16)
-        orderings = np.argsort(ranks, axis=1).astype(np.int16) + 1
-        first, second = np.triu_indices(r, k=1)
-        pair_order = ranks[:, first] < ranks[:, second]
-        for arr in (ranks, orderings, pair_order):
-            arr.flags.writeable = False
-        table = PermTable(r, ranks, orderings, pair_order)
-        _PERM_TABLES[r] = table
-    return table
+    if r > MAX_R:
+        raise CapacityError(f"r={r} exceeds the enumeration limit {MAX_R} ({math.factorial(r)} vertices)")
+    ranks = np.array(list(itertools.permutations(range(1, r + 1))), dtype=np.int16)
+    orderings = np.argsort(ranks, axis=1).astype(np.int16) + 1
+    first, second = np.triu_indices(r, k=1)
+    pair_order = ranks[:, first] < ranks[:, second]
+    for arr in (ranks, orderings, pair_order):
+        arr.flags.writeable = False
+    return PermTable(r, ranks, orderings, pair_order)
 
 
-def vertex_prefix(r: int, cap: int = DEFAULT_CAP) -> np.ndarray:
+@functools.cache
+def vertex_prefix(r: int) -> np.ndarray:
     """(V, r-1) int32: entry [v, t-1] is the row of vertex v's top-t prefix in the length-t table.
 
     Each prefix is coded in mixed radix r (item - 1 per digit), so numeric
@@ -204,45 +193,38 @@ def vertex_prefix(r: int, cap: int = DEFAULT_CAP) -> np.ndarray:
     """
     if r < 2:
         raise DomainError("need r >= 2")
-    check_cap(r, cap)
-    table = _VERTEX_PREFIX.get(r)
-    if table is None:
-        digits = perm_table(r, cap).orderings.astype(np.int64) - 1
-        table = np.empty((digits.shape[0], r - 1), dtype=np.int32)
-        code = np.zeros(digits.shape[0], dtype=np.int64)
-        for t in range(1, r):
-            code = code * r + digits[:, t - 1]
-            table[:, t - 1] = np.unique(code, return_inverse=True)[1]
-        table.flags.writeable = False
-        _VERTEX_PREFIX[r] = table
+    digits = perm_table(r).orderings.astype(np.int64) - 1
+    table = np.empty((digits.shape[0], r - 1), dtype=np.int32)
+    code = np.zeros(digits.shape[0], dtype=np.int64)
+    for t in range(1, r):
+        code = code * r + digits[:, t - 1]
+        table[:, t - 1] = np.unique(code, return_inverse=True)[1]
+    table.flags.writeable = False
     return table
 
 
-def prefix_tables(r: int, cap: int = DEFAULT_CAP) -> list[PrefixTable]:
+@functools.cache
+def prefix_tables(r: int) -> list[PrefixTable]:
     """Prefix enumerations for t = 1..r-1 (list position t-1)."""
     if r < 2:
         raise DomainError("need r >= 2")
-    check_cap(r, cap)
-    tables = _PREFIX_TABLES.get(r)
-    if tables is None:
-        orderings = perm_table(r, cap).orderings
-        rows = vertex_prefix(r, cap)
-        tables = []
-        for t in range(1, r):
-            # a stable sort keeps each prefix's vertices in ascending order
-            members = np.argsort(rows[:, t - 1], kind="stable").astype(np.int32)
-            members = members.reshape(-1, math.factorial(r - t))
-            members.flags.writeable = False
-            prefixes = [tuple(p) for p in orderings[members[:, 0], :t].tolist()]
-            index = {p: g for g, p in enumerate(prefixes)}
-            tables.append(PrefixTable(t, prefixes, index, members))
-        _PREFIX_TABLES[r] = tables
+    orderings = perm_table(r).orderings
+    rows = vertex_prefix(r)
+    tables = []
+    for t in range(1, r):
+        # a stable sort keeps each prefix's vertices in ascending order
+        members = np.argsort(rows[:, t - 1], kind="stable").astype(np.int32)
+        members = members.reshape(-1, math.factorial(r - t))
+        members.flags.writeable = False
+        prefixes = [tuple(p) for p in orderings[members[:, 0], :t].tolist()]
+        index = {p: g for g, p in enumerate(prefixes)}
+        tables.append(PrefixTable(t, prefixes, index, members))
     return tables
 
 
-def distances_from(r: int, vertex: int, cap: int = DEFAULT_CAP) -> np.ndarray:
+def distances_from(r: int, vertex: int) -> np.ndarray:
     """Kendall distances from one vertex to every vertex, shape (V,)."""
-    pair_order = perm_table(r, cap).pair_order
+    pair_order = perm_table(r).pair_order
     return (pair_order != pair_order[vertex]).sum(axis=1)
 
 
@@ -268,15 +250,12 @@ class CayleyGraph:
         return self.edges.shape[0]
 
 
-def build_cayley_graph(r: int, cap: int = DEFAULT_CAP) -> CayleyGraph:
+@functools.cache
+def build_cayley_graph(r: int) -> CayleyGraph:
     """Graph on all of S_r; vertices are canonical indices, degree is r-1."""
     if r < 2:
         raise DomainError("need r >= 2")
-    check_cap(r, cap)
-    graph = _GRAPHS.get(r)
-    if graph is not None:
-        return graph
-    orderings = perm_table(r, cap).orderings.astype(np.int64) - 1
+    orderings = perm_table(r).orderings.astype(np.int64) - 1
     v_count = orderings.shape[0]
     # each ordering coded in mixed radix r, as in vertex_prefix; a swap of
     # adjacent positions is a column swap, looked up among the sorted codes
@@ -296,9 +275,7 @@ def build_cayley_graph(r: int, cap: int = DEFAULT_CAP) -> CayleyGraph:
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     edges.flags.writeable = False
     neighbors.flags.writeable = False
-    graph = CayleyGraph(r, edges, neighbors)
-    _GRAPHS[r] = graph
-    return graph
+    return CayleyGraph(r, edges, neighbors)
 
 
 def write_edge_csv(graph: CayleyGraph, path: str | Path) -> None:

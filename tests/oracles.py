@@ -511,7 +511,7 @@ def cayley_graph_loop(r: int):
     return neighbors, np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
-def observable_nll(theta, phi, dataset, cap: int = 7) -> float:
+def observable_nll(theta, phi, dataset) -> float:
     """Negative log-likelihood of the observed top-t rankings, block by block.
 
     Written apart from ``partialrank.em.e_step``, which folds the same value
@@ -519,11 +519,11 @@ def observable_nll(theta, phi, dataset, cap: int = 7) -> float:
     """
     from partialrank.mallows import component_log_pmf
 
-    log_comp = component_log_pmf(theta, cap) + np.log(theta.weights)[:, None]
+    log_comp = component_log_pmf(theta) + np.log(theta.weights)[:, None]
     with np.errstate(divide="ignore"):
         log_phi = np.log(phi.probs)
     total = 0.0
-    for block in dataset.groups(cap).blocks:
+    for block in dataset.groups().blocks:
         logits = log_comp[:, block.members] + log_phi[block.members, block.t - 1][None, :, :]
         top = logits.max(axis=(0, 2))
         if np.any(np.isneginf(top)):
@@ -533,7 +533,7 @@ def observable_nll(theta, phi, dataset, cap: int = 7) -> float:
     return total
 
 
-def em_run_reference(dataset, config, init_vertices, rng, mode: str, me_phi, cap: int = 7):
+def em_run_reference(dataset, config, init_vertices, rng, mode: str, me_phi):
     """One EM run written out as a plain loop.
 
     A fresh E-step at the start of every iteration, each phi-step solved by
@@ -549,23 +549,23 @@ def em_run_reference(dataset, config, init_vertices, rng, mode: str, me_phi, cap
     from partialrank.perms import build_cayley_graph, unindex
 
     r = dataset.r
-    graph = build_cayley_graph(r, cap)
+    graph = build_cayley_graph(r)
     lam = config.lam if mode == "regularized" else 0.0
 
     def score(theta, phi):
-        value = observable_nll(theta, phi, dataset, cap)
+        value = observable_nll(theta, phi, dataset)
         return value + lam * admm.edge_penalty(phi.probs, graph) if lam > 0 else value
 
     theta = MixtureParams(
         tuple(MallowsParams(unindex(v, r), 1.0) for v in init_vertices),
         tuple(1.0 / config.n_clusters for _ in range(config.n_clusters)),
     )
-    phi = me_phi if mode == "me" else MissingTable.uniform(r, cap)
+    phi = me_phi if mode == "me" else MissingTable.uniform(r)
     current = score(theta, phi)
     trace = [current]
     converged = False
     for m in range(1, config.em_max_iter + 1):
-        resp = em.e_step(theta, phi, dataset, cap)
+        resp = em.e_step(theta, phi, dataset)
         if mode == "me":
             phi_new = phi
         elif lam > 0:
@@ -577,7 +577,7 @@ def em_run_reference(dataset, config, init_vertices, rng, mode: str, me_phi, cap
             phi_new = solved.phi if better else phi
         else:
             phi_new = MissingTable(r, em.closed_form_phi(resp.q_table))
-        theta_new = em.m_step_theta(resp, dataset, config.n_clusters, config.c_min, config.c_max, cap)
+        theta_new = em.m_step_theta(resp, dataset, config.n_clusters, config.c_min, config.c_max)
         value = score(theta_new, phi_new)
         if m <= config.transition_iters:
             proposal = em._propose_transition(theta_new, rng, graph)
@@ -594,7 +594,7 @@ def em_run_reference(dataset, config, init_vertices, rng, mode: str, me_phi, cap
     return theta, phi, trace, converged
 
 
-def fit_sequential(dataset, config, mode: str, cap: int = 7) -> dict:
+def fit_sequential(dataset, config, mode: str) -> dict:
     """One fit's restarts run one after another by :func:`em_run_reference`.
 
     The best restart (the first on ties) is kept. ``mode`` is
@@ -607,20 +607,20 @@ def fit_sequential(dataset, config, mode: str, cap: int = 7) -> dict:
 
     children = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
     inits = em._initial_locations(
-        np.random.default_rng(children[0]), perm_table(dataset.r, cap).n_vertices, config.n_clusters, config.restarts
+        np.random.default_rng(children[0]), perm_table(dataset.r).n_vertices, config.n_clusters, config.restarts
     )
     me_phi = None
     if mode == "me":
         counts = np.bincount(dataset.lengths, minlength=dataset.r)[1:]
-        me_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum(), cap)
+        me_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum())
     best = None
     for j in range(config.restarts):
         rng = np.random.default_rng(children[j + 1])
-        theta, phi, trace, converged = em_run_reference(dataset, config, inits[j], rng, mode, me_phi, cap)
+        theta, phi, trace, converged = em_run_reference(dataset, config, inits[j], rng, mode, me_phi)
         if best is None or trace[-1] < best["nll"]:
             best = {"restart": j, "theta": theta, "phi": phi, "nll": trace[-1], "trace": trace,
                     "converged": converged}
-    best["posteriors"] = em.e_step(best["theta"], best["phi"], dataset, cap).posteriors()
+    best["posteriors"] = em.e_step(best["theta"], best["phi"], dataset).posteriors()
     return best
 
 

@@ -513,6 +513,50 @@ class TestErrors:
         assert "'lam'" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("command", ["graph", "simulate", "fit", "eval", "cv", "split", "experiment"])
+    def test_leftover_cap_field_exits_2(self, tmp_path, table_inputs, capsys, command):
+        # the enumeration limit is a constant, so a "cap" field is an unknown one
+        config = table_config(command, table_inputs, tmp_path / "out") | {"cap": 8}
+        assert run_cli(write_config(tmp_path, "config.json", config)) == 2
+        message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert message == f"unknown {command} config fields: ['cap']"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "command, where, key, edit",
+        [
+            ("simulate", "simulate", "replicate", lambda c: c.update(replicate=3)),
+            ("simulate", "generator", "sigma_0", lambda c: c["generator"].update(sigma_0=[2, 1, 3])),
+            ("fit", "method", "grid", lambda c: c.update(method={"name": "R", "lam": 10, "grid": [1, 10]})),
+            ("eval", "truth", "tset", lambda c: c["truth"].update(tset=c["truth"]["test"])),
+            ("eval", "inputs entry", "datset", lambda c: c["inputs"][0].update(datset=c["truth"]["test"])),
+        ],
+        ids=["top level", "generator", "method", "truth", "inputs entry"],
+    )
+    def test_unknown_field_exits_2(self, tmp_path, table_inputs, capsys, command, where, key, edit):
+        config = json.loads(json.dumps(table_config(command, table_inputs, tmp_path / "out")))
+        edit(config)
+        assert run_cli(write_config(tmp_path, "config.json", config)) == 2
+        message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert message == f"unknown {where} config fields: ['{key}']"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("problem", ["not json", "no theta", "wrong type"])
+    def test_malformed_fit_file_exits_3(self, tmp_path, table_inputs, capsys, problem):
+        payload = json.loads((table_inputs / "fit.json").read_text())
+        if problem == "no theta":
+            del payload["theta"]
+        elif problem == "wrong type":
+            payload["theta"]["components"][0]["c"] = "1.0"
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json" if problem == "not json" else json.dumps(payload))
+        config = table_config("eval", table_inputs, tmp_path / "out")
+        config["inputs"] = [{"fit": str(bad)}]
+        assert run_cli(write_config(tmp_path, "config.json", config)) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "DataFormatError" and str(bad) in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "config.json"]
+
 
 @pytest.fixture(scope="module")
 def table_inputs(tmp_path_factory):
@@ -550,30 +594,23 @@ def table_config(command: str, inputs: Path, out: Path) -> dict:
 
 INTEGER_FIELDS = [
     ("graph", "r"),
-    ("graph", "cap"),
     ("simulate", "r"),
     ("simulate", "n"),
     ("simulate", "replicates"),
     ("simulate", "seed"),
-    ("simulate", "cap"),
     ("fit", "r"),
-    ("fit", "cap"),
     ("fit", "seed"),
     ("fit", "K"),
     ("eval", "r"),
-    ("eval", "cap"),
     ("eval", "replicate"),
     ("cv", "r"),
-    ("cv", "cap"),
     ("cv", "seed"),
     ("split", "r"),
-    ("split", "cap"),
     ("split", "test_size"),
     ("split", "train_sizes"),
     ("split", "resamples"),
     ("split", "seed"),
     ("experiment", "r"),
-    ("experiment", "cap"),
     ("experiment", "n"),
     ("experiment", "replicates"),
     ("experiment", "seed"),

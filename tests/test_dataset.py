@@ -236,4 +236,6 @@ def test_load_csv_refuses_r_above_the_cap(tmp_path):
     path.write_text("t,items\n2,8>1\n")
     with pytest.raises(CapacityError):
         Dataset.load_csv(path, 8)
-    assert Dataset.load_csv(path, 8, cap=8).rankings == [TopTRanking((8, 1), 8)]
+    path.write_text("t,items\n")  # refused before the file is read
+    with pytest.raises(CapacityError):
+        Dataset.load_csv(path, 8)

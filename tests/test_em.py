@@ -13,6 +13,7 @@ from partialrank import (
     DegenerateLikelihoodError,
     DomainError,
     FitConfig,
+    MallowsParams,
     MissingTable,
     MixtureParams,
     Permutation,
@@ -409,7 +410,7 @@ def test_best_run_ending_at_zero_likelihood_raises(monkeypatch):
     probs[:, 1] = 1.0
     phi = MissingTable(3, probs)
 
-    def ended(dataset, config, init_vertices, rng, fixed_phi, cap, job, restart):
+    def ended(dataset, config, init_vertices, rng, fixed_phi, job, restart):
         return uniform_theta(3, 1.0), phi, [np.inf], False
         yield  # a generator that finishes on its first advance
 
@@ -485,7 +486,7 @@ class TestLockstep:
 
     def test_driver_jobs_match_separate_fits(self, datasets):
         jobs = self.jobs(datasets)
-        for batched, (dataset, lam) in zip(em._fit_batch(jobs, self.shared, 7), jobs):
+        for batched, (dataset, lam) in zip(em._fit_batch(jobs, self.shared), jobs):
             alone = fit(dataset, replace(self.shared, lam=lam))
             assert batched.to_json_dict() == alone.to_json_dict()
             assert np.array_equal(batched.posteriors, alone.posteriors)
@@ -515,7 +516,7 @@ class TestLockstep:
         monkeypatch.setattr(em, "_run_em", recorded)
         monkeypatch.setattr(admm, "vertex_sweep", lambda stack: members.append(set(stack.tags)) or sweep(stack))
         monkeypatch.setattr(admm.PhiStack, "step", recording_step)
-        em._fit_batch(self.jobs(datasets), self.shared, 7)
+        em._fit_batch(self.jobs(datasets), self.shared)
         monkeypatch.undo()
         assert len(members) == len(left)
         assert {job for job, _ in requests} == {0, 1, 3}  # the lam = 0 job never yields
@@ -555,7 +556,7 @@ class TestLockstep:
         finals, delays = [5.0, 3.0, 3.0, 4.0], [0, 2, 1, 0]
         calls = iter(range(4))
 
-        def fake_run_em(dataset, config, init_vertices, rng, fixed_phi, cap, job, restart):
+        def fake_run_em(dataset, config, init_vertices, rng, fixed_phi, job, restart):
             j = next(calls)
 
             def run():
@@ -582,14 +583,78 @@ class TestLockstep:
             return step(stack)
 
         monkeypatch.setattr(admm.PhiStack, "step", recording)
-        wide = em._fit_batch(jobs, config, 7)
+        wide = em._fit_batch(jobs, config)
         assert max(sizes) == len(jobs) * config.restarts
         sizes.clear()
         graph = build_cayley_graph(4)
         monkeypatch.setattr(admm, "_STATE_BYTES", 2 * 4 * graph.n_vertices * 3 * 3 * 8)
         assert admm.members_per_call(graph) == 2
-        narrow = em._fit_batch(jobs, config, 7)
+        narrow = em._fit_batch(jobs, config)
         assert max(sizes) == 2
         for a, b in zip(wide, narrow):
             assert a.to_json_dict() == b.to_json_dict()
             assert np.array_equal(a.posteriors, b.posteriors)
+
+
+class TestRelabeling:
+    """Relabeling the items by a bijection g maps vertex v to ``image[v]``.
+
+    Kendall distance counts discordant item pairs, so it is unchanged; the
+    E-step's NLL is unchanged and its per-vertex tables move by ``image``,
+    and the location step returns the relabeled location. The vertex sums run
+    in another order, so agreement is to 1e-9 relative, not bitwise.
+    """
+
+    @staticmethod
+    def relabeled_pair(r):
+        rng = np.random.default_rng(300 + r)
+        g = rng.permutation(r) + 1
+
+        def move(p: Permutation) -> Permutation:
+            return Permutation.from_ordering([int(g[item - 1]) for item in p.inverse])
+
+        ranks = np.array([unindex(v, r).ranks for v in range(math.factorial(r))])
+        image = np.array([index_of(move(Permutation(tuple(row)))) for row in ranks.tolist()])
+        theta = MixtureParams(
+            (MallowsParams(unindex(11, r), 1.3), MallowsParams(unindex(4 * r + 7, r), 0.8)), (0.6, 0.4)
+        )
+        probs = rng.dirichlet(np.ones(r - 1), size=len(image))  # every length is observed
+        ds = generate_dataset(theta, MissingTable(r, probs), 1500, r)
+        moved_probs = np.empty_like(probs)
+        moved_probs[image] = probs
+        moved_theta = MixtureParams(tuple(MallowsParams(move(c.sigma), c.c) for c in theta.components), theta.weights)
+        moved_ds = Dataset.from_rankings(
+            r,
+            [TopTRanking(tuple(int(g[i - 1]) for i in tau.items), r) for tau in ds.rankings],
+            [move(p) for p in ds.true_perms],
+            ds.true_clusters,
+        )
+        plain = (theta, MissingTable(r, probs), ds)
+        moved = (moved_theta, MissingTable(r, moved_probs), moved_ds)
+        return plain, moved, image, ranks
+
+    @pytest.mark.parametrize("r", [6, 7])
+    def test_e_step_is_equivariant(self, r):
+        plain, moved, image, _ = self.relabeled_pair(r)
+        a, b = e_step(*plain), e_step(*moved)
+        assert b.nll == pytest.approx(a.nll, rel=1e-9)
+        assert np.allclose(b.q_table[image], a.q_table, rtol=1e-9, atol=0)
+        assert np.allclose(b.cluster_vertex[:, image], a.cluster_vertex, rtol=1e-9, atol=0)
+        assert np.allclose(b.posteriors(), a.posteriors(), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("r", [6, 7])
+    def test_m_step_theta_location_is_equivariant(self, r):
+        plain, moved, image, ranks = self.relabeled_pair(r)
+        a, b = e_step(*plain), e_step(*moved)
+        theta_a, theta_b = m_step_theta(a, plain[2], 2), m_step_theta(b, moved[2], 2)
+        # expected distances by pair masses: a location that puts item i ahead
+        # of item j disagrees with the mass that puts j ahead of i
+        ahead = ranks[:, :, None] < ranks[:, None, :]
+        for k in range(2):
+            pair_mass = np.einsum("v,vij->ij", a.cluster_vertex[k], ahead)
+            scores = np.where(ahead, pair_mass.T, 0.0).sum(axis=(1, 2))
+            location = index_of(theta_a.components[k].sigma)
+            assert scores[location] == pytest.approx(scores.min(), rel=1e-12)
+            assert np.sum(scores <= scores.min() * (1 + 1e-9)) == 1  # a unique argmin
+            assert index_of(theta_b.components[k].sigma) == image[location]
+        assert theta_b.weights == pytest.approx(theta_a.weights, rel=1e-9)

@@ -197,17 +197,17 @@ class TestCrossValidate:
     def test_duplicates_deduped(self, small_dataset, monkeypatch):
         calls = []
 
-        def fake_fit_batch(jobs, config, cap):
+        def fake_fit_batch(jobs, config):
             calls.extend(lam for _, lam in jobs)
             return ["fit"] * len(jobs)
 
-        def fake_fit(dataset, config, cap):
+        def fake_fit(dataset, config):
             calls.append(config.lam)
             return "fit"
 
         monkeypatch.setattr(losses_mod, "_fit_batch", fake_fit_batch)
         monkeypatch.setattr(losses_mod, "fit", fake_fit)
-        monkeypatch.setattr(losses_mod, "_cv_fold_score", lambda fitted, heldout, cap: 1.0)
+        monkeypatch.setattr(losses_mod, "_cv_fold_score", lambda fitted, heldout: 1.0)
         result = cross_validate(small_dataset, [10, 10.0, 1, 1.0], FitConfig(restarts=1, seed=0))
         assert sorted(set(calls)) == [1.0, 10.0]
         assert len([c for c in calls if c == 10.0]) == 2  # two folds, no refit

@@ -1,5 +1,11 @@
+import inspect
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import bfs_distance, cayley_graph_loop, discordant_pairs, lex_orderings
+import partialrank
 from partialrank import (
     CapacityError,
+    Dataset,
     DimensionError,
     DomainError,
+    MissingTable,
+    MixtureParams,
     Permutation,
     TopTRanking,
     build_cayley_graph,
@@ -19,7 +29,9 @@ from partialrank import (
     kendall_distance,
     unindex,
 )
-from partialrank.perms import distances_from, prefix_tables, vertex_prefix, write_edge_csv
+from partialrank.cli import main
+from partialrank.mallows import component_log_pmf
+from partialrank.perms import MAX_R, distances_from, prefix_tables, vertex_prefix, write_edge_csv
 
 
 def perm_strategy(r):
@@ -182,10 +194,9 @@ class TestCayleyGraph:
         assert graph.n_vertices == 2 and graph.n_edges == 1
 
     def test_cap(self):
+        assert MAX_R == 7
         with pytest.raises(CapacityError):
             build_cayley_graph(8)
-        # explicit override is allowed
-        assert build_cayley_graph(8, cap=8).n_vertices == math.factorial(8)
 
     def test_edge_csv(self, tmp_path):
         graph = build_cayley_graph(3)
@@ -237,3 +248,63 @@ class TestVectorizedHelpers:
             for prefix, row in table.index.items():
                 expected = [index_of(p) for p in compatible_set(TopTRanking(prefix, 4))]
                 assert list(table.members[row]) == expected
+
+
+# every per-r builder, cached with functools.cache; S_r is enumerated only below them
+CACHED_BUILDERS = [
+    "missing._csv_text",
+    "missing._shared_perms",
+    "missing._shared_rankings",
+    "perms.build_cayley_graph",
+    "perms.perm_table",
+    "perms.prefix_tables",
+    "perms.vertex_prefix",
+]
+
+
+def cache_sizes() -> dict[str, int]:
+    from partialrank import missing, perms
+
+    return {
+        f"{module.__name__.rsplit('.', 1)[1]}.{name}": value.cache_info().currsize
+        for module in (missing, perms)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    }
+
+
+class TestEnumerationLimit:
+    def test_r_above_the_limit_is_refused_at_every_entry_point(self, tmp_path):
+        # r = 8 only: should a check be bypassed, S_8 is 40 320 rows, not gigabytes
+        before = cache_sizes()
+        assert sorted(before) == CACHED_BUILDERS
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("t,items\n2,8>1\n")
+        theta = MixtureParams.single(Permutation.identity(8), 1.0)
+        attempts = {
+            "Dataset with truth": lambda: Dataset(8, [0], [0]),
+            "Dataset.rankings": lambda: Dataset(8, [0]).rankings,
+            "Dataset.from_rankings": lambda: Dataset.from_rankings(8, [TopTRanking((8, 1), 8)]),
+            "Dataset.load_csv": lambda: Dataset.load_csv(csv_path, 8),
+            "MissingTable.uniform": lambda: MissingTable.uniform(8),
+            "build_cayley_graph": lambda: build_cayley_graph(8),
+            "component_log_pmf": lambda: component_log_pmf(theta),
+        }
+        for name, attempt in attempts.items():
+            with pytest.raises(CapacityError):
+                attempt()
+                pytest.fail(f"{name} accepted r = 8")
+        config = tmp_path / "graph.json"
+        config.write_text(json.dumps({"command": "graph", "r": 8, "out": str(tmp_path / "edges.csv")}))
+        assert main(["run", "--config", str(config)]) == 6
+        assert not (tmp_path / "edges.csv").exists()
+        # a refused call caches nothing, so no builder gained an entry
+        assert cache_sizes() == before
+
+    def test_importing_the_package_builds_no_per_r_table(self):
+        script = f"import json\nimport partialrank\n{inspect.getsource(cache_sizes)}print(json.dumps(cache_sizes()))\n"
+        env = {**os.environ, "PYTHONPATH": str(Path(partialrank.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        sizes = json.loads(done.stdout)
+        assert sorted(sizes) == CACHED_BUILDERS
+        assert all(size == 0 for size in sizes.values()), sizes
