@@ -155,12 +155,12 @@ def _cmd_eval(config: dict) -> None:
         inputs.append((fit_path, dataset_path, field(entry, "replicate", int, index)))
     param, out = field(config, "param", str, ""), Path(field(config, "out", str))
     truth_cfg = _known(field(config, "truth", dict), ("generator", "test"), "truth")
+    if ("generator" in truth_cfg) == ("test" in truth_cfg):
+        raise ConfigError("truth must supply exactly one of a generator and a test dataset")
     if "generator" in truth_cfg:
         truth = build_truth(_generator_spec(field(truth_cfg, "generator", dict), r))
-    elif "test" in truth_cfg:
-        test = Dataset.load_csv(field(truth_cfg, "test", str), r)
     else:
-        raise ConfigError("truth must supply either a generator or a test dataset")
+        test = Dataset.load_csv(field(truth_cfg, "test", str), r)
     rows = []
     for fit_path, dataset_path, replicate in inputs:
         theta_hat, phi_hat, method = load_fit_json(fit_path)

@@ -108,8 +108,7 @@ class Responsibilities:
         """Per-observation component posteriors, shape (n, K)."""
         # one (groups, K) table of group posteriors, read by each observation's group
         table = np.concatenate([np.empty((0, self.n_clusters))] + [w.sum(axis=2).T for w in self.block_weights])
-        first = np.cumsum([0] + [w.shape[1] for w in self.block_weights])
-        return table[first[self.groups.obs_block] + self.groups.obs_pos]
+        return table[self.groups.obs_group]
 
 
 def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset) -> Responsibilities:
@@ -131,12 +130,12 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset) -> Respons
     cluster_vertex = np.zeros((k, n_vertices))
     block_weights: list[np.ndarray] = []
     nll = 0.0
-    for b, block in enumerate(groups.blocks):
+    first = 0  # group number of the block's first group
+    for block in groups.blocks:
         logits = log_comp[:, block.members] + log_phi[block.members, block.t - 1][None, :, :]
         top = logits.max(axis=(0, 2))
         if np.any(np.isneginf(top)):
-            g = int(np.argmax(np.isneginf(top)))
-            bad = int(np.nonzero((groups.obs_block == b) & (groups.obs_pos == g))[0][0])
+            bad = int(np.argmax(groups.obs_group == first + np.argmax(np.isneginf(top))))
             raise DegenerateLikelihoodError(
                 f"observation {bad} has zero likelihood: the mechanism vanishes on its compatible set"
             )
@@ -145,10 +144,11 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset) -> Respons
         nll -= float((block.counts * (top + np.log(sums))).sum())
         weights /= sums[None, :, None]
         block_weights.append(weights)
+        # each vertex has one top-t prefix, so a block's member rows never overlap
         scaled = weights * block.counts[None, :, None]
-        np.add.at(q_table, (block.members, block.t - 1), scaled.sum(axis=0))
-        for kk in range(k):
-            np.add.at(cluster_vertex[kk], block.members, scaled[kk])
+        q_table[block.members, block.t - 1] = scaled.sum(axis=0)
+        cluster_vertex[:, block.members] += scaled
+        first += block.counts.size
     return Responsibilities(
         r=dataset.r,
         n=len(dataset),

@@ -16,19 +16,19 @@ Simulated data may carry two extra columns: ``true_perm`` (the latent
 complete ranking, ``>``-joined) and ``true_cluster`` (0-based component id).
 
 In memory a :class:`Dataset` is arrays, not per-observation objects: ``obs[i]``
-is observation i's position in :func:`enumerate_partial_rankings` order (the
-length-t block's offset plus the prefix's row in the length-t
-:class:`~partialrank.perms.PrefixTable`), and ``true_vertices[i]`` is the
-vertex index of its latent complete ranking. Generation, the CSV round trip
-and grouping work on these arrays; ``Dataset.rankings`` and
-``Dataset.true_perms`` are views built from per-r shared objects, and
-``Dataset.from_rankings`` converts object lists.
+is observation i's index in :func:`partialrank.perms.prefix_tables` (t
+ascending, then prefixes in lexicographic order, the order of
+:func:`enumerate_partial_rankings`), and ``true_vertices[i]`` is the vertex
+index of its latent complete ranking. Generation, the CSV round trip and
+grouping work on these arrays; ``Dataset.rankings`` and ``Dataset.true_perms``
+are views built from per-r shared objects, and ``Dataset.from_rankings``
+converts object lists.
 
 Every per-r table here (the shared objects and the CSV fields) is cached with
 ``functools.cache`` and built on the tables of :mod:`partialrank.perms`, so
-``r > perms.MAX_R`` raises :class:`~partialrank.errors.CapacityError` where a
-table is first needed: a dataset without truth can be made above the limit,
-but not grouped, read, written or viewed.
+``r > perms.MAX_R`` raises :class:`~partialrank.errors.CapacityError`. A
+non-empty dataset reads its prefix table when it is made, so it cannot be made
+above the limit.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import csv
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,7 +52,6 @@ from .perms import (
     index_of,
     perm_table,
     prefix_tables,
-    vertex_prefix,
 )
 from .util import atomic_open, check_integer
 
@@ -119,30 +119,28 @@ class ClusterMissingSpec:
 
 @dataclass(frozen=True)
 class GroupBlock:
-    """Observations of one length, grouped by identical prefix."""
+    """Observations of one length, grouped by identical prefix in index order."""
 
     t: int
-    rows: np.ndarray      # (G,) rows into the length-t PrefixTable
     counts: np.ndarray    # (G,) multiplicities
     members: np.ndarray   # (G, (r-t)!) compatible vertex indices
 
 
 @dataclass(frozen=True)
 class ObservationGroups:
-    r: int
-    n: int
+    """Groups numbered through the blocks in order: t ascending, then prefix index."""
+
     blocks: list[GroupBlock]
-    obs_block: np.ndarray  # (n,) block index per observation
-    obs_pos: np.ndarray    # (n,) row within the block per observation
+    obs_group: np.ndarray  # (n,) group number per observation
 
 
 @dataclass(eq=False)
 class Dataset:
     """Top-t observations over a common r, with optional simulation truth.
 
-    ``obs[i]`` is observation i's position in :func:`enumerate_partial_rankings`
-    order and ``true_vertices[i]`` the vertex index of its latent complete
-    ranking; all three arrays are read-only. ``lengths``, ``rankings`` and
+    ``obs[i]`` is observation i's index in :func:`partialrank.perms.prefix_tables`
+    and ``true_vertices[i]`` the vertex index of its latent complete ranking;
+    all three arrays are read-only. ``lengths``, ``rankings`` and
     ``true_perms`` are derived views: the two lists hold per-r shared objects.
     """
 
@@ -153,6 +151,7 @@ class Dataset:
     _groups: ObservationGroups | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        self.r = operator.index(self.r)  # a numpy integer would key a second copy of every per-r cache
         self.obs = _frozen_ids(self.obs)
         self.true_vertices = _frozen_ids(self.true_vertices)
         self.true_clusters = _frozen_ids(self.true_clusters)
@@ -162,15 +161,14 @@ class Dataset:
                 raise DimensionError("truth length does not match observations")
         if not n:
             return
-        offsets = _offsets(self.r)
-        if self.obs.min() < 0 or self.obs.max() >= offsets[-1]:
-            raise DomainError(f"observation index outside 0..{offsets[-1] - 1}")
+        table = prefix_tables(self.r)
+        if self.obs.min() < 0 or self.obs.max() >= len(table.prefixes):
+            raise DomainError(f"observation index outside 0..{len(table.prefixes) - 1}")
         if self.true_vertices is not None:
             vertices = self.true_vertices
-            if vertices.min() < 0 or vertices.max() >= math.factorial(self.r):
-                raise DomainError(f"true vertex index outside 0..{math.factorial(self.r) - 1}")
-            t = self.lengths
-            implied = offsets[t - 1] + vertex_prefix(self.r)[vertices, t - 1]
+            if vertices.min() < 0 or vertices.max() >= len(table.of_vertex):
+                raise DomainError(f"true vertex index outside 0..{len(table.of_vertex) - 1}")
+            implied = table.of_vertex[vertices, self.lengths - 1]
             bad = np.flatnonzero(implied != self.obs)
             if bad.size:
                 raise DomainError(f"true ranking of observation {bad[0]} does not start with its observed items")
@@ -184,9 +182,8 @@ class Dataset:
         for tau in rankings:
             if tau.r != r:
                 raise DimensionError(f"observation over {tau.r} items in r={r} dataset")
-        tables = prefix_tables(r)
-        offsets = _offsets(r)
-        obs = [offsets[tau.t - 1] + tables[tau.t - 1].index[tau.items] for tau in rankings]
+        index = prefix_tables(r).index
+        obs = [index[tau.items] for tau in rankings]
         vertices = None
         if true_perms is not None:
             true_perms = list(true_perms)
@@ -203,7 +200,7 @@ class Dataset:
 
     @property
     def lengths(self) -> np.ndarray:
-        return np.searchsorted(_offsets(self.r), self.obs, side="right")
+        return np.searchsorted(prefix_tables(self.r).offsets, self.obs, side="right")
 
     @property
     def rankings(self) -> list[TopTRanking]:
@@ -225,24 +222,19 @@ class Dataset:
     def groups(self) -> ObservationGroups:
         """Group observations sharing a prefix; cached after the first call."""
         if self._groups is None:
-            tables = prefix_tables(self.r)
-            offsets = _offsets(self.r)
-            counts = np.bincount(self.obs, minlength=offsets[-1])
-            present = np.flatnonzero(counts)  # ascending, so by t and then by row
-            bounds = np.searchsorted(present, offsets)
-            # key -> (block, pos); entries of absent keys are never read
-            block_of = np.empty(offsets[-1], dtype=np.int64)
-            pos_of = np.empty(offsets[-1], dtype=np.int64)
+            table = prefix_tables(self.r)
+            counts = np.bincount(self.obs, minlength=table.offsets[-1])
+            present = np.flatnonzero(counts)  # ascending, so by t and then by prefix
+            bounds = np.searchsorted(present, table.offsets)
+            # index -> group number; entries of absent indices are never read
+            group_of = np.empty(table.offsets[-1], dtype=np.int64)
+            group_of[present] = np.arange(present.size)
             blocks: list[GroupBlock] = []
             for t in range(1, self.r):
                 keys = present[bounds[t - 1] : bounds[t]]
-                if keys.size == 0:
-                    continue
-                block_of[keys] = len(blocks)
-                pos_of[keys] = np.arange(keys.size)
-                rows = (keys - offsets[t - 1]).astype(np.int32)
-                blocks.append(GroupBlock(t, rows, counts[keys], tables[t - 1].members[rows]))
-            self._groups = ObservationGroups(self.r, len(self), blocks, block_of[self.obs], pos_of[self.obs])
+                if keys.size:
+                    blocks.append(GroupBlock(t, counts[keys], table.members[t - 1][keys - table.offsets[t - 1]]))
+            self._groups = ObservationGroups(blocks, group_of[self.obs])
         return self._groups
 
     # -- CSV round trip ------------------------------------------------------
@@ -319,11 +311,6 @@ class Dataset:
         return cls(r, obs, None if perm_col is None else vertices, None if cluster_col is None else clusters)
 
 
-def _offsets(r: int) -> np.ndarray:
-    """Start of each length's block in enumeration order, shape (r,); the last entry is the total."""
-    return np.cumsum([0] + [math.perm(r, t) for t in range(1, r)])
-
-
 def _frozen_ids(values) -> np.ndarray | None:
     """A read-only int64 copy of a 1-d index sequence; None stays None."""
     if values is None:
@@ -336,7 +323,7 @@ def _frozen_ids(values) -> np.ndarray | None:
 
 
 def _parse_partial(t_field: str, items_field: str, r: int, lineno: int) -> int:
-    """The partial-ranking index that a ``t,items`` pair spells, else the pair's first error."""
+    """The prefix-table index that a ``t,items`` pair spells, else the pair's first error."""
     try:
         t = int(t_field)
     except ValueError as exc:
@@ -351,7 +338,7 @@ def _parse_partial(t_field: str, items_field: str, r: int, lineno: int) -> int:
         TopTRanking(items, r)
     except DomainError as exc:
         raise DataFormatError(str(exc), line=lineno) from exc
-    return int(_offsets(r)[t - 1]) + prefix_tables(r)[t - 1].index[items]
+    return prefix_tables(r).index[items]
 
 
 def _parse_perm(spelling: str, r: int, lineno: int) -> int:
@@ -380,11 +367,11 @@ def _parse_cluster(spelling: str, lineno: int) -> int:
 class _CsvText:
     """The CSV fields :meth:`Dataset.save_csv` writes at one r, and their inverses."""
 
-    partial: list[str]                         # "t,items" per partial-ranking index
-    partial_index: dict[tuple[str, str], int]  # (t, items) -> partial-ranking index
+    partial: list[str]                         # "t,items" per prefix-table index
+    partial_index: dict[tuple[str, str], int]  # (t, items) -> prefix-table index
     perm: list[str]                            # true_perm field per vertex
     perm_index: dict[str, int]                 # true_perm field -> vertex
-    vertex_prefixes: list[list[int]]           # per vertex, the partial-ranking indices of its prefixes
+    vertex_prefixes: list[list[int]]           # per vertex, the prefix-table indices of its prefixes
 
 
 # Per-r objects and CSV fields shared by every Dataset view, built once per r.
@@ -392,8 +379,8 @@ class _CsvText:
 
 @functools.cache
 def _shared_rankings(r: int) -> tuple[TopTRanking, ...]:
-    """One TopTRanking per partial ranking, in enumeration order."""
-    return tuple(TopTRanking(p, r) for table in prefix_tables(r) for p in table.prefixes)
+    """One TopTRanking per prefix-table index."""
+    return tuple(TopTRanking(p, r) for p in prefix_tables(r).prefixes)
 
 
 @functools.cache
@@ -404,14 +391,15 @@ def _shared_perms(r: int) -> tuple[Permutation, ...]:
 
 @functools.cache
 def _csv_text(r: int) -> _CsvText:
-    pairs = [(str(table.t), ">".join(map(str, prefix))) for table in prefix_tables(r) for prefix in table.prefixes]
+    table = prefix_tables(r)
+    pairs = [(str(len(prefix)), ">".join(map(str, prefix))) for prefix in table.prefixes]
     perm = [">".join(map(str, ordering)) for ordering in perm_table(r).orderings.tolist()]
     return _CsvText(
         [",".join(pair) for pair in pairs],
         {pair: i for i, pair in enumerate(pairs)},
         perm,
         {spelling: v for v, spelling in enumerate(perm)},
-        (_offsets(r)[:-1] + vertex_prefix(r)).tolist(),
+        table.of_vertex.tolist(),
     )
 
 
@@ -426,28 +414,25 @@ def enumerate_partial_rankings(r: int) -> list[TopTRanking]:
 
 
 def partial_prob_vector(theta: MixtureParams, phi: MissingTable) -> np.ndarray:
-    """Probabilities of every partial ranking, in enumeration order."""
+    """Probabilities of every partial ranking, in prefix-table order."""
     if theta.r != phi.r:
         raise DimensionError(f"model over {theta.r} items, mechanism over {phi.r}")
     pmf = mixture_pmf(theta)
-    chunks = []
-    for table in prefix_tables(theta.r):
-        members = table.members
-        chunks.append((phi.probs[members, table.t - 1] * pmf[members]).sum(axis=1))
-    return np.concatenate(chunks)
+    members = prefix_tables(theta.r).members
+    return np.concatenate([(phi.probs[m, t - 1] * pmf[m]).sum(axis=1) for t, m in enumerate(members, start=1)])
 
 
 def empirical_partial_counts(dataset: Dataset) -> np.ndarray:
     """Observation counts aligned with :func:`enumerate_partial_rankings`."""
-    return np.bincount(dataset.obs, minlength=_offsets(dataset.r)[-1])
+    return np.bincount(dataset.obs, minlength=prefix_tables(dataset.r).offsets[-1])
 
 
 def partial_pmf(tau: TopTRanking, theta: MixtureParams, phi: MissingTable) -> float:
     """P(tau) = sum over compatible complete rankings of P(t|pi) P(pi)."""
     if tau.r != theta.r or tau.r != phi.r:
         raise DimensionError("dimension mismatch between observation, model, and mechanism")
-    table = prefix_tables(tau.r)[tau.t - 1]
-    members = table.members[table.index[tau.items]]
+    table = prefix_tables(tau.r)
+    members = table.members[tau.t - 1][table.index[tau.items] - table.offsets[tau.t - 1]]
     pmf = mixture_pmf(theta)
     return float((phi.probs[members, tau.t - 1] * pmf[members]).sum())
 
@@ -542,5 +527,5 @@ def generate_dataset(theta: MixtureParams, mech: MissingTable | ClusterMissingSp
     draws = rng.random(n)
     ts = (draws[:, None] > cdf).sum(axis=1) + 1
     ts = np.minimum(ts, r - 1)
-    obs = _offsets(r)[ts - 1] + vertex_prefix(r)[vertices, ts - 1]
+    obs = prefix_tables(r).of_vertex[vertices, ts - 1]
     return Dataset(r, obs, vertices, clusters)

@@ -10,6 +10,9 @@ uses. ``PermTable.pair_order`` records, per vertex and item pair, which item
 ranks ahead; Kendall distance counts the pairs where two rows disagree
 (Fligner & Verducci 1986), so distances come from it without a V x V matrix.
 ``CayleyGraph.neighbors`` lists the distance-1 neighbors by swapped position.
+A third, :func:`prefix_tables`, owns the one numbering of the top-t rankings
+(t ascending, then prefixes in lexicographic order) that datasets store, with
+each vertex's prefixes and each prefix's compatible vertices.
 
 Everything here is exponential in ``r`` by construction. Every r!-sized table
 is built on :func:`perm_table`, which raises ``CapacityError`` for
@@ -160,12 +163,19 @@ class PermTable:
 
 @dataclass(frozen=True)
 class PrefixTable:
-    """All length-t prefixes and, per prefix, the compatible vertex indices."""
+    """Every top-t ranking of r items in one numbering: t ascending, then prefixes lexicographic.
 
-    t: int
-    prefixes: list[tuple[int, ...]]   # lexicographic order over item tuples
-    index: dict                        # prefix tuple -> row
-    members: np.ndarray                # (G, (r-t)!) int32, each row ascending
+    Index i is the top-t ranking ``prefixes[i]``, with t = ``len(prefixes[i])``;
+    the length-t rankings hold indices ``offsets[t-1]`` to ``offsets[t] - 1``,
+    and row ``i - offsets[t-1]`` of ``members[t-1]`` lists index i's compatible
+    vertices in ascending order.
+    """
+
+    offsets: np.ndarray              # (r,) first index of each length; the last entry is the total
+    prefixes: list[tuple[int, ...]]  # item tuple per index
+    index: dict                      # item tuple -> index
+    of_vertex: np.ndarray            # (V, r-1) int64, [v, t-1] is the index of vertex v's top-t prefix
+    members: list[np.ndarray]        # per t, (P(r, t), (r-t)!) int32
 
 
 @functools.cache
@@ -185,41 +195,31 @@ def perm_table(r: int) -> PermTable:
 
 
 @functools.cache
-def vertex_prefix(r: int) -> np.ndarray:
-    """(V, r-1) int32: entry [v, t-1] is the row of vertex v's top-t prefix in the length-t table.
+def prefix_tables(r: int) -> PrefixTable:
+    """The numbering of every top-t ranking of r items, t = 1..r-1.
 
     Each prefix is coded in mixed radix r (item - 1 per digit), so numeric
-    order of the codes is lexicographic order of the item tuples.
+    order of the codes of one length is lexicographic order of the item tuples.
     """
     if r < 2:
         raise DomainError("need r >= 2")
-    digits = perm_table(r).orderings.astype(np.int64) - 1
-    table = np.empty((digits.shape[0], r - 1), dtype=np.int32)
+    orderings = perm_table(r).orderings
+    digits = orderings.astype(np.int64) - 1
+    offsets = np.cumsum([0] + [math.perm(r, t) for t in range(1, r)])
+    of_vertex = np.empty((digits.shape[0], r - 1), dtype=np.int64)
     code = np.zeros(digits.shape[0], dtype=np.int64)
+    prefixes, members = [], []
     for t in range(1, r):
         code = code * r + digits[:, t - 1]
-        table[:, t - 1] = np.unique(code, return_inverse=True)[1]
-    table.flags.writeable = False
-    return table
-
-
-@functools.cache
-def prefix_tables(r: int) -> list[PrefixTable]:
-    """Prefix enumerations for t = 1..r-1 (list position t-1)."""
-    if r < 2:
-        raise DomainError("need r >= 2")
-    orderings = perm_table(r).orderings
-    rows = vertex_prefix(r)
-    tables = []
-    for t in range(1, r):
+        of_vertex[:, t - 1] = offsets[t - 1] + np.unique(code, return_inverse=True)[1]
         # a stable sort keeps each prefix's vertices in ascending order
-        members = np.argsort(rows[:, t - 1], kind="stable").astype(np.int32)
-        members = members.reshape(-1, math.factorial(r - t))
-        members.flags.writeable = False
-        prefixes = [tuple(p) for p in orderings[members[:, 0], :t].tolist()]
-        index = {p: g for g, p in enumerate(prefixes)}
-        tables.append(PrefixTable(t, prefixes, index, members))
-    return tables
+        rows = np.argsort(of_vertex[:, t - 1], kind="stable").astype(np.int32).reshape(-1, math.factorial(r - t))
+        rows.flags.writeable = False
+        members.append(rows)
+        prefixes += [tuple(p) for p in orderings[rows[:, 0], :t].tolist()]
+    for arr in (offsets, of_vertex):
+        arr.flags.writeable = False
+    return PrefixTable(offsets, prefixes, {p: i for i, p in enumerate(prefixes)}, of_vertex, members)
 
 
 def distances_from(r: int, vertex: int) -> np.ndarray:
@@ -257,7 +257,7 @@ def build_cayley_graph(r: int) -> CayleyGraph:
         raise DomainError("need r >= 2")
     orderings = perm_table(r).orderings.astype(np.int64) - 1
     v_count = orderings.shape[0]
-    # each ordering coded in mixed radix r, as in vertex_prefix; a swap of
+    # each ordering coded in mixed radix r, as in prefix_tables; a swap of
     # adjacent positions is a column swap, looked up among the sorted codes
     place = r ** np.arange(r - 1, -1, -1, dtype=np.int64)
     codes = orderings @ place

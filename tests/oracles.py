@@ -379,11 +379,11 @@ def generate_dataset_loop(theta, mech, n: int, rng_seed: int):
 
 
 def group_observations(r: int, rankings):
-    """Dict-based grouping: (blocks, obs_block, obs_pos).
+    """Dict-based grouping: (blocks, obs_group).
 
-    Each block is (t, rows, counts, members) for one length, rows ascending in
+    Each block is (t, counts, members) for one length, its groups ascending in
     lexicographic prefix order, members the ascending vertices extending the
-    prefix.
+    prefix. Groups are numbered through the blocks in order.
     """
     prefixes = {t: list(itertools.permutations(range(1, r + 1), t)) for t in range(1, r)}
     row_of = {t: {p: g for g, p in enumerate(prefixes[t])} for t in prefixes}
@@ -402,19 +402,17 @@ def group_observations(r: int, rankings):
         counts[slots[key]] += 1
         obs_slot.append(slots[key])
     blocks = []
-    where = {}
+    group = {}
     for t in sorted({t for t, _ in slots}):
         entries = sorted((row, slot) for (tt, row), slot in slots.items() if tt == t)
-        for pos, (_, slot) in enumerate(entries):
-            where[slot] = (len(blocks), pos)
-        rows = [row for row, _ in entries]
+        for _, slot in entries:
+            group[slot] = len(group)
         blocks.append((
             t,
-            rows,
             [counts[slot] for _, slot in entries],
-            [extending[prefixes[t][row]] for row in rows],
+            [extending[prefixes[t][row]] for row, _ in entries],
         ))
-    return blocks, [where[s][0] for s in obs_slot], [where[s][1] for s in obs_slot]
+    return blocks, [group[s] for s in obs_slot]
 
 
 def write_csv_writer(path, rankings, true_perms=None, true_clusters=None) -> None:
@@ -627,6 +625,9 @@ def fit_sequential(dataset, config, mode: str) -> dict:
 def per_observation(resp, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Compatible vertex indices and the (K, m) posterior weights of observation
     ``i`` in an ``em.Responsibilities`` (test helper, not an oracle)."""
-    b = int(resp.groups.obs_block[i])
-    pos = int(resp.groups.obs_pos[i])
-    return resp.groups.blocks[b].members[pos], resp.block_weights[b][:, pos, :]
+    g = int(resp.groups.obs_group[i])
+    for block, weights in zip(resp.groups.blocks, resp.block_weights):
+        if g < block.counts.size:
+            return block.members[g], weights[:, g, :]
+        g -= block.counts.size
+    raise IndexError(f"observation {i} has no group")

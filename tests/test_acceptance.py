@@ -134,11 +134,10 @@ def test_criterion_6_tilted_marginal_identity():
     mech = tilt_concentration_mechanism(c, c_star, rate, sigma0)
     non_binding = bool(np.all(mech.probs[:, -1] < 1.0))
     probs = partial_prob_vector(theta, mech)
-    tables = prefix_tables(r)
-    offset = sum(len(tb.prefixes) for tb in tables[:-1])
-    complete_slice = probs[offset:]
+    table = prefix_tables(r)
+    complete_slice = probs[table.offsets[-2] :]
     tilted = mixture_pmf(MixtureParams.single(sigma0, c_star))
-    aligned = np.array([tilted[tables[-1].members[row][0]] for row in range(len(tables[-1].prefixes))])
+    aligned = np.array([tilted[members[0]] for members in table.members[-1]])
     gap = float(np.abs(complete_slice / complete_slice.sum() - aligned).max())
     report(
         6,

@@ -482,6 +482,15 @@ class TestErrors:
         assert run_cli(cfg) == 2
         assert "'c'" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
 
+    def test_eval_truth_with_generator_and_test_exits_2(self, tmp_path, table_inputs, capsys):
+        # the test file does not exist: the config is refused before any file is read
+        config = table_config("eval", table_inputs, tmp_path / "out")
+        config["truth"] = {"generator": GENERATOR, "test": str(tmp_path / "missing-file.csv")}
+        assert run_cli(write_config(tmp_path, "config.json", config)) == 2
+        message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert message == "truth must supply exactly one of a generator and a test dataset"
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     @pytest.mark.parametrize("inputs", [["x"], [[["fit", "a.json"]]]], ids=["string entry", "list of pairs"])
     def test_eval_input_that_is_not_an_object_exits_2(self, tmp_path, inputs):
         out = tmp_path / "ev"

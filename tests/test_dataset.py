@@ -25,6 +25,7 @@ from partialrank import (
     generate_dataset,
 )
 from partialrank.missing import Dataset, empirical_partial_counts, enumerate_partial_rankings
+from partialrank.perms import prefix_tables
 
 SIZES = (0, 1, 500)
 
@@ -60,14 +61,10 @@ def test_generation_matches_per_object_loop(r, kind, n):
 def test_groups_match_dict_grouping(r, kind, n):
     ds, (rankings, _, _) = draw(r, kind, n)
     groups = ds.groups()
-    blocks, obs_block, obs_pos = group_observations(r, rankings)
-    assert [(b.t, b.rows.tolist(), b.counts.tolist(), b.members.tolist()) for b in groups.blocks] == blocks
-    assert [(b.rows.dtype, b.counts.dtype, b.members.dtype) for b in groups.blocks] == [
-        (np.int32, np.int64, np.int32)
-    ] * len(blocks)
-    assert groups.obs_block.tolist() == obs_block
-    assert groups.obs_pos.tolist() == obs_pos
-    assert (groups.r, groups.n) == (r, n)
+    blocks, obs_group = group_observations(r, rankings)
+    assert [(b.t, b.counts.tolist(), b.members.tolist()) for b in groups.blocks] == blocks
+    assert [(b.counts.dtype, b.members.dtype) for b in groups.blocks] == [(np.int64, np.int32)] * len(blocks)
+    assert groups.obs_group.tolist() == obs_group
     position = {tau: i for i, tau in enumerate(enumerate_partial_rankings(r))}
     expected = np.zeros(len(position), dtype=np.int64)
     for tau in rankings:
@@ -214,6 +211,20 @@ class TestConstruction:
             Dataset(4, [0], [24])
         with pytest.raises(DomainError):
             Dataset(4, [0], [0], [-1])
+
+    def test_numpy_integer_r_shares_the_per_r_tables(self):
+        obs = [0, 5, 20]
+        plain = Dataset(4, obs)
+        built = prefix_tables.cache_info().currsize
+        ds = Dataset(np.int64(4), obs)
+        assert type(ds.r) is int
+        assert prefix_tables.cache_info().currsize == built
+        assert ds.rankings == plain.rankings
+
+    def test_dataset_reads_its_prefix_table_when_made(self):
+        with pytest.raises(CapacityError):
+            Dataset(8, [0])
+        assert len(Dataset(8, [])) == 0  # an empty one needs no table
 
     def test_truth_must_extend_observation(self):
         tau = TopTRanking((3, 1), 4)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import fit_sequential, per_observation, random_mixture
 from partialrank import (
@@ -606,9 +608,11 @@ class TestRelabeling:
     """
 
     @staticmethod
-    def relabeled_pair(r):
-        rng = np.random.default_rng(300 + r)
-        g = rng.permutation(r) + 1
+    def relabeled_pair(r, seed=None, g=None):
+        """Data at r from ``seed`` (default r), and its image under the bijection g (default drawn)."""
+        seed = r if seed is None else seed
+        rng = np.random.default_rng(300 + seed)
+        g = rng.permutation(r) + 1 if g is None else np.asarray(g)
 
         def move(p: Permutation) -> Permutation:
             return Permutation.from_ordering([int(g[item - 1]) for item in p.inverse])
@@ -619,7 +623,7 @@ class TestRelabeling:
             (MallowsParams(unindex(11, r), 1.3), MallowsParams(unindex(4 * r + 7, r), 0.8)), (0.6, 0.4)
         )
         probs = rng.dirichlet(np.ones(r - 1), size=len(image))  # every length is observed
-        ds = generate_dataset(theta, MissingTable(r, probs), 1500, r)
+        ds = generate_dataset(theta, MissingTable(r, probs), 1500, seed)
         moved_probs = np.empty_like(probs)
         moved_probs[image] = probs
         moved_theta = MixtureParams(tuple(MallowsParams(move(c.sigma), c.c) for c in theta.components), theta.weights)
@@ -633,14 +637,26 @@ class TestRelabeling:
         moved = (moved_theta, MissingTable(r, moved_probs), moved_ds)
         return plain, moved, image, ranks
 
-    @pytest.mark.parametrize("r", [6, 7])
-    def test_e_step_is_equivariant(self, r):
-        plain, moved, image, _ = self.relabeled_pair(r)
+    @staticmethod
+    def assert_e_step_equivariant(plain, moved, image):
         a, b = e_step(*plain), e_step(*moved)
         assert b.nll == pytest.approx(a.nll, rel=1e-9)
         assert np.allclose(b.q_table[image], a.q_table, rtol=1e-9, atol=0)
         assert np.allclose(b.cluster_vertex[:, image], a.cluster_vertex, rtol=1e-9, atol=0)
         assert np.allclose(b.posteriors(), a.posteriors(), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("r", [6, 7])
+    def test_e_step_is_equivariant(self, r):
+        plain, moved, image, _ = self.relabeled_pair(r)
+        self.assert_e_step_equivariant(plain, moved, image)
+
+    @given(st.data())
+    def test_e_step_is_equivariant_for_drawn_relabelings(self, data):
+        r = data.draw(st.sampled_from([4, 5]), label="r")
+        g = data.draw(st.permutations(range(1, r + 1)), label="g")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        plain, moved, image, _ = self.relabeled_pair(r, seed, g)
+        self.assert_e_step_equivariant(plain, moved, image)
 
     @pytest.mark.parametrize("r", [6, 7])
     def test_m_step_theta_location_is_equivariant(self, r):

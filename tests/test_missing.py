@@ -115,14 +115,13 @@ class TestTiltConcentration:
         table = tilt_concentration_mechanism(1.0, 1.2, 0.5, Permutation.identity(3))
         assert np.all(table.probs[:, -1] < 1.0)
         probs = partial_prob_vector(theta, table)
-        tables = prefix_tables(3)
-        offset = len(tables[0].prefixes)
-        slice_complete = probs[offset:]
+        numbering = prefix_tables(3)
+        slice_complete = probs[numbering.offsets[1] :]
         tilted = mixture_pmf(MixtureParams.single(Permutation.identity(3), 1.2))
         # align enumeration: prefixes of length r-1 in lex order vs vertex order
         aligned = np.empty(6)
-        for row, prefix in enumerate(tables[1].prefixes):
-            aligned[row] = tilted[tables[1].members[row][0]]
+        for row, members in enumerate(numbering.members[1]):
+            aligned[row] = tilted[members[0]]
         assert np.abs(slice_complete / slice_complete.sum() - aligned).max() < 1e-10
         assert slice_complete.sum() == pytest.approx(0.5, abs=1e-12)
 
@@ -165,14 +164,12 @@ class TestTiltMixture:
         from partialrank.mallows import component_log_pmf
 
         comp = np.exp(component_log_pmf(theta))
-        tables = prefix_tables(4)
         idx = 0
-        for tb in tables:
-            for row in range(len(tb.prefixes)):
-                members = tb.members[row]
+        for t, rows in enumerate(prefix_tables(4).members, start=1):
+            for members in rows:
                 total = 0.0
                 for k, w in enumerate(theta.weights):
-                    total += w * spec.rows[k, tb.t - 1] * comp[k, members].sum()
+                    total += w * spec.rows[k, t - 1] * comp[k, members].sum()
                 probs_spec[idx] = total
                 idx += 1
         via_table = partial_prob_vector(theta, table)

@@ -31,7 +31,7 @@ from partialrank import (
 )
 from partialrank.cli import main
 from partialrank.mallows import component_log_pmf
-from partialrank.perms import MAX_R, distances_from, prefix_tables, vertex_prefix, write_edge_csv
+from partialrank.perms import MAX_R, distances_from, prefix_tables, write_edge_csv
 
 
 def perm_strategy(r):
@@ -228,26 +228,31 @@ class TestVectorizedHelpers:
         for v, o in enumerate(orderings):
             for t in range(1, r):
                 extending.setdefault(o[:t], []).append(v)
-        rows = vertex_prefix(r)
-        assert rows.shape == (len(orderings), r - 1) and not rows.flags.writeable
-        for table in prefix_tables(r):
-            t = table.t
-            expected = list(itertools.permutations(range(1, r + 1), t))
-            assert table.prefixes == expected
-            assert table.index == {p: g for g, p in enumerate(expected)}
-            assert table.members.dtype == np.int32 and not table.members.flags.writeable
-            assert table.members.tolist() == [extending[p] for p in expected]
-            assert [expected[g] for g in rows[:, t - 1]] == [o[:t] for o in orderings]
+        table = prefix_tables(r)
+        expected = [p for t in range(1, r) for p in itertools.permutations(range(1, r + 1), t)]
+        assert table.prefixes == expected
+        assert table.index == {p: i for i, p in enumerate(expected)}
+        lengths = [len(p) for p in expected]
+        assert table.offsets.tolist() == [lengths.index(t) for t in range(1, r)] + [len(expected)]
+        assert table.of_vertex.shape == (len(orderings), r - 1) and table.of_vertex.dtype == np.int64
+        assert not any(a.flags.writeable for a in (table.offsets, table.of_vertex, *table.members))
+        for t, members in enumerate(table.members, start=1):
+            span = expected[table.offsets[t - 1] : table.offsets[t]]
+            assert {len(p) for p in span} == {t}
+            assert members.dtype == np.int32
+            assert members.tolist() == [extending[p] for p in span]
+            assert [expected[i] for i in table.of_vertex[:, t - 1]] == [o[:t] for o in orderings]
 
     def test_prefix_tables_partition_vertices(self):
-        tables = prefix_tables(4)
-        for table in tables:
-            flat = np.sort(table.members.reshape(-1))
+        table = prefix_tables(4)
+        for members in table.members:
+            flat = np.sort(members.reshape(-1))
             assert np.array_equal(flat, np.arange(24))
-            # member rows agree with compatible_set
-            for prefix, row in table.index.items():
-                expected = [index_of(p) for p in compatible_set(TopTRanking(prefix, 4))]
-                assert list(table.members[row]) == expected
+        # member rows agree with compatible_set
+        for prefix, i in table.index.items():
+            t = len(prefix)
+            expected = [index_of(p) for p in compatible_set(TopTRanking(prefix, 4))]
+            assert list(table.members[t - 1][i - table.offsets[t - 1]]) == expected
 
 
 # every per-r builder, cached with functools.cache; S_r is enumerated only below them
@@ -258,7 +263,6 @@ CACHED_BUILDERS = [
     "perms.build_cayley_graph",
     "perms.perm_table",
     "perms.prefix_tables",
-    "perms.vertex_prefix",
 ]
 
 
@@ -283,6 +287,7 @@ class TestEnumerationLimit:
         theta = MixtureParams.single(Permutation.identity(8), 1.0)
         attempts = {
             "Dataset with truth": lambda: Dataset(8, [0], [0]),
+            "Dataset without truth": lambda: Dataset(8, [0]),
             "Dataset.rankings": lambda: Dataset(8, [0]).rankings,
             "Dataset.from_rankings": lambda: Dataset.from_rankings(8, [TopTRanking((8, 1), 8)]),
             "Dataset.load_csv": lambda: Dataset.load_csv(csv_path, 8),
