@@ -19,11 +19,12 @@ Copies and duals live on neighbor slots: entry ``[j, v]`` belongs to vertex v
 on the edge to ``N[v, j]``, where ``N = graph.neighbors`` and slot j swaps the
 items at positions j and j+1. That swap undoes itself, so ``N[N[v, j], j] == v``
 and the other endpoint's copy on the same edge sits at ``[j, N[v, j]]``. Every
-sweep is then a broadcast over ``(B, r-1, V, r-1)`` arrays (B members, see
-below) plus one gather, written into buffers the stack owns. The slot axis
-comes before the vertex axis, and the multiplier search holds its rows
-length-major, so every sum over slots or lengths adds whole contiguous planes:
-numpy reduces an innermost axis only r-1 wide about ten times slower.
+sweep is then a broadcast over ``(B, r-1, V, k)`` arrays (B members and k
+length columns, see below) plus one gather, written into buffers the stack
+owns. The slot axis comes before the vertex axis, and the multiplier search
+holds its rows length-major, so every sum over slots or lengths adds whole
+contiguous planes: numpy reduces an innermost axis only r-1 wide about ten
+times slower.
 
 The arrays have a leading member axis: a :class:`PhiStack` runs several
 problems on the same graph, each with its own ``q``, ``lam`` and start, in
@@ -34,6 +35,18 @@ iterates are bitwise those of its own :func:`solve_phi`. At r = 5 the arrays
 are so small that stacking members mostly saves numpy's per-call overhead; at
 r = 7 it saves nothing, and :func:`members_per_call` says how many members to
 stack. The objective is evaluated once per member, when it leaves the stack.
+
+Lengths with no mass share one column. A stack built with the lengths its
+data observe keeps each observed length's column plus one column for all the
+others, so k is the number of observed lengths plus one, where two or more
+are unobserved, and r-1 otherwise. The unobserved columns have q = 0 and
+equal starts, and every sweep treats them alike, so they would stay bitwise
+equal at full width. The one sum across lengths, the row sum of the
+multiplier search, still adds every length in order, so a member's rows,
+iterations, flags and objective are bitwise those of its full-width solve;
+only its residual norms, taken on the narrow arrays, can differ in the last
+bits. Both of the paper's generators are binary, so at r = 7 the rows are 3
+wide instead of 6.
 """
 
 from __future__ import annotations
@@ -47,7 +60,8 @@ from .missing import MissingTable
 from .perms import CayleyGraph
 
 NU_TOL = 1e-12          # target on the simplex residual |sum(phi) - 1|
-NU_HARD_TOL = 1e-10     # failure threshold (would violate the row-sum contract)
+NU_HARD_TOL = 1e-10     # failure threshold (would violate the row-sum contract) ...
+_HARD_ULPS = 4          # ... or this many ulp(max |y|) / rho, where larger; see _vertex_update_batch
 _MAX_NU_PASSES = 300    # passes of the multiplier search over the rows still active
 _DROP_ROWS = 1024       # frozen rows that pay for dropping them from the search's arrays
 _STATE_BYTES = 1 << 22  # cap on the slot buffers of one stack (4 MiB); see members_per_call
@@ -84,13 +98,32 @@ def _phi_of_nu(nu: np.ndarray, y: np.ndarray, two_q: np.ndarray, scaled_q: np.nd
     return phi, phi / root
 
 
-def _row_mass(q: np.ndarray, rho: float, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the multiplier search needs of ``q`` (rows over its last axis), fixed
-    through a solve: ``2 q`` and ``2 scale q`` as ``(r-1, rows)``, and the q term of ``hi``."""
+def _row_mass(q: np.ndarray, rho: float, degree: int, columns=slice(None), expand: tuple | None = None) -> tuple:
+    """What the multiplier search needs of ``q`` (rows over its last axis, one entry per
+    length), fixed through a solve: ``2 q`` and ``2 scale q`` on the searched ``columns``
+    as ``(k, rows)``, the q term of ``hi`` from every length, and ``expand``, the searched
+    column each length reads (None when each length is its own column); see :class:`PhiStack`."""
     q = np.asarray(q, dtype=float)
     q = q.reshape(-1, q.shape[-1]).T.copy()
     scale = 2.0 * rho * degree
-    return 2.0 * q, 2.0 * scale * q, np.maximum(np.add.reduce(q, axis=0), 1.0)
+    q_term = np.maximum(np.add.reduce(q, axis=0), 1.0)
+    q = q[columns]
+    return 2.0 * q, 2.0 * scale * q, q_term, expand
+
+
+def _row_sums(a: np.ndarray, expand: tuple | None) -> np.ndarray:
+    """Sums over axis 0 of a ``(k, rows)`` array, as over every length.
+
+    numpy adds the planes of axis 0 one after another, in length order. With
+    ``expand`` so does this, reading a merged length from its column, so each
+    row adds the same numbers in the same order as at full width.
+    """
+    if expand is None:
+        return np.add.reduce(a, axis=0)  # the ufunc's own reduce skips the Python wrapper of .sum
+    total = a[expand[0]] + a[expand[1]]
+    for column in expand[2:]:
+        total += a[column]
+    return total
 
 
 def _vertex_update_batch(
@@ -98,7 +131,8 @@ def _vertex_update_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve every per-vertex subproblem at once; rows land on the simplex.
 
-    ``mass`` is the rows' :func:`_row_mass` at the same rho and degree.
+    ``mass`` is the rows' :func:`_row_mass` at the same rho and degree, and
+    ``degree`` is the graph's, whatever the number of columns.
     Returns the rows and their multipliers. The row residual
     s(nu) = sum(phi(nu)) - 1 is decreasing and convex in nu, so Newton's
     method is monotone on it: from a start left of the root (s >= 0) each
@@ -110,13 +144,18 @@ def _vertex_update_batch(
     strictly between ``lo`` and ``hi``, where s(hi) <= 0; the other rows
     start from the midpoint.
 
-    The search works on the transposes, ``(r-1, rows)``: a row's sums then
-    run over axis 0, which adds its r-1 entries in the same order as a sum
+    The search works on the transposes, ``(k, rows)``: a row's sums then
+    run over axis 0, which adds its entries in the same order as a sum
     along the row does, and several times faster.
+
+    A row fails with :class:`NumericError` when its final residual is above
+    ``NU_HARD_TOL``, or above ``_HARD_ULPS`` ulp(max |y|) / rho where that is
+    larger: near the root adjacent floats of nu are ulp(|y|) apart, and s
+    changes by up to ulp(|y|) / rho between them.
     """
     scale = 2.0 * rho * degree
-    two_q, scaled_q, q_term = mass
-    y = np.asarray(y, dtype=float).T.copy()
+    two_q, scaled_q, q_term, expand = mass
+    y = y_all = np.asarray(y, dtype=float).T.copy()
     lo = -y.max(axis=0) - rho * degree  # s(lo) >= 0
     hi = -y.min(axis=0) + q_term        # s(hi) <= 0
     nu = 0.5 * (lo + hi)
@@ -126,9 +165,8 @@ def _vertex_update_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_NU_PASSES):
             phi, slope = _phi_of_nu(nu, y, two_q, scaled_q, scale)
-            # the ufunc's own reduce skips the Python wrapper of .sum
-            s = np.add.reduce(phi, axis=0) - 1.0
-            slope = np.add.reduce(slope, axis=0)
+            s = _row_sums(phi, expand) - 1.0
+            slope = _row_sums(slope, expand)
             # where z^2 underflows to 0 the slope is inf and the step stalls: send it to lo too
             slope[slope == np.inf] = np.nan
             step = np.fmax(nu + s / slope, lo)
@@ -153,9 +191,12 @@ def _vertex_update_batch(
         phi_out, nu_out = phi, nu
     else:
         phi_out[:, rows], nu_out[rows] = phi, nu
-    worst = np.max(np.abs(np.add.reduce(phi_out, axis=0) - 1.0))
-    if not worst <= NU_HARD_TOL:  # also catches a nan residual
-        raise NumericError(f"simplex multiplier search stalled at residual {worst:.3e}")
+    residual = np.abs(_row_sums(phi_out, expand) - 1.0)
+    worst = np.max(residual)
+    if not worst <= NU_HARD_TOL:
+        bound = np.maximum(NU_HARD_TOL, _HARD_ULPS * np.spacing(np.abs(y_all).max(axis=0)) / rho)
+        if not np.all(residual <= bound):  # also catches a nan residual
+            raise NumericError(f"simplex multiplier search stalled at residual {worst:.3e}")
     # trim float fuzz just past the box; the multiplier residual bounds the change
     return np.clip(phi_out, 0.0, 1.0, out=phi_out).T.copy(), nu_out
 
@@ -220,23 +261,44 @@ class PhiStack:
     iterates are bitwise those of its own :func:`solve_phi`, whatever else is
     stacked with it. A caller keeps the stack within :func:`members_per_call`,
     as the EM fits do.
+
+    ``support`` names the lengths t that may carry mass (default: all). Where
+    two or more lie outside it, the stack keeps one column for all of those,
+    at the first of them (see the module docstring), and expands a member to
+    every length as it leaves. :meth:`push` then refuses a member with mass
+    outside the support, or whose start differs among those lengths.
     """
 
     def __init__(self, graph: CayleyGraph, rho: float = 1.0, eps_primal: float = 1.0, eps_dual: float = 1.0,
-                 max_iter: int = 100):
+                 max_iter: int = 100, support=None):
         if not rho > 0:
             raise DomainError("need rho > 0")
         if max_iter < 1:
             raise DomainError("max_iter must be at least 1")
         self.graph, self.rho, self.eps_primal, self.eps_dual, self.max_iter = graph, rho, eps_primal, eps_dual, max_iter
         width, n = graph.r - 1, graph.n_vertices
+        observed = np.zeros(width, dtype=bool)
+        for t in range(1, graph.r) if support is None else support:
+            if not 1 <= t <= width:
+                raise DomainError(f"length {t} outside 1..{width}")
+            observed[t - 1] = True
+        self.empty = ~observed
+        # the kept columns, the kept column each length reads, and (merged column, lengths it holds)
+        self.columns, self.expand, self.merged = slice(None), None, None
+        if np.count_nonzero(self.empty) > 1:
+            first = int(np.argmax(self.empty))
+            self.columns, expand = np.unique(np.where(observed, np.arange(width), first), return_inverse=True)
+            self.expand = tuple(expand.tolist())  # Python ints index planes fastest
+            self.merged = self.expand[first], float(np.count_nonzero(self.empty))
+        k = width if self.expand is None else self.columns.size
         # the empty stack; _regroup derives the buffers, the partner rows and the row mass
         self.tags: list = []
-        self.q = self.phi = np.empty((0, n, width))  # (B, V, r-1)
+        self.q = np.empty((0, n, width))  # (B, V, r-1): the row mass and the objective read every length
+        self.phi = np.empty((0, n, k))    # (B, V, k)
         self.lam, self.alpha, self.iterations = np.empty(0), np.empty(0), np.empty(0, dtype=int)
         self.nu = np.empty((0, n))  # multipliers of the last vertex sweep, nan before it
-        # (B, r-1, V, r-1): [b, j, v] is v's copy on the edge to N[v, j], and the dual of phi[b, v] == copies[b, j, v]
-        self.copies = self.duals = np.empty((0, width, n, width))
+        # (B, r-1, V, k): [b, j, v] is v's copy on the edge to N[v, j], and the dual of phi[b, v] == copies[b, j, v]
+        self.copies = self.duals = np.empty((0, width, n, k))
         self._left = np.empty(0, dtype=bool)  # the members that left at the last step
         self._joining: list[tuple] = []       # (tag, q, phi0, lam, alpha) pushed since the last step
         self._capacity, self._buffers = 0, {}
@@ -260,6 +322,14 @@ class PhiStack:
             raise DimensionError(f"phi0 shape {phi0.shape} does not match q_table shape {q.shape}")
         if not np.all(np.isfinite(phi0)):
             raise DomainError("phi0 must be finite")
+        if self.expand is not None:
+            if np.any(q[:, self.empty]):
+                raise DomainError("responsibilities outside the stack's length support")
+            # the merged lengths must start bitwise equal, -0.0 and 0.0 included
+            back = phi0[:, self.columns][:, self.expand]
+            if not np.all((back == phi0) & (np.signbit(back) == np.signbit(phi0))):
+                raise DomainError("phi0 differs among the lengths outside the stack's support")
+        phi0 = phi0[:, self.columns]
         self._joining.append((tag, q, phi0, lam, alpha))
 
     def _regroup(self) -> None:
@@ -299,7 +369,7 @@ class PhiStack:
             partner = self.graph.neighbors.T + np.arange(width)[:, None] * n
             self._partners = np.arange(size)[:, None, None] * partner.size + partner
         self.prev_copies, self.work, self.partner = self._scratch[0, :size], self._scratch[1, :size], self._partners[:size]
-        self.mass = _row_mass(self.q, self.rho, width)
+        self.mass = _row_mass(self.q, self.rho, width, self.columns, self.expand)
         self._left, self._joining = np.zeros(len(self.tags), dtype=bool), []
 
     def step(self) -> list[tuple]:
@@ -316,30 +386,30 @@ class PhiStack:
         vertex_sweep(self)
         edge_sweep(self)
         dual_sweep(self)
-        res_p = _norms(self.work)
-        res_d = _norms(np.subtract(self.copies, self.prev_copies, out=self.work))
+        res_p = _norms(self.work, self.merged)
+        res_d = _norms(np.subtract(self.copies, self.prev_copies, out=self.work), self.merged)
         self.iterations += 1
         converged = (res_p < self.eps_primal) & (res_d < self.eps_dual)
         self._left = converged | (self.iterations >= self.max_iter)
-        left = [
-            (self.tags[b], AdmmResult(
-                phi=MissingTable(self.graph.r, self.phi[b]),
+        left = []
+        for b in np.flatnonzero(self._left):
+            phi = self.phi[b] if self.expand is None else self.phi[b][:, self.expand]
+            left.append((self.tags[b], AdmmResult(
+                phi=MissingTable(self.graph.r, phi),
                 converged=bool(converged[b]),
                 iterations=int(self.iterations[b]),
                 res_primal=float(res_p[b]),
                 res_dual=float(res_d[b]),
-                objective=phi_objective(self.phi[b], self.q[b], self.graph, float(self.lam[b])),
-            ))
-            for b in np.flatnonzero(self._left)
-        ]
+                objective=phi_objective(phi, self.q[b], self.graph, float(self.lam[b])),
+            )))
         if self._left.all():
             self._regroup()  # an empty stack holds no buffers while its runs take their E- and M-steps
         return left
 
 
-# The sweeps write into the stack's (B, r-1, V, r-1) buffers: at r = 7 each
-# fresh temporary would be a 1.4 MB allocation per member on every ADMM
-# iteration. Every operation is row-local, so a member's iterates do not
+# The sweeps write into the stack's (B, r-1, V, k) buffers: at r = 7 and full
+# width each fresh temporary would be a 1.4 MB allocation per member on every
+# ADMM iteration. Every operation is row-local, so a member's iterates do not
 # depend on the others.
 
 
@@ -347,8 +417,8 @@ def vertex_sweep(stack: PhiStack) -> None:
     """New rows from the copies and duals, against the stack's row mass."""
     y = np.subtract(stack.duals, stack.copies, out=stack.work).sum(axis=1)
     y *= stack.rho
-    width = stack.graph.r - 1
-    phi, nu = _vertex_update_batch(stack.mass, y.reshape(-1, width), stack.rho, width, stack.nu.reshape(-1))
+    phi, nu = _vertex_update_batch(stack.mass, y.reshape(-1, y.shape[-1]), stack.rho, stack.graph.r - 1,
+                                   stack.nu.reshape(-1))
     stack.phi, stack.nu = phi.reshape(y.shape), nu.reshape(stack.nu.shape)
 
 
@@ -373,13 +443,18 @@ def dual_sweep(stack: PhiStack) -> None:
     stack.duals += np.subtract(stack.phi[:, None], stack.copies, out=stack.work)
 
 
-def _norms(diff: np.ndarray) -> np.ndarray:
-    """Per-member Frobenius norms of a ``(B, r-1, V, r-1)`` array, squared in place.
+def _norms(diff: np.ndarray, merged: tuple | None = None) -> np.ndarray:
+    """Per-member Frobenius norms of a ``(B, r-1, V, k)`` array, squared in place;
+    ``merged = (column, count)`` counts that column ``count`` times.
 
     Each member's slice is contiguous, so its reduction is the same pairwise
     sum as that of the member's array on its own.
     """
-    return np.sqrt(np.square(diff, out=diff).sum(axis=(-3, -2, -1)))
+    np.square(diff, out=diff)
+    if merged is not None:
+        column, count = merged
+        diff[..., column] *= count
+    return np.sqrt(diff.sum(axis=(-3, -2, -1)))
 
 
 def members_per_call(graph: CayleyGraph) -> int:

@@ -464,7 +464,10 @@ def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, me: bool = 
                           fixed_phi, job, j)
             runs.append((job, j, run))
     best: list[tuple | None] = [None] * len(jobs)  # per job, its best finished (restart, theta, phi, trace, converged)
-    stack = admm.PhiStack(graph, config.rho, config.admm_eps_primal, config.admm_eps_dual, config.admm_max_iter)
+    # the lengths any job observes; each E-step's q is zero at the others
+    support = {block.t for dataset, _ in jobs for block in dataset.groups().blocks}
+    stack = admm.PhiStack(graph, config.rho, config.admm_eps_primal, config.admm_eps_dual, config.admm_max_iter,
+                          support)
     width = admm.members_per_call(graph)
     waiting = iter(range(len(runs)))
 

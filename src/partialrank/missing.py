@@ -24,17 +24,16 @@ grouping work on these arrays; ``Dataset.rankings`` and ``Dataset.true_perms``
 are views built from per-r shared objects, and ``Dataset.from_rankings``
 converts object lists.
 
-Every per-r table here (the shared objects and the CSV fields) is cached with
-``functools.cache`` and built on the tables of :mod:`partialrank.perms`, so
-``r > perms.MAX_R`` raises :class:`~partialrank.errors.CapacityError`. A
-non-empty dataset reads its prefix table when it is made, so it cannot be made
-above the limit.
+Every per-r table here (the shared objects and the CSV fields) is cached by
+:func:`~partialrank.util.cache_per_r` and built on the tables of
+:mod:`partialrank.perms`, so ``r > perms.MAX_R`` raises
+:class:`~partialrank.errors.CapacityError`. A non-empty dataset reads its
+prefix table when it is made, so it cannot be made above the limit.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import logging
 import math
 import operator
@@ -53,7 +52,7 @@ from .perms import (
     perm_table,
     prefix_tables,
 )
-from .util import atomic_open, check_integer
+from .util import atomic_open, cache_per_r, check_integer
 
 logger = logging.getLogger(__name__)
 
@@ -151,7 +150,7 @@ class Dataset:
     _groups: ObservationGroups | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.r = operator.index(self.r)  # a numpy integer would key a second copy of every per-r cache
+        self.r = operator.index(self.r)  # a Python int, whatever integer type r came as
         self.obs = _frozen_ids(self.obs)
         self.true_vertices = _frozen_ids(self.true_vertices)
         self.true_clusters = _frozen_ids(self.true_clusters)
@@ -377,19 +376,19 @@ class _CsvText:
 # Per-r objects and CSV fields shared by every Dataset view, built once per r.
 
 
-@functools.cache
+@cache_per_r
 def _shared_rankings(r: int) -> tuple[TopTRanking, ...]:
     """One TopTRanking per prefix-table index."""
     return tuple(TopTRanking(p, r) for p in prefix_tables(r).prefixes)
 
 
-@functools.cache
+@cache_per_r
 def _shared_perms(r: int) -> tuple[Permutation, ...]:
     """One Permutation per vertex, in vertex order."""
     return tuple(Permutation(tuple(ranks)) for ranks in perm_table(r).ranks.tolist())
 
 
-@functools.cache
+@cache_per_r
 def _csv_text(r: int) -> _CsvText:
     table = prefix_tables(r)
     pairs = [(str(len(prefix)), ">".join(map(str, prefix))) for prefix in table.prefixes]

@@ -17,13 +17,13 @@ each vertex's prefixes and each prefix's compatible vertices.
 Everything here is exponential in ``r`` by construction. Every r!-sized table
 is built on :func:`perm_table`, which raises ``CapacityError`` for
 ``r > MAX_R`` before it enumerates, and each per-r table is built once and
-cached with ``functools.cache``.
+cached by :func:`~partialrank.util.cache_per_r`, keyed on ``operator.index(r)``
+so that a numpy integer r shares the table of the equal int.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
-from .util import atomic_open
+from .util import atomic_open, cache_per_r
 
 MAX_R = 7  # the largest r whose S_r is enumerated (7! = 5040 vertices)
 
@@ -178,7 +178,7 @@ class PrefixTable:
     members: list[np.ndarray]        # per t, (P(r, t), (r-t)!) int32
 
 
-@functools.cache
+@cache_per_r
 def perm_table(r: int) -> PermTable:
     """S_r enumerated; the one place that refuses ``r > MAX_R``."""
     if r < 1:
@@ -194,7 +194,7 @@ def perm_table(r: int) -> PermTable:
     return PermTable(r, ranks, orderings, pair_order)
 
 
-@functools.cache
+@cache_per_r
 def prefix_tables(r: int) -> PrefixTable:
     """The numbering of every top-t ranking of r items, t = 1..r-1.
 
@@ -250,7 +250,7 @@ class CayleyGraph:
         return self.edges.shape[0]
 
 
-@functools.cache
+@cache_per_r
 def build_cayley_graph(r: int) -> CayleyGraph:
     """Graph on all of S_r; vertices are canonical indices, degree is r-1."""
     if r < 2:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
+import operator
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,6 +31,24 @@ def write_json(path: str | Path, payload) -> None:
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def cache_per_r(builder):
+    """``functools.cache`` for a builder of one argument r, keyed on ``operator.index(r)``.
+
+    ``functools.cache`` keys a Python int by itself and any other value in a
+    wrapper, so ``np.int64(4)`` would miss the entry of ``4`` and build a
+    second table. The result keeps the builder's name, module and docstring,
+    and the cache's ``cache_info`` and ``cache_clear``.
+    """
+    cached = functools.cache(builder)
+
+    @functools.wraps(builder)
+    def per_r(r):
+        return cached(operator.index(r))
+
+    per_r.cache_info, per_r.cache_clear = cached.cache_info, cached.cache_clear
+    return per_r
 
 
 REQUIRED = object()  # the default of a field that must be present

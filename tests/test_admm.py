@@ -545,3 +545,103 @@ def test_mixing_weight_is_elementwise():
     assert np.array_equal(mixing_weight(lams, 0.3), [mixing_weight(float(lam), 0.3) for lam in lams])
     with pytest.raises(DomainError):
         mixing_weight(np.array([1.0, -1.0]), 1.0)
+
+
+def _merged_starts(rng, n, r, support):
+    """Uniform rows, and random simplex rows equal on every length outside ``support``."""
+    observed = np.isin(np.arange(1, r), support)
+    empty = int(np.count_nonzero(~observed))
+    groups = rng.dirichlet(np.ones(observed.sum() + 1), size=n)
+    random = np.empty((n, r - 1))
+    random[:, observed] = groups[:, :-1]
+    random[:, ~observed] = (groups[:, -1] / empty)[:, None]  # one value per row, so bitwise equal
+    return np.full((n, r - 1), 1.0 / (r - 1)), random
+
+
+@pytest.mark.parametrize("r,support", [(4, (2,)), (5, (1, 4)), (6, (1, 3, 5)), (6, (1, 5)), (7, (1, 6)), (7, (2, 5))])
+def test_merged_stack_matches_full_width_solves(r, support):
+    # lengths outside the support have q = 0 and equal starts; a stack told
+    # the support keeps one column for all of them, yet each member gets
+    # bitwise the rows, iterations, flag and objective of its full-width
+    # solve, and residuals to rounding
+    graph = build_cayley_graph(r)
+    rng = np.random.default_rng(500 + r + len(support))
+    observed = np.isin(np.arange(1, r), support)
+    k = int(observed.sum()) + 1
+    lams = [0.5, 10.0, 100.0]
+    q = rng.random((len(lams), graph.n_vertices, r - 1)) * 20
+    q[rng.random(q.shape) < 0.2] = 0.0
+    q[:, :, ~observed] = 0.0
+    for start in _merged_starts(rng, graph.n_vertices, r, support):
+        stack = PhiStack(graph, 1.0, 1e-2, 1e-2, max_iter=40, support=support)
+        for b, lam in enumerate(lams):
+            stack.push(b, q[b], start, lam)
+        merged = dict(stack.step())
+        assert stack.copies.shape[-1] == stack.phi.shape[-1] == k < r - 1
+        while len(stack):
+            merged.update(stack.step())
+        alone = [solve_phi(q[b], graph, lam, 1.0, start, 1e-2, 1e-2, 40) for b, lam in enumerate(lams)]
+        assert len({res.iterations for res in alone}) > 1
+        for b, full in enumerate(alone):
+            got = merged[b]
+            assert np.array_equal(got.phi.probs, full.phi.probs)
+            assert (got.iterations, got.converged, got.objective) == (full.iterations, full.converged, full.objective)
+            assert got.res_primal == pytest.approx(full.res_primal, rel=1e-12, abs=0)
+            assert got.res_dual == pytest.approx(full.res_dual, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("r", [4, 5, 7])
+def test_stack_with_at_most_one_empty_length_keeps_full_width(r):
+    graph = build_cayley_graph(r)
+    for support in (None, range(1, r), range(2, r)):
+        stack = PhiStack(graph, support=support)
+        stack.push(0, np.ones((graph.n_vertices, r - 1)), np.full((graph.n_vertices, r - 1), 1 / (r - 1)), 1.0)
+        stack._regroup()
+        assert stack.expand is None
+        assert stack.copies.shape == (1, r - 1, graph.n_vertices, r - 1) and stack.phi.shape[-1] == r - 1
+
+
+def test_push_rejects_members_that_break_the_merge():
+    graph = build_cayley_graph(5)
+    n = graph.n_vertices
+    stack = PhiStack(graph, support=(1, 4))  # lengths 2 and 3 share one column
+    q, phi0 = np.zeros((n, 4)), np.full((n, 4), 0.25)
+    q[:, [0, 3]] = 1.0
+    for column in (1, 2):  # the kept column and the one merged into it
+        bad = q.copy()
+        bad[7, column] = 1e-300
+        with pytest.raises(DomainError):
+            stack.push(0, bad, phi0, 1.0)
+    for value in (np.nextafter(0.25, 1.0), 0.0):
+        bad = phi0.copy()
+        bad[3, 2] = value
+        with pytest.raises(DomainError):
+            stack.push(0, q, bad, 1.0)
+    signed = np.array([[0.5, 0.0, -0.0, 0.5]] * n)
+    with pytest.raises(DomainError):
+        stack.push(0, q, signed, 1.0)
+    assert len(stack) == 0
+    stack.push(0, q, phi0, 1.0)
+    assert len(stack) == 1
+    for support in ((0, 1), (5,)):
+        with pytest.raises(DomainError):
+            PhiStack(graph, support=support)
+
+
+def test_hard_tolerance_scales_with_the_spacing_of_y():
+    # rows with |y| up to 1e9 and rho from 0.01 to 100: near the root
+    # adjacent floats of nu change s by about ulp(|y|) / rho, so no float nu
+    # need meet the absolute NU_HARD_TOL; none may raise
+    rng = np.random.default_rng(27)
+    over = 0
+    for _ in range(300):
+        degree, n = int(rng.integers(2, 7)), 10
+        q = rng.random((n, degree)) * 10 ** rng.uniform(-6, 3, size=(n, 1))
+        q[rng.random(q.shape) < 0.5] = 0.0
+        y = rng.normal(size=(n, degree)) * 10 ** rng.uniform(0, 9, size=(n, 1))
+        rho = float(10 ** rng.uniform(-2, 2))
+        phi, _ = _vertex_update_batch(_row_mass(q, rho, degree), y, rho, degree)
+        residual = np.abs(phi.sum(axis=1) - 1.0)
+        assert np.all(residual <= np.maximum(NU_HARD_TOL, admm._HARD_ULPS * np.spacing(np.abs(y).max(axis=1)) / rho))
+        over += int(np.count_nonzero(residual > NU_HARD_TOL))
+    assert over > 100  # the absolute tolerance alone would have failed these rows

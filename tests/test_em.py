@@ -31,7 +31,7 @@ from partialrank import (
 from partialrank import admm, em
 from partialrank.em import Responsibilities, load_fit_json, penalized_nll
 from partialrank.mallows import mixture_pmf
-from partialrank.perms import build_cayley_graph, compatible_set, index_of, kendall_distance, unindex
+from partialrank.perms import build_cayley_graph, compatible_set, distances_from, index_of, kendall_distance, unindex
 
 
 def uniform_theta(r, c=1e-12):
@@ -196,6 +196,22 @@ class TestMStepTheta:
         left = (objective(c_hat) - objective(c_hat - delta)) / delta
         right = (objective(c_hat + delta) - objective(c_hat)) / delta
         assert left <= 0 <= right  # derivative changes sign at the minimizer
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+    def test_concentration_solves_the_closed_form_moment_equation(self, r):
+        # for a Mallows model E_c[d] has a closed form (Fligner & Verducci
+        # 1986); at an interior optimum c solves E_c[d] = the mean distance
+        rng = np.random.default_rng(600 + r)
+        n_vertices = math.factorial(r)
+        truth = MixtureParams.single(unindex(int(rng.integers(n_vertices)), r), 0.7)
+        mass = mixture_pmf(truth)[None, :] * rng.uniform(50.0, 150.0, size=(1, n_vertices))
+        component = m_step_theta(make_resp(r, mass), Dataset.from_rankings(r, [])).components[0]
+        c = component.c
+        assert 1e-4 < c < 20.0
+        mean = float(mass[0] @ distances_from(r, index_of(component.sigma))) / float(mass.sum())
+        j = np.arange(1, r)
+        moment = np.sum(np.exp(-c) / -np.expm1(-c) - (j + 1) * np.exp(-(j + 1) * c) / -np.expm1(-(j + 1) * c))
+        assert float(moment) == pytest.approx(mean, abs=1e-6)
 
 
 class TestFit:
@@ -674,3 +690,39 @@ class TestRelabeling:
             assert np.sum(scores <= scores.min() * (1 + 1e-9)) == 1  # a unique argmin
             assert index_of(theta_b.components[k].sigma) == image[location]
         assert theta_b.weights == pytest.approx(theta_a.weights, rel=1e-9)
+
+    def test_fit_is_equivariant_at_r6(self, monkeypatch):
+        # binary-generator data (lengths 1 and 5 only, so each phi-step runs
+        # on a stack that merges lengths 2-4) fitted, then its relabeling
+        # fitted from the relabeled initial locations: the transition
+        # proposals draw neighbor slots, which relabeling keeps, so the
+        # second fit is the relabeled first one. The golden section stops on
+        # an interval 1e-8 wide, where its comparisons are float noise, so a
+        # sum taken in another order can move c by up to 3e-8 relative, and
+        # EM carries that into phi at up to about 3e-7: the fits agree to
+        # those bounds, not to rounding
+        r = 6
+        rng = np.random.default_rng(306)
+        g = rng.permutation(r) + 1
+
+        def move(p: Permutation) -> Permutation:
+            return Permutation.from_ordering([int(g[item - 1]) for item in p.inverse])
+
+        image = np.array([index_of(move(unindex(v, r))) for v in range(math.factorial(r))])
+        sigma0 = unindex(100, r)
+        mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, sigma0)
+        ds = generate_dataset(MixtureParams.single(sigma0, 1.0), mech, 800, 6)
+        assert [block.t for block in ds.groups().blocks] == [1, 5]
+        moved_ds = Dataset.from_rankings(r, [TopTRanking(tuple(int(g[i - 1]) for i in tau.items), r)
+                                             for tau in ds.rankings])
+        config = FitConfig(lam=10.0, restarts=2, seed=8, em_max_iter=12)
+        inits, initial_locations = [], em._initial_locations
+        monkeypatch.setattr(em, "_initial_locations", lambda *args: inits.append(initial_locations(*args)) or inits[-1])
+        plain = fit(ds, config)
+        monkeypatch.setattr(em, "_initial_locations", lambda *args: [tuple(int(image[v]) for v in p) for p in inits[0]])
+        moved = fit(moved_ds, config)
+        assert len(moved.trace) == len(plain.trace) > 3 and moved.restart == plain.restart
+        assert [c.sigma for c in moved.theta.components] == [move(c.sigma) for c in plain.theta.components]
+        assert [c.c for c in moved.theta.components] == pytest.approx([c.c for c in plain.theta.components], rel=1e-7)
+        assert moved.trace == pytest.approx(plain.trace, rel=1e-8)
+        assert np.allclose(moved.phi.probs[image], plain.phi.probs, rtol=1e-6, atol=0)

@@ -255,7 +255,7 @@ class TestVectorizedHelpers:
             assert list(table.members[t - 1][i - table.offsets[t - 1]]) == expected
 
 
-# every per-r builder, cached with functools.cache; S_r is enumerated only below them
+# every per-r builder, cached by util.cache_per_r; S_r is enumerated only below them
 CACHED_BUILDERS = [
     "missing._csv_text",
     "missing._shared_perms",
@@ -313,3 +313,24 @@ class TestEnumerationLimit:
         sizes = json.loads(done.stdout)
         assert sorted(sizes) == CACHED_BUILDERS
         assert all(size == 0 for size in sizes.values()), sizes
+
+
+def test_numpy_integer_r_shares_the_entry_of_the_equal_int():
+    # functools.cache alone keys np.int64(4) apart from 4 and builds a second table
+    script = "\n".join([
+        "import json",
+        "import numpy as np",
+        "from partialrank import missing, perms",
+        inspect.getsource(cache_sizes),
+        "same = {}",
+        f"for name in {CACHED_BUILDERS!r}:",
+        "    builder = getattr({'missing': missing, 'perms': perms}[name.split('.')[0]], name.split('.')[1])",
+        "    same[name] = all(builder(r) is builder(4) for r in (np.int64(4), np.int32(4), np.uint8(4)))",
+        "print(json.dumps([same, cache_sizes()]))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(partialrank.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    same, sizes = json.loads(done.stdout)
+    assert same == dict.fromkeys(CACHED_BUILDERS, True)
+    assert sizes == dict.fromkeys(CACHED_BUILDERS, 1)
+    assert (prefix_tables.__name__, prefix_tables.__module__) == ("prefix_tables", "partialrank.perms")
