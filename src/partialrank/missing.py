@@ -6,7 +6,7 @@ is the conditional distribution of the observed prefix length t over
 "nothing missing" is t = r-1 and "all but the first preference missing" is
 t = 1.
 
-Dataset CSV format (bit-exact; UTF-8, LF line endings)::
+Dataset CSV format (bit-exact; UTF-8, LF line endings; a record is one line)::
 
     t,items
     3,2>5>1
@@ -239,75 +239,90 @@ class Dataset:
     # -- CSV round trip ------------------------------------------------------
 
     def save_csv(self, path: str | Path) -> None:
+        """Write the dataset CSV, formatting each distinct row once and gathering the rest."""
         text = _csv_text(self.r)
-        header = ["t", "items"]
-        columns = [[text.partial[i] for i in self.obs.tolist()]]
+        columns = [("t,items", self.obs, text.partial)]  # (header, per-row index, spellings)
         if self.true_vertices is not None:
-            header.append("true_perm")
-            columns.append([text.perm[v] for v in self.true_vertices.tolist()])
+            columns.append(("true_perm", self.true_vertices, text.perm))
         if self.true_clusters is not None:
-            header.append("true_cluster")
-            columns.append(list(map(str, self.true_clusters.tolist())))
-        lines = [",".join(header), *map(",".join, zip(*columns))]
+            codes, code_of = np.unique(self.true_clusters, return_inverse=True)
+            columns.append(("true_cluster", code_of, list(map(str, codes.tolist()))))
+        key = 0  # digits (prefix, vertex, cluster code): below 8659 * 5040 * n at r = 7, so no int64 overflow
+        for _, index, spellings in columns:
+            key = key * len(spellings) + index
+        distinct, inverse = np.unique(key, return_inverse=True)
+        some = np.empty(distinct.size, dtype=np.int64)
+        some[inverse] = np.arange(len(self))  # some row of each distinct key
+        fields = ([spellings[i] for i in index[some].tolist()] for _, index, spellings in columns)
+        lines = np.array(list(map(",".join, zip(*fields))), dtype=object)[inverse].tolist()
         with atomic_open(path) as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join([",".join(name for name, _, _ in columns), *lines]) + "\n")
 
     @classmethod
     def load_csv(cls, path: str | Path, r: int) -> "Dataset":
-        """Parse and validate a dataset file in one pass; errors carry line numbers.
+        """Parse and validate a dataset file; errors carry line numbers.
 
-        Each field is looked up by its spelling in a dict that starts with the
-        spellings :meth:`save_csv` writes. A spelling met for the first time
-        goes through that field's parser, which accepts other spellings of
-        valid values (``02>5``, `` 3``) and raises the field's error, so a
-        non-canonical spelling costs what a canonical one does from then on.
+        A record is one line. Each distinct line is tokenized by ``csv`` and checked
+        once, in order of first appearance, so an error names the file's first bad
+        line. Spellings :meth:`save_csv` writes are looked up, others parsed (``02>5``, `` 3``).
         """
         text = _csv_text(r)
-        partials, perms, cluster_ids = dict(text.partial_index), dict(text.perm_index), {}
-        obs, vertices, clusters = [], [], []
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None:
-                    logger.warning("empty dataset file %s", path)
-                    return cls(r, [])
-                if header[:2] != ["t", "items"]:
-                    raise DataFormatError(f"expected header starting with t,items; got {header}", line=1)
-                width = len(header)
-                perm_col = header.index("true_perm") if "true_perm" in header else None
-                cluster_col = header.index("true_cluster") if "true_cluster" in header else None
-                for lineno, row in enumerate(reader, start=2):
-                    if not row:  # csv.reader yields [] for a blank line
-                        continue
-                    if len(row) != width:
-                        raise DataFormatError(f"expected {width} fields, got {len(row)}", line=lineno)
-                    key = partials.get((row[0], row[1]))
-                    if key is None:
-                        key = partials[row[0], row[1]] = _parse_partial(row[0], row[1], r, lineno)
-                    obs.append(key)
-                    if perm_col is not None:
-                        spelling = row[perm_col]
-                        vertex = perms.get(spelling)
-                        if vertex is None:
-                            vertex = perms[spelling] = _parse_perm(spelling, r, lineno)
-                        if key not in text.vertex_prefixes[vertex]:
-                            message = f"true_perm field {spelling!r} does not start with items {row[1]!r}"
-                            raise DataFormatError(message, line=lineno)
-                        vertices.append(vertex)
-                    if cluster_col is not None:
-                        spelling = row[cluster_col]
-                        cluster = cluster_ids.get(spelling)
-                        if cluster is None:
-                            cluster = cluster_ids[spelling] = _parse_cluster(spelling, lineno)
-                        clusters.append(cluster)
-        except csv.Error as exc:
-            raise DataFormatError(str(exc), line=reader.line_num) from exc
+                content = fh.read()
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"file is not valid UTF-8: {exc}") from exc
-        if not obs:
+        if not content:
+            logger.warning("empty dataset file %s", path)
+            return cls(r, [])
+        if "\r" in content:  # the line ends file iteration knows; str.splitlines knows more
+            content = content.replace("\r\n", "\n").replace("\r", "\n")
+        head, *lines = content.split("\n")
+        # 0 for a blank line, then in order of first appearance: line k first appears where max(ids) reaches k
+        seen = {line: k for k, line in enumerate(dict.fromkeys(["", *lines]))}
+        ids = np.fromiter(map(seen.__getitem__, lines), np.int64, len(lines))
+        firsts = np.searchsorted(np.maximum.accumulate(ids), np.arange(1, len(seen))) + 2
+        records = _records([head, *list(seen)[1:]], [1, *firsts.tolist()])
+        _, header = next(records)
+        if header[:2] != ["t", "items"]:
+            raise DataFormatError(f"expected header starting with t,items; got {header}", line=1)
+        perm_col = header.index("true_perm") if "true_perm" in header else None
+        cluster_col = header.index("true_cluster") if "true_cluster" in header else None
+        obs, vertices, clusters = [], [], []  # per distinct non-blank line
+        for lineno, row in records:
+            if len(row) != len(header):
+                raise DataFormatError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
+            key = text.partial_index.get((row[0], row[1]))
+            if key is None:
+                key = _parse_partial(row[0], row[1], r, lineno)
+            obs.append(key)
+            if perm_col is not None:
+                vertex = text.perm_index.get(row[perm_col])
+                if vertex is None:
+                    vertex = _parse_perm(row[perm_col], r, lineno)
+                if key not in text.vertex_prefixes[vertex]:
+                    message = f"true_perm field {row[perm_col]!r} does not start with items {row[1]!r}"
+                    raise DataFormatError(message, line=lineno)
+                vertices.append(vertex)
+            if cluster_col is not None:
+                clusters.append(_parse_cluster(row[cluster_col], lineno))
+        rows = ids[ids > 0] - 1  # blank lines dropped
+        if not rows.size:
             logger.warning("dataset file %s holds no observations", path)
-        return cls(r, obs, None if perm_col is None else vertices, None if cluster_col is None else clusters)
+        columns = ((0, obs), (perm_col, vertices), (cluster_col, clusters))
+        return cls(r, *(None if col is None else np.array(v, dtype=np.int64)[rows] for col, v in columns))
+
+
+def _records(lines: list[str], linenos: list[int]):
+    """Each line's number and ``csv`` fields; a quoted field may not run past its line."""
+    reader = csv.reader([*lines, ""])  # the "" lets a quote left open on the last line show
+    try:
+        for k, (lineno, row) in enumerate(zip(linenos, reader), start=1):
+            if reader.line_num > k:  # the reader went on to the next line for a closing quote
+                raise DataFormatError("quoted field runs past the end of the line", line=lineno)
+            yield lineno, row
+    except csv.Error as exc:
+        raise DataFormatError(str(exc), line=linenos[reader.line_num - 1]) from exc
 
 
 def _frozen_ids(values) -> np.ndarray | None:

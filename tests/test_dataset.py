@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     generate_dataset_loop,
@@ -24,6 +26,7 @@ from partialrank import (
     TopTRanking,
     generate_dataset,
 )
+from partialrank import missing
 from partialrank.missing import Dataset, empirical_partial_counts, enumerate_partial_rankings
 from partialrank.perms import prefix_tables
 
@@ -104,6 +107,7 @@ VALID_SPELLINGS = {
     "padded fields": "t,items\n 2, 3>1\n2,3 >1\n",
     "quoted fields": 't,items\n"2","3>1"\n"1",4\n',
     "crlf line ends": "t,items\r\n2,3>1\r\n1,4\r\n",
+    "cr line ends": "t,items\r2,3>1\r1,4\r",
     "blank lines": "t,items\n\n2,3>1\n\n\n1,4\n",
     "extra column": "t,items,note\n2,3>1,x\n1,4,\n",
     "header only": "t,items\n",
@@ -151,6 +155,7 @@ FORMAT_ERRORS = {
     "true_perm item": "t,items,true_perm,true_cluster\n" + CANONICAL + "2,3>1,3>1>2>4>6,0\n",
     "true_cluster field": "t,items,true_perm,true_cluster\n" + CANONICAL * 3 + "2,3>1,3>1>2>4>5,x\n",
     "first of two errors": "t,items\n2,3>1\n3,3>1\n2,3>3\n",
+    "repeated bad line": "t,items\n2,3>1\n2,3>3\n1,4\n2,3>3\n",  # line 3, its first occurrence
 }
 
 
@@ -163,6 +168,74 @@ def test_format_errors_match_row_reader(text, tmp_path):
     with pytest.raises(DataFormatError) as got:
         Dataset.load_csv(path, 5)
     assert (str(got.value), got.value.line) == (str(expected.value), expected.value.line)
+
+
+# A record is one line: csv.reader would join these lines and read "2\n" as t = 2.
+RUNAWAY_QUOTES = {
+    "in the length": ('t,items\n"2\n",3>1\n', 2),
+    "in the items, crlf": ('t,items\r\n1,4\r\n2,"3>1\r\n"\r\n', 3),
+    "on the last line": ('t,items\n1,4\n2,"3>1\n', 3),
+    "after a valid repeat": ('t,items\n1,4\n1,4\n2,"3>1\r"\n', 4),
+    "in the header": ('t,"items\n",x\n2,3>1\n', 1),
+}
+
+
+@pytest.mark.parametrize("text,line", RUNAWAY_QUOTES.values(), ids=RUNAWAY_QUOTES.keys())
+def test_quoted_field_may_not_run_past_its_line(text, line, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataFormatError, match="past the end of the line") as got:
+        Dataset.load_csv(path, 5)
+    assert got.value.line == line
+
+
+def test_each_distinct_line_is_parsed_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(t_field, items_field, r, lineno):
+        calls.append(lineno)
+        return parse(t_field, items_field, r, lineno)
+
+    parse = missing._parse_partial
+    monkeypatch.setattr(missing, "_parse_partial", counting)
+    path = tmp_path / "d.csv"
+    path.write_text(VALID_SPELLINGS["repeated spellings"])
+    assert len(Dataset.load_csv(path, 5)) == 200
+    assert calls == [2, 3]  # "2,03>1" and "1, 3"; "4,3>1>2>4" is the canonical spelling
+
+
+@st.composite
+def datasets(draw):
+    """A dataset with repeated rows, any of the four truth-column combinations, and extreme cluster ids."""
+    r = draw(st.integers(3, 7), label="r")
+    table = prefix_tables(r)
+    vertices = draw(st.lists(st.integers(0, math.factorial(r) - 1), min_size=1, max_size=4), label="vertex pool")
+    ids = [0, 2**63 - 1, *draw(st.lists(st.integers(0, 2**63 - 1), max_size=2), label="cluster pool")]
+    rows = draw(st.lists(st.tuples(st.sampled_from(vertices), st.integers(1, r - 1), st.sampled_from(ids)), max_size=40))
+    true_vertices = [v for v, _, _ in rows]
+    obs = table.of_vertex[true_vertices, [t - 1 for _, t, _ in rows]] if rows else []
+    with_perm, with_cluster = draw(st.booleans(), label="true_perm"), draw(st.booleans(), label="true_cluster")
+    return Dataset(r, obs, true_vertices if with_perm else None, [c for _, _, c in rows] if with_cluster else None)
+
+
+@given(datasets(), st.data())
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_round_trip_matches_the_row_by_row_references(tmp_path, ds, data):
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    ds.save_csv(ours)
+    clusters = None if ds.true_clusters is None else ds.true_clusters.tolist()
+    write_csv_writer(reference, ds.rankings, ds.true_perms, clusters)
+    assert ours.read_bytes() == reference.read_bytes()
+    lines = ours.read_text().split("\n")[:-1]
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    blanks = data.draw(st.lists(st.integers(0, 2), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end + end * blank for line, end, blank in zip(lines, ends, blanks))
+    ours.write_bytes(text.encode())
+    rankings, perms, clusters = read_csv_rows(ours, ds.r)
+    loaded = Dataset.load_csv(ours, ds.r)
+    assert loaded.rankings == rankings == ds.rankings
+    assert loaded.true_perms == perms == ds.true_perms
+    assert (None if loaded.true_clusters is None else loaded.true_clusters.tolist()) == clusters
 
 
 def test_arrays_are_read_only():
