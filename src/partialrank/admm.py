@@ -36,17 +36,17 @@ are so small that stacking members mostly saves numpy's per-call overhead; at
 r = 7 it saves nothing, and :func:`members_per_call` says how many members to
 stack. The objective is evaluated once per member, when it leaves the stack.
 
-Lengths with no mass share one column. A stack built with the lengths its
-data observe keeps each observed length's column plus one column for all the
-others, so k is the number of observed lengths plus one, where two or more
-are unobserved, and r-1 otherwise. The unobserved columns have q = 0 and
-equal starts, and every sweep treats them alike, so they would stay bitwise
-equal at full width. The one sum across lengths, the row sum of the
-multiplier search, still adds every length in order, so a member's rows,
-iterations, flags and objective are bitwise those of its full-width solve;
-only its residual norms, taken on the narrow arrays, can differ in the last
-bits. Both of the paper's generators are binary, so at r = 7 the rows are 3
-wide instead of 6.
+Lengths with no mass share one column. Every stack maps each length to a
+column: one per observed length plus one for all the others where two or
+more are unobserved (k is the number observed plus one), else the identity
+(k = r-1). The unobserved columns have q = 0 and equal starts, and every
+sweep treats them alike, so they would stay bitwise equal at full width.
+The one sum across lengths, the row sum of the multiplier search, adds the
+lengths' planes in length order, as numpy's reduce does at full width, so a
+member's rows, iterations, flags and objective are bitwise those of its
+full-width solve; only its residual norms, taken on the narrow arrays, can
+differ in the last bits. Both of the paper's generators are binary, so at
+r = 7 the rows are 3 wide instead of 6.
 """
 
 from __future__ import annotations
@@ -98,29 +98,25 @@ def _phi_of_nu(nu: np.ndarray, y: np.ndarray, two_q: np.ndarray, scaled_q: np.nd
     return phi, phi / root
 
 
-def _row_mass(q: np.ndarray, rho: float, degree: int, columns=slice(None), expand: tuple | None = None) -> tuple:
+def _row_mass(q: np.ndarray, rho: float, degree: int, expand: tuple = ()) -> tuple:
     """What the multiplier search needs of ``q`` (rows over its last axis, one entry per
-    length), fixed through a solve: ``2 q`` and ``2 scale q`` on the searched ``columns``
-    as ``(k, rows)``, the q term of ``hi`` from every length, and ``expand``, the searched
-    column each length reads (None when each length is its own column); see :class:`PhiStack`."""
+    length), fixed through a solve: ``2 q`` and ``2 scale q`` as ``(k, rows)``, a column
+    holding the q of the first length that reads it, the q term of ``hi`` from every length,
+    and ``expand``, the column each length reads (by default its own); see :class:`PhiStack`."""
     q = np.asarray(q, dtype=float)
     q = q.reshape(-1, q.shape[-1]).T.copy()
+    expand = expand or tuple(range(len(q)))
     scale = 2.0 * rho * degree
     q_term = np.maximum(np.add.reduce(q, axis=0), 1.0)
-    q = q[columns]
+    q = q[[expand.index(column) for column in range(max(expand) + 1)]]
     return 2.0 * q, 2.0 * scale * q, q_term, expand
 
 
-def _row_sums(a: np.ndarray, expand: tuple | None) -> np.ndarray:
-    """Sums over axis 0 of a ``(k, rows)`` array, as over every length.
-
-    numpy adds the planes of axis 0 one after another, in length order. With
-    ``expand`` so does this, reading a merged length from its column, so each
-    row adds the same numbers in the same order as at full width.
-    """
-    if expand is None:
-        return np.add.reduce(a, axis=0)  # the ufunc's own reduce skips the Python wrapper of .sum
-    total = a[expand[0]] + a[expand[1]]
+def _row_sums(a: np.ndarray, expand: tuple) -> np.ndarray:
+    """Sums over every length of a ``(k, rows)`` array whose length t is column ``expand[t-1]``:
+    the planes are added in length order, as numpy's reduce over axis 0 adds them at full
+    width, so a row adds the same numbers in the same order whatever columns its lengths share."""
+    total = a[expand[0]] + a[expand[1]] if len(expand) > 1 else a[expand[0]].copy()
     for column in expand[2:]:
         total += a[column]
     return total
@@ -263,10 +259,10 @@ class PhiStack:
     as the EM fits do.
 
     ``support`` names the lengths t that may carry mass (default: all). Where
-    two or more lie outside it, the stack keeps one column for all of those,
-    at the first of them (see the module docstring), and expands a member to
-    every length as it leaves. :meth:`push` then refuses a member with mass
-    outside the support, or whose start differs among those lengths.
+    two or more lie outside it, they share one column, at the first of them;
+    every other length keeps its own (see the module docstring). A member is
+    expanded to every length as it leaves, and :meth:`push` refuses one with
+    mass on a shared column, or whose start differs among the lengths sharing it.
     """
 
     def __init__(self, graph: CayleyGraph, rho: float = 1.0, eps_primal: float = 1.0, eps_dual: float = 1.0,
@@ -282,15 +278,13 @@ class PhiStack:
             if not 1 <= t <= width:
                 raise DomainError(f"length {t} outside 1..{width}")
             observed[t - 1] = True
-        self.empty = ~observed
-        # the kept columns, the kept column each length reads, and (merged column, lengths it holds)
-        self.columns, self.expand, self.merged = slice(None), None, None
-        if np.count_nonzero(self.empty) > 1:
-            first = int(np.argmax(self.empty))
-            self.columns, expand = np.unique(np.where(observed, np.arange(width), first), return_inverse=True)
-            self.expand = tuple(expand.tolist())  # Python ints index planes fastest
-            self.merged = self.expand[first], float(np.count_nonzero(self.empty))
-        k = width if self.expand is None else self.columns.size
+        first = int(np.argmax(~observed))  # the first length outside the support, else length 1
+        # the first length in each column, the column each length reads, and (shared column, lengths it holds)
+        self.columns, expand = np.unique(np.where(observed, np.arange(width), first), return_inverse=True)
+        self.expand = tuple(expand.tolist())  # Python ints index planes fastest
+        self.merged = self.expand[first], float(self.expand.count(self.expand[first]))
+        self.shared = np.bincount(expand)[expand] > 1  # the lengths that share a column
+        k = self.columns.size
         # the empty stack; _regroup derives the buffers, the partner rows and the row mass
         self.tags: list = []
         self.q = np.empty((0, n, width))  # (B, V, r-1): the row mass and the objective read every length
@@ -322,13 +316,12 @@ class PhiStack:
             raise DimensionError(f"phi0 shape {phi0.shape} does not match q_table shape {q.shape}")
         if not np.all(np.isfinite(phi0)):
             raise DomainError("phi0 must be finite")
-        if self.expand is not None:
-            if np.any(q[:, self.empty]):
-                raise DomainError("responsibilities outside the stack's length support")
-            # the merged lengths must start bitwise equal, -0.0 and 0.0 included
-            back = phi0[:, self.columns][:, self.expand]
-            if not np.all((back == phi0) & (np.signbit(back) == np.signbit(phi0))):
-                raise DomainError("phi0 differs among the lengths outside the stack's support")
+        if np.any(q[:, self.shared]):
+            raise DomainError("responsibilities outside the stack's length support")
+        # the lengths that share a column must start bitwise equal, -0.0 and 0.0 included
+        back = phi0[:, self.columns][:, self.expand]
+        if not np.all((back == phi0) & (np.signbit(back) == np.signbit(phi0))):
+            raise DomainError("phi0 differs among the lengths outside the stack's support")
         phi0 = phi0[:, self.columns]
         self._joining.append((tag, q, phi0, lam, alpha))
 
@@ -369,7 +362,7 @@ class PhiStack:
             partner = self.graph.neighbors.T + np.arange(width)[:, None] * n
             self._partners = np.arange(size)[:, None, None] * partner.size + partner
         self.prev_copies, self.work, self.partner = self._scratch[0, :size], self._scratch[1, :size], self._partners[:size]
-        self.mass = _row_mass(self.q, self.rho, width, self.columns, self.expand)
+        self.mass = _row_mass(self.q, self.rho, width, self.expand)
         self._left, self._joining = np.zeros(len(self.tags), dtype=bool), []
 
     def step(self) -> list[tuple]:
@@ -393,7 +386,7 @@ class PhiStack:
         self._left = converged | (self.iterations >= self.max_iter)
         left = []
         for b in np.flatnonzero(self._left):
-            phi = self.phi[b] if self.expand is None else self.phi[b][:, self.expand]
+            phi = self.phi[b][:, self.expand]
             left.append((self.tags[b], AdmmResult(
                 phi=MissingTable(self.graph.r, phi),
                 converged=bool(converged[b]),
@@ -443,17 +436,16 @@ def dual_sweep(stack: PhiStack) -> None:
     stack.duals += np.subtract(stack.phi[:, None], stack.copies, out=stack.work)
 
 
-def _norms(diff: np.ndarray, merged: tuple | None = None) -> np.ndarray:
+def _norms(diff: np.ndarray, merged: tuple) -> np.ndarray:
     """Per-member Frobenius norms of a ``(B, r-1, V, k)`` array, squared in place;
-    ``merged = (column, count)`` counts that column ``count`` times.
+    ``merged = (column, count)`` counts that column ``count`` times (a count of 1 is exact).
 
     Each member's slice is contiguous, so its reduction is the same pairwise
     sum as that of the member's array on its own.
     """
     np.square(diff, out=diff)
-    if merged is not None:
-        column, count = merged
-        diff[..., column] *= count
+    column, count = merged
+    diff[..., column] *= count
     return np.sqrt(diff.sum(axis=(-3, -2, -1)))
 
 

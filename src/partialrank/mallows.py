@@ -22,6 +22,16 @@ from .perms import Permutation, distances_from, index_of, kendall_distance, perm
 WEIGHT_SUM_TOL = 1e-12
 
 
+def check_simplex(rows, tol: float, message: str, entries_message: str | None = None) -> None:
+    """Raise :class:`DomainError` with ``entries_message`` (default ``message``) unless every entry lies in
+    [0, 1], then with ``message`` unless each row (last axis) sums to 1 within ``tol``. NaN fails both."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.all((rows >= 0) & (rows <= 1)):
+        raise DomainError(entries_message or message)
+    if not np.all(np.abs(rows.sum(axis=-1) - 1.0) <= tol):
+        raise DomainError(message)
+
+
 @dataclass(frozen=True)
 class MallowsParams:
     """Location/concentration pair for one component."""
@@ -51,10 +61,9 @@ class MixtureParams:
             raise DomainError("need at least one component")
         if len(self.weights) != k:
             raise DimensionError(f"{k} components but {len(self.weights)} weights")
-        if any(w <= 0 for w in self.weights):
+        if not all(w > 0 for w in self.weights):
             raise DomainError(f"weights must be positive: {self.weights}")
-        if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise DomainError(f"weights must sum to 1: {self.weights}")
+        check_simplex(self.weights, WEIGHT_SUM_TOL, f"weights must sum to 1: {self.weights}")
         if len({comp.r for comp in self.components}) != 1:
             raise DimensionError("components disagree on item count")
 

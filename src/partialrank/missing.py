@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, DimensionError, DomainError
-from .mallows import MixtureParams, component_log_pmf, log_normalizer, mixture_pmf, sample_vertices
+from .mallows import MixtureParams, check_simplex, component_log_pmf, log_normalizer, mixture_pmf, sample_vertices
 from .perms import (
     Permutation,
     TopTRanking,
@@ -61,10 +61,7 @@ ROW_SUM_TOL = 1e-10
 
 def _freeze_simplex_rows(rows: np.ndarray) -> None:
     """Check that every row lies on the simplex, then make the array read-only."""
-    if np.any(rows < 0) or np.any(rows > 1):
-        raise DomainError("entries must lie in [0, 1]")
-    if np.max(np.abs(rows.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-        raise DomainError("rows must sum to 1")
+    check_simplex(rows, ROW_SUM_TOL, "rows must sum to 1", "entries must lie in [0, 1]")
     rows.flags.writeable = False
 
 
@@ -466,7 +463,7 @@ def tilt_concentration_mechanism(c: float, c_star: float, big_r: float, sigma0: 
     so when the min never binds the t = r-1 marginal, renormalized, is the
     single-component model with concentration c_star.
     """
-    if c <= 0 or c_star <= 0:
+    if not (c > 0 and c_star > 0):
         raise DomainError("concentrations must be positive")
     if not 0 <= big_r <= 1:
         raise DomainError(f"R must lie in [0, 1], got {big_r}")
@@ -489,9 +486,8 @@ def tilt_mixture_mechanism(w, w_star, big_r: float, r: int) -> ClusterMissingSpe
     if w.shape != w_star.shape:
         raise DimensionError("w and w_star must have the same length")
     for name, vec in (("w", w), ("w_star", w_star)):
-        if np.any(vec < 0) or abs(vec.sum() - 1.0) > 1e-12:
-            raise DomainError(f"{name} must lie on the simplex")
-    if np.any(w == 0):
+        check_simplex(vec, 1e-12, f"{name} must lie on the simplex")
+    if not np.all(w > 0):
         raise DomainError("w entries must be positive")
     if not 0 <= big_r <= 1:
         raise DomainError(f"R must lie in [0, 1], got {big_r}")

@@ -336,6 +336,57 @@ def solve_phi_projected_gradient(
     return phi, objective(phi)
 
 
+def phi_step_bounds(phi: np.ndarray, q: np.ndarray, edges: np.ndarray, lam: float) -> tuple[float, float]:
+    """The phi-step objective at a feasible ``phi`` and a lower bound on its minimum.
+
+    P(phi) = -sum q log phi + lam sum_edges ||phi_u - phi_v||^2 over rows on
+    the simplex. The penalty is convex, so it lies above its tangent at phi:
+    with g = 2 lam L phi (L the Laplacian of ``edges``), lam pen(x) >=
+    g . x - lam pen(phi). Hence min P >= sum_v min_{x in simplex}
+    (-q_v . log x + g_v . x) - lam pen(phi) =: D. Each row minimum is its
+    Lagrange dual at the best multiplier nu,
+
+        max_nu  sum_{q_t > 0} q_t (1 + log((g_t + nu) / q_t)) - nu,
+
+    over g_t + nu > 0 where q_t > 0 and g_t + nu >= 0 where q_t = 0. The
+    derivative sum q_t / (g_t + nu) - 1 falls in nu, so the best nu is its
+    root, found by bisection to adjacent floats, or the least feasible nu
+    where the root lies below it. Any feasible nu gives a lower bound, and
+    an error in nu lowers D only to second order. Returns ``(P, D)``; P - D
+    bounds the gap of phi to the optimum from above.
+    """
+    phi = np.asarray(phi, dtype=float)
+    q = np.asarray(q, dtype=float)
+    u, v = np.asarray(edges)[:, 0], np.asarray(edges)[:, 1]
+    diff = phi[u] - phi[v]
+    penalty = float((diff**2).sum())
+    g = np.zeros_like(phi)
+    np.add.at(g, u, 2.0 * lam * diff)
+    np.add.at(g, v, -2.0 * lam * diff)
+    mass = q > 0
+    primal = -float((q[mass] * np.log(phi[mass])).sum()) + lam * penalty
+    inf = np.inf
+    floor_mass = np.where(mass, g, inf).min(axis=1)   # s(nu) -> +inf as nu falls to -floor_mass
+    floor_zero = np.where(mass, inf, g).min(axis=1)   # g_t + nu >= 0 on the zero-mass entries
+    lo, hi = -floor_mass, -floor_mass + q.sum(axis=1)  # s(hi) <= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            moving = (lo < mid) & (mid < hi)
+            if not moving.any():
+                break
+            s = np.where(mass, q / (g + mid[:, None]), 0.0).sum(axis=1) - 1.0
+            above = moving & (s >= 0)
+            lo, hi = np.where(above, mid, lo), np.where(moving & ~above, mid, hi)
+        nu = np.where(np.abs(np.where(mass, q / (g + lo[:, None]), 0.0).sum(axis=1) - 1.0)
+                      <= np.abs(np.where(mass, q / (g + hi[:, None]), 0.0).sum(axis=1) - 1.0), lo, hi)
+        nu = np.where(np.isfinite(floor_zero), np.maximum(nu, -floor_zero), nu)
+        nu = np.where(mass.any(axis=1), nu, -floor_zero)  # no mass: the row minimum is min g
+        rows = np.where(mass, q * (1.0 + np.log((g + nu[:, None]) / np.where(mass, q, 1.0))), 0.0)
+    dual = float((rows.sum(axis=1) - nu).sum()) - lam * penalty
+    return primal, dual
+
+
 # ---------------------------------------------------------------------------
 # Per-object data path: one TopTRanking and one Permutation per observation.
 # ---------------------------------------------------------------------------

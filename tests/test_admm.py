@@ -7,18 +7,20 @@ from oracles import (
     admm_reference,
     augmented_lagrangian,
     edge_update,
+    phi_step_bounds,
     project_simplex,
     solve_phi_projected_gradient,
     vertex_update_bisection,
     vertex_update_bracketed,
 )
-from partialrank import DomainError, NumericError, Permutation, build_cayley_graph
+from partialrank import DomainError, MissingTable, NumericError, Permutation, build_cayley_graph
 from partialrank import admm
 from partialrank.admm import (
     NU_HARD_TOL,
     NU_TOL,
     PhiStack,
     _row_mass,
+    _row_sums,
     _vertex_update_batch,
     dual_sweep,
     edge_penalty,
@@ -590,6 +592,22 @@ def test_merged_stack_matches_full_width_solves(r, support):
             assert got.res_dual == pytest.approx(full.res_dual, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_row_sums_add_lengths_in_the_order_of_numpys_reduce(k):
+    # the multiplier search sums every length's plane in length order; at
+    # full width that must be bitwise numpy's reduce over axis 0, and with
+    # merged columns the reduce of the expanded full-width array. Values
+    # spread over 24 decades make the order of the additions show.
+    rng = np.random.default_rng(90 + k)
+    identity = tuple(range(k))
+    for rows in (1, 1023, admm._DROP_ROWS, 5040, 68 * 120):  # 68 members of 120 rows: a stack at r = 5
+        a = rng.standard_normal((k, rows)) * 10.0 ** rng.integers(-12, 13, size=(k, rows))
+        assert np.array_equal(_row_sums(a, identity), np.add.reduce(a, axis=0))
+        for width in range(k + 1, 7):
+            expand = tuple(int(c) for c in rng.permutation(np.r_[np.arange(k), rng.integers(0, k, width - k)]))
+            assert np.array_equal(_row_sums(a, expand), np.add.reduce(a[list(expand)], axis=0))
+
+
 @pytest.mark.parametrize("r", [4, 5, 7])
 def test_stack_with_at_most_one_empty_length_keeps_full_width(r):
     graph = build_cayley_graph(r)
@@ -597,7 +615,7 @@ def test_stack_with_at_most_one_empty_length_keeps_full_width(r):
         stack = PhiStack(graph, support=support)
         stack.push(0, np.ones((graph.n_vertices, r - 1)), np.full((graph.n_vertices, r - 1), 1 / (r - 1)), 1.0)
         stack._regroup()
-        assert stack.expand is None
+        assert stack.expand == tuple(range(r - 1)) and stack.merged[1] == 1.0
         assert stack.copies.shape == (1, r - 1, graph.n_vertices, r - 1) and stack.phi.shape[-1] == r - 1
 
 
@@ -626,6 +644,61 @@ def test_push_rejects_members_that_break_the_merge():
     for support in ((0, 1), (5,)):
         with pytest.raises(DomainError):
             PhiStack(graph, support=support)
+
+
+def _tight_solve(q, graph, lam, rho, support):
+    stack = PhiStack(graph, rho, 1e-10, 1e-10, max_iter=3000, support=support)
+    stack.push(0, q, MissingTable.uniform(graph.r).probs, lam)
+    width = stack.phi.shape[-1]
+    while not (left := stack.step()):
+        pass
+    return left[0][1], width
+
+
+def _certificate(phi, q, graph, lam):
+    primal, dual = phi_step_bounds(phi, q, graph.edges, lam)
+    return (primal - dual) / abs(primal), primal
+
+
+class TestDualityGap:
+    """The phi-step's optimality, checked by a duality-gap certificate
+    (``oracles.phi_step_bounds``) that needs no brute force at r = 6 and 7."""
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("lam", [1.0, 10.0])
+    def test_certificate_bounds_the_true_gap(self, r, lam):
+        graph = build_cayley_graph(r)
+        rng = np.random.default_rng(70 + r)
+        q = rng.random((graph.n_vertices, r - 1)) * 10
+        q[rng.random(q.shape) < 0.3] = 0.0
+        loose = solve_phi(q, graph, lam)  # the default stop, well short of the optimum
+        primal, dual = phi_step_bounds(loose.phi.probs, q, graph.edges, lam)
+        assert primal == pytest.approx(loose.objective, rel=1e-12)
+        optimum, best = solve_phi_projected_gradient(q, graph.edges, lam)
+        assert primal - best > 0
+        assert primal - dual >= primal - best  # the certificate is at least the true gap
+        at_optimum, _ = _certificate(optimum, q, graph, lam)
+        assert abs(at_optimum) <= 1e-9
+
+    @pytest.mark.parametrize("r", [6, 7])
+    @pytest.mark.parametrize("merged", [True, False], ids=["merged", "full"])
+    def test_tight_solve_is_certified_and_a_feasible_step_raises_it(self, r, merged):
+        graph = build_cayley_graph(r)
+        rng = np.random.default_rng(80 + r)
+        lam, rho = 10.0, 6.0  # rho near sqrt(lam * mean q) converges in a few hundred iterations
+        q = rng.random((graph.n_vertices, r - 1)) * 4.0
+        q[rng.random(q.shape) < 0.3] = 0.0
+        support = (1, r - 1) if merged else None
+        if merged:  # binary data: only lengths 1 and r-1 are observed
+            q[:, 1 : r - 2] = 0.0
+        result, width = _tight_solve(q, graph, lam, rho, support)
+        assert result.converged and width == (3 if merged else r - 1)
+        gap, primal = _certificate(result.phi.probs, q, graph, lam)
+        assert primal == pytest.approx(result.objective, rel=1e-12)
+        assert abs(gap) <= 1e-9
+        # a step of 1e-3 toward the uniform rows stays feasible and raises the objective
+        moved = 0.999 * result.phi.probs + 0.001 / (r - 1)
+        assert _certificate(moved, q, graph, lam)[0] > 1e-9 + gap
 
 
 def test_hard_tolerance_scales_with_the_spacing_of_y():

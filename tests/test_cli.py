@@ -433,6 +433,24 @@ class TestErrors:
         assert run_cli(cfg) == 2
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"kind": "tilt_mixture", "sigmas": [[1, 2, 3], [3, 2, 1]], "cs": [1.0, 1.0], "w": [math.nan, math.nan],
+             "w_star": [0.6, 0.4], "R": 0.5},
+            {**GENERATOR, "c_star": math.nan},
+        ],
+        ids=["w", "c_star"],
+    )
+    def test_nan_generator_setting_exits_5_without_a_dataset(self, tmp_path, generator):
+        out = tmp_path / "sim"
+        cfg = write_config(
+            tmp_path, "s.json", {"command": "simulate", "r": 3, "n": 10, "generator": generator, "out": str(out)}
+        )
+        assert "NaN" in cfg.read_text()
+        assert run_cli(cfg) == 5
+        assert not out.exists()
+
     @pytest.mark.parametrize("fields", [{"fit": {"restarts": 2.5}}, {"seed": -1}, {"K": 1.5}])
     def test_non_integer_or_negative_count_exits_5(self, tmp_path, fields):
         assert run_cli(self.fit_config(tmp_path, **fields)) == 5
@@ -565,6 +583,18 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "DataFormatError" and str(bad) in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "config.json"]
+
+    def test_fit_file_with_nan_phi_exits_5(self, tmp_path, table_inputs, capsys):
+        payload = json.loads((table_inputs / "fit.json").read_text())
+        payload["phi"] = [[math.nan] * len(row) for row in payload["phi"]]
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(payload))
+        config = table_config("eval", table_inputs, tmp_path / "out")
+        config["inputs"] = [{"fit": str(bad)}]
+        assert run_cli(write_config(tmp_path, "config.json", config)) == 5
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (err["error"], err["message"]) == ("DomainError", "entries must lie in [0, 1]")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "nan.json"]
 
 
 @pytest.fixture(scope="module")

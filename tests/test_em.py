@@ -455,7 +455,10 @@ class TestLockstep:
         mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, Permutation.identity(4))
         one = generate_dataset(MixtureParams.single(Permutation.identity(4), 1.0), mech, 150, rng_seed=30)
         two = generate_dataset(random_mixture(4, 2, np.random.default_rng(31)), mech, 150, rng_seed=32)
-        return {1: one, 2: two}
+        # every length occurs, so at r = 5 the phi-steps run on a full-width stack
+        every = MissingTable.homogeneous(5, [0.4, 0.3, 0.2, 0.1])
+        full = generate_dataset(MixtureParams.single(Permutation.identity(5), 1.0), every, 200, rng_seed=33)
+        return {1: one, 2: two, "full": full}
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("mode,lam", [("regularized", 10.0), ("regularized", 0.7), ("nr", 0.0), ("me", 10.0)])
@@ -463,6 +466,17 @@ class TestLockstep:
         config = FitConfig(n_clusters=k, lam=lam, restarts=4, seed=40 + k, em_max_iter=25)
         result = fit_me(datasets[k], config) if mode == "me" else fit(datasets[k], config)
         _assert_same_fit(result, fit_sequential(datasets[k], config, mode))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("lam", [10.0, 0.7])
+    def test_full_support_fit_matches_restarts_run_one_by_one(self, datasets, k, lam, monkeypatch):
+        widths, sweep = [], admm.vertex_sweep
+        monkeypatch.setattr(admm, "vertex_sweep", lambda stack: widths.append(stack.phi.shape) or sweep(stack))
+        config = FitConfig(n_clusters=k, lam=lam, restarts=4, seed=50 + k, em_max_iter=25)
+        result = fit(datasets["full"], config)
+        monkeypatch.undo()
+        assert widths and {shape[-1] for shape in widths} == {4} and max(shape[0] for shape in widths) > 1
+        _assert_same_fit(result, fit_sequential(datasets["full"], config, "regularized"))
 
     def test_me_fit_does_not_depend_on_lam(self, datasets):
         # a run with a fixed phi scores the plain NLL: lam only echoes in the config

@@ -8,6 +8,7 @@ from oracles import brute_log_normalizer, random_mixture
 from partialrank import (
     DataFormatError,
     DomainError,
+    MallowsParams,
     MissingTable,
     MixtureParams,
     Permutation,
@@ -19,6 +20,7 @@ from partialrank import (
 )
 from partialrank.mallows import mixture_pmf
 from partialrank.missing import (
+    ClusterMissingSpec,
     Dataset,
     empirical_partial_counts,
     enumerate_partial_rankings,
@@ -46,6 +48,33 @@ class TestMissingTable:
         table = MissingTable.uniform(4)
         assert table.probs.shape == (24, 3)
         assert np.allclose(table.probs, 1 / 3)
+
+
+NAN = math.nan
+_COMPONENT = MallowsParams(Permutation.identity(3), 1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MissingTable(3, np.full((6, 2), NAN)),
+        lambda: MissingTable(3, np.array([[NAN, 1.0]] + [[0.5, 0.5]] * 5)),
+        lambda: ClusterMissingSpec(3, np.array([[NAN, NAN]])),
+        lambda: MixtureParams((_COMPONENT, _COMPONENT), (NAN, NAN)),
+        lambda: MixtureParams((_COMPONENT, _COMPONENT), (1.0, NAN)),
+        lambda: tilt_mixture_mechanism([NAN, NAN], [0.5, 0.5], 0.5, 3),
+        lambda: tilt_mixture_mechanism([0.5, NAN], [0.5, 0.5], 0.5, 3),
+        lambda: tilt_mixture_mechanism([0.5, 0.5], [NAN, 0.5], 0.5, 3),
+        lambda: tilt_concentration_mechanism(1.0, NAN, 0.5, Permutation.identity(3)),
+        lambda: tilt_concentration_mechanism(NAN, 1.0, 0.5, Permutation.identity(3)),
+    ],
+    ids=["table all", "table one", "cluster spec", "weights all", "weights one", "w all", "w one", "w_star",
+         "c_star", "c"],
+)
+def test_nan_fails_every_probability_check(build):
+    # every comparison with NaN is false, so each check must be a negated one
+    with pytest.raises(DomainError):
+        build()
 
 
 class TestPartialPmf:
