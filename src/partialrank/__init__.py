@@ -1,6 +1,6 @@
 """Estimation of ranking distributions and missing mechanisms from top-t data."""
 
-from .admm import AdmmResult, solve_phi, vertex_update
+from .admm import AdmmResult, solve_phi
 from .em import (
     FitConfig,
     FitResult,

@@ -18,14 +18,9 @@ reason.
 The E-step also yields the observable likelihood, so each accepted
 (theta, phi) pair is scored by the E-step that the next iteration uses.
 
-Restarts run in lockstep. Each EM run is a generator that yields its
-graph-regularized missing-table steps as requests; one loop advances all
-runs of all jobs (the restarts of a fit, or every fold fit of a
-cross-validation) and pushes each request onto one ADMM stack, which steps
-every pending solve at once. A run whose solve leaves the stack takes its E-
-and M-steps at once, and its next request joins at the next step. Every run
-keeps its own rng and stopping rule, so the fits are bitwise those of runs
-made one after another.
+Restarts, and the fold fits of a cross-validation, run one after another:
+each graph-regularized missing-table step is one :func:`admm.solve_phi`
+call, certified to its duality-gap bound.
 """
 
 from __future__ import annotations
@@ -33,13 +28,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections.abc import Generator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import admm, util
+from .admm import closed_form_phi
 from .errors import (
     DataFormatError,
     DegenerateClusterError,
@@ -47,7 +42,7 @@ from .errors import (
     DimensionError,
     DomainError,
 )
-from .mallows import MallowsParams, MixtureParams, component_log_pmf, log_normalizer
+from .mallows import MallowsParams, MixtureParams, component_log_pmf
 from .missing import Dataset, MissingTable, ObservationGroups
 from .perms import Permutation, build_cayley_graph, index_of, perm_table, unindex
 from .util import check_integer, write_json
@@ -61,12 +56,9 @@ class FitConfig:
 
     n_clusters: int = 1
     lam: float = 10.0
-    rho: float = 1.0
     em_tol: float = 1.0
     em_max_iter: int = 200
-    admm_eps_primal: float = 1.0
-    admm_eps_dual: float = 1.0
-    admm_max_iter: int = 100
+    admm_max_iter: int = 100  # Newton steps per phi-step
     restarts: int = 10
     transition_iters: int = 5
     c_min: float = 1e-4
@@ -79,13 +71,12 @@ class FitConfig:
             check_integer(getattr(self, name), name, low)
             # a Python int, so the config echo in the fit JSON can be written
             object.__setattr__(self, name, int(getattr(self, name)))
-        reals = (self.lam, self.rho, self.em_tol, self.admm_eps_primal, self.admm_eps_dual, self.c_min, self.c_max)
-        if not all(math.isfinite(x) for x in reals):
-            raise DomainError("lam, rho, tolerances and concentration bounds must be finite")
-        if self.lam < 0 or self.rho <= 0:
-            raise DomainError("need lam >= 0 and rho > 0")
-        if min(self.em_tol, self.admm_eps_primal, self.admm_eps_dual) <= 0:
-            raise DomainError("tolerances must be positive")
+        if not all(math.isfinite(x) for x in (self.lam, self.em_tol, self.c_min, self.c_max)):
+            raise DomainError("lam, em_tol and concentration bounds must be finite")
+        if self.lam < 0:
+            raise DomainError("need lam >= 0")
+        if self.em_tol <= 0:
+            raise DomainError("em_tol must be positive")
         if not 0 < self.c_min < self.c_max:
             raise DomainError("need 0 < c_min < c_max")
 
@@ -162,23 +153,49 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset) -> Respons
     )
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Minimize a unimodal scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+def _concentration(distance: float, mass: float, r: int, c_min: float, c_max: float) -> float:
+    """The c in [c_min, c_max] that minimizes F(c) = c * distance + mass * log Z(c).
+
+    F'(c) = distance - mass * E_c[d] and F''(c) = mass * Var_c[d] > 0 in
+    closed form (Fligner & Verducci 1986), with E_c[d] = sum over j = 2..r of
+    e^-c / (1 - e^-c) - j e^-jc / (1 - e^-jc). A bound where F' does not
+    change sign is the answer; otherwise safeguarded Newton steps on F' = 0,
+    bisecting where a step leaves the bracket, pin the root to rounding.
+    """
+
+    def slopes(c: float) -> tuple[float, float]:
+        base = math.exp(-c) / -math.expm1(-c)
+        base_var = base / -math.expm1(-c)
+        mean = var = 0.0
+        for j in range(2, r + 1):
+            e, a = math.exp(-j * c), -math.expm1(-j * c)
+            mean += base - j * e / a
+            var += base_var - j * j * e / (a * a)
+        return distance - mass * mean, mass * var
+
+    lo, hi = c_min, c_max
+    if slopes(lo)[0] >= 0:
+        return lo
+    if slopes(hi)[0] <= 0:
+        return hi
+    c = lo
+    for _ in range(100):
+        first, second = slopes(c)
+        if first == 0:
+            return c
+        if first < 0:
+            lo = c
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            hi = c
+        step = c - first / second if second > 0 else lo
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:  # the bracket holds no float between its ends
+                return c
+        if step == c:
+            return c
+        c = step
+    return c
 
 
 def m_step_theta(
@@ -192,7 +209,7 @@ def m_step_theta(
 
     The location is the exhaustive minimizer of the expected distance
     (lexicographically smallest on ties); the concentration solves the 1-D
-    convex problem on [c_min, c_max] by golden section.
+    convex problem on [c_min, c_max] by its closed-form moment equation.
 
     Expected distances come from per-pair masses: with ``m[p]`` the mass on
     rankings that put pair p in ascending order, a candidate that does too
@@ -213,9 +230,7 @@ def m_step_theta(
         scores = np.where(pair_order, mass - pair_mass, pair_mass).sum(axis=1)
         sigma_idx = int(np.argmin(scores))
         expected_dist = float(scores[sigma_idx])
-        c_hat = _golden_section(
-            lambda c: c * expected_dist + mass * log_normalizer(c, q.r), c_min, c_max
-        )
+        c_hat = _concentration(expected_dist, mass, q.r, c_min, c_max)
         components.append(MallowsParams(unindex(sigma_idx, q.r), c_hat))
     raw = [float(m) / float(total) for m in q.cluster_mass]
     # renormalize away float drift so the simplex check stays happy
@@ -248,15 +263,6 @@ def _scored(
 def penalized_nll(theta: MixtureParams, phi: MissingTable, dataset: Dataset, lam: float) -> float:
     """The estimation objective: observable NLL plus lam times the penalty."""
     return _scored(theta, phi, dataset, lam)[1]
-
-
-def closed_form_phi(q_table: np.ndarray) -> np.ndarray:
-    """Unregularized missing-table step: normalized rows, uniform where empty."""
-    totals = q_table.sum(axis=1, keepdims=True)
-    uniform = np.full_like(q_table, 1.0 / q_table.shape[1])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rows = q_table / totals
-    return np.where(totals > 0, rows, uniform)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +312,9 @@ def load_fit_json(path: str | Path) -> tuple[MixtureParams, MissingTable, str]:
     """Reload the fitted parameters (and method label) from a saved result.
 
     A file that is not JSON, or that lacks a field or holds one of the wrong
-    type, raises :class:`DataFormatError`.
+    type, raises :class:`DataFormatError`. The weights are checked as the file
+    writes them: weights that are not positive or do not sum to 1 raise
+    :class:`DomainError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -322,7 +330,7 @@ def load_fit_json(path: str | Path) -> tuple[MixtureParams, MissingTable, str]:
     except ValueError as exc:  # bad JSON, bad UTF-8 and bad fields alike
         raise DataFormatError(f"fit file {path}: {exc}") from exc
     components = tuple(MallowsParams(Permutation.from_ordering(o), c) for o, c in zip(orderings, cs))
-    theta = MixtureParams(components, tuple(w / sum(weights) for w in weights))
+    theta = MixtureParams(components, tuple(weights))
     return theta, MissingTable(r, np.array(rows, dtype=float)), method
 
 
@@ -373,16 +381,13 @@ def _run_em(
     fixed_phi: MissingTable | None,
     job: int,
     restart: int,
-) -> Generator[tuple[np.ndarray, np.ndarray, float], admm.AdmmResult, tuple]:
+) -> tuple:
     """One EM run from one set of initial locations, named in the log by ``job`` and ``restart``.
 
     A run with a ``fixed_phi`` (the ME baseline) keeps that missing table and
     scores the plain NLL, so its lam is 0; any other run starts from the
-    uniform table at ``config.lam``. A generator: every graph-regularized
-    phi-step yields the request ``(q_table, phi0, lam)`` and receives its
-    :class:`admm.AdmmResult`, so a caller can solve the requests of many runs
-    on one :class:`admm.PhiStack`. Returns ``(theta, phi, trace, converged)``.
-    Runs at ``lam = 0`` and ME runs never yield.
+    uniform table at ``config.lam``. Each graph-regularized phi-step is one
+    :func:`admm.solve_phi` call. Returns ``(theta, phi, trace, converged)``.
     """
     r = dataset.r
     graph = build_cayley_graph(r)
@@ -402,12 +407,12 @@ def _run_em(
         if fixed_phi is not None:
             phi_new = phi
         elif lam > 0:
-            solved = yield resp.q_table, phi.probs, lam
+            solved = admm.solve_phi(resp.q_table, graph, lam, phi0=phi.probs, max_iter=config.admm_max_iter)
             if not solved.converged:
-                logger.debug("job %d restart %d, EM iteration %d: phi-step unconverged after %d ADMM iterations, "
-                             "res_primal %.3g, res_dual %.3g", job, restart, m, solved.iterations,
-                             solved.res_primal, solved.res_dual)
-            # an inexact inner solve must never push the surrogate uphill
+                logger.debug("job %d restart %d, EM iteration %d: phi-step uncertified after %d Newton steps",
+                             job, restart, m, solved.iterations)
+            # the solve starts from phi's observed columns, renormalized, which can
+            # score above phi itself; the surrogate must never go uphill
             previous = admm.phi_objective(phi.probs, resp.q_table, graph, lam)
             if solved.objective <= previous:
                 phi_new = solved.phi
@@ -436,62 +441,31 @@ def _run_em(
 
 
 def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, me: bool = False) -> list[FitResult]:
-    """Fit every ``(dataset, lam)`` job under ``config`` at its lam, all restarts of all jobs in lockstep.
+    """Fit every ``(dataset, lam)`` job under ``config`` at its lam, one restart after another.
 
     The jobs share r and every config field but lam. With ``me`` each job's
     missing table is held at its empirical length histogram (the ME
-    baseline). Each run keeps its own rng and stopping. Its phi-step requests
-    join one :class:`admm.PhiStack`; each step hands every result that left
-    the stack to its run, and that run's next request joins at once. At most
-    :func:`admm.members_per_call` runs are live at once, since each holds its
-    own tables and stacking more pays nothing: at r = 7 the runs go one after
-    another. Each job then keeps its best restart, the first one on ties,
-    exactly as runs made one after another would.
+    baseline). Each job keeps its best restart, the first one on ties.
     """
     if any(len(dataset) == 0 for dataset, _ in jobs):
         raise DomainError("cannot fit an empty dataset")
-    graph = build_cayley_graph(jobs[0][0].r)
+    n_vertices = build_cayley_graph(jobs[0][0].r).n_vertices
     children = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
-    inits = _initial_locations(np.random.default_rng(children[0]), graph.n_vertices, config.n_clusters, config.restarts)
-    runs = []  # (job, restart, generator)
+    inits = _initial_locations(np.random.default_rng(children[0]), n_vertices, config.n_clusters, config.restarts)
+    results = []
     for job, (dataset, lam) in enumerate(jobs):
         fixed_phi = None
         if me:
             counts = np.bincount(dataset.lengths, minlength=dataset.r)[1:]
             fixed_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum())
+        best = None  # (restart, theta, phi, trace, converged)
         for j in range(config.restarts):
             run = _run_em(dataset, replace(config, lam=lam), inits[j], np.random.default_rng(children[j + 1]),
                           fixed_phi, job, j)
-            runs.append((job, j, run))
-    best: list[tuple | None] = [None] * len(jobs)  # per job, its best finished (restart, theta, phi, trace, converged)
-    # the lengths any job observes; each E-step's q is zero at the others
-    support = {block.t for dataset, _ in jobs for block in dataset.groups().blocks}
-    stack = admm.PhiStack(graph, config.rho, config.admm_eps_primal, config.admm_eps_dual, config.admm_max_iter,
-                          support)
-    width = admm.members_per_call(graph)
-    waiting = iter(range(len(runs)))
-
-    def advance(i: int, solved: admm.AdmmResult | None) -> None:
-        job, j, run = runs[i]
-        try:
-            stack.push(i, *run.send(solved))
-        except StopIteration as stop:
-            # runs finish out of order; the lower restart wins ties
-            held, trace = best[job], stop.value[2]
-            if held is None or (trace[-1], j) < (held[3][-1], held[0]):
-                best[job] = (j, *stop.value)
-
-    while True:
-        # a run that never yields (lam = 0, ME) finishes inside its first advance
-        while len(stack) < width and (i := next(waiting, None)) is not None:
-            advance(i, None)
-        if not len(stack):
-            break
-        for i, result in stack.step():
-            advance(i, result)
-
-    return [
-        FitResult(
+            if best is None or run[2][-1] < best[3][-1]:
+                best = (j, *run)
+        restart, theta, phi, trace, converged = best
+        results.append(FitResult(
             theta=theta,
             phi=phi,
             nll=trace[-1],
@@ -501,9 +475,8 @@ def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, me: bool = 
             converged=converged,
             method="ME" if me else f"R{lam:g}" if lam > 0 else "NR",
             config=replace(config, lam=lam),
-        )
-        for (dataset, lam), (restart, theta, phi, trace, converged) in zip(jobs, best)
-    ]
+        ))
+    return results
 
 
 def fit(dataset: Dataset, config: FitConfig) -> FitResult:

@@ -102,8 +102,9 @@ def _cv_fold_score(fitted: FitResult, heldout: Dataset) -> float:
 def cross_validate(dataset: Dataset, lam_grid, config: FitConfig) -> CvResult:
     """Two-fold CV on the held-out partial-ranking loss; ties pick the smaller lam.
 
-    The split is a seeded half/half shuffle; the winner is refit on the full
-    dataset.
+    The split is a seeded half/half shuffle. Every (lam, fold) fit runs, one
+    after another, under ``config`` at that lam; the winner is refit on the
+    full dataset.
     """
     if len(dataset) < 2:
         raise DomainError("need at least two observations to form folds")
@@ -117,7 +118,7 @@ def cross_validate(dataset: Dataset, lam_grid, config: FitConfig) -> CvResult:
     order = rng.permutation(len(dataset))
     half = len(dataset) // 2
     folds = (dataset.subset(order[:half]), dataset.subset(order[half:]))
-    # every (lam, fold) fit in one lockstep batch: per lam, train on each half
+    # per lam, train on each half
     fitted = _fit_batch([(train, lam) for lam in grid for train in folds], config)
     scores: dict[float, float] = {}
     for i, lam in enumerate(grid):

@@ -74,18 +74,6 @@ def brute_log_normalizer(c: float, r: int) -> float:
     return math.log(total)
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort + waterfill)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    valid = u + (1.0 - cumulative) / ks > 0
-    rho = ks[valid][-1]
-    shift = (1.0 - cumulative[rho - 1]) / rho
-    return np.maximum(v + shift, 0.0)
-
-
 def project_simplex_rows(p: np.ndarray) -> np.ndarray:
     """Row-wise simplex projection, vectorized over rows."""
     p = np.asarray(p, dtype=float)
@@ -97,176 +85,6 @@ def project_simplex_rows(p: np.ndarray) -> np.ndarray:
     rho = valid.sum(axis=1)  # the condition holds on a prefix
     shift = (1.0 - cumulative[np.arange(n), rho - 1]) / rho
     return np.maximum(p + shift[:, None], 0.0)
-
-
-def vertex_update_bisection(q_row, y_row, rho: float, degree: int) -> tuple[list[float], float]:
-    """One vertex subproblem by scalar bisection on the simplex multiplier.
-
-    Minimizes -sum q_t log phi_t + (rho degree / 2) ||phi||^2 + y . phi over
-    the simplex. Stationarity gives, for each entry, the nonnegative root of
-    rho degree phi^2 + (y_t + nu) phi - q_t = 0; the row sum falls as nu
-    rises, and bisection runs until the bracket is two adjacent floats.
-    Returns the row and the multiplier.
-    """
-    q = [float(v) for v in q_row]
-    y = [float(v) for v in y_row]
-    a = rho * degree
-
-    def row(nu: float) -> list[float]:
-        out = []
-        for qt, yt in zip(q, y):
-            z = yt + nu
-            root = math.sqrt(z * z + 4.0 * a * qt)
-            # the two forms of one root, each free of cancellation on its side
-            out.append(2.0 * qt / (z + root) if z > 0 else (root - z) / (2.0 * a))
-        return out
-
-    lo = -max(y) - a - 1.0     # every entry >= 1: the sum is >= 1
-    hi = -min(y) + sum(q) + 1.0  # every entry <= q_t / (sum q + 1): the sum is < 1
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if sum(row(mid)) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    nu = lo if abs(sum(row(lo)) - 1.0) <= abs(sum(row(hi)) - 1.0) else hi
-    return row(nu), nu
-
-
-def vertex_update_bracketed(q, y, rho: float, degree: int, nu0=None):
-    """The safeguarded Newton search on the simplex multiplier, row-batched.
-
-    Rows of ``q`` and ``y`` are vertices. Each pass takes a Newton step on
-    every active row and falls back to the midpoint of the row's bracket
-    where the step is not finite or leaves the open bracket (rtsafe,
-    Numerical Recipes section 9.4); a row is frozen once |s| <= 1e-12 or its
-    bracket has collapsed. ``nu0`` is a warm start, taken where it lies
-    inside the initial bracket. Returns ``(phi, nu, fired)``: ``fired`` marks
-    the rows where the safeguard acted, by a midpoint step or by a collapsed
-    bracket. It was the package's search before a clamped monotone Newton
-    step replaced it, and every row it solves without the safeguard must
-    come out of the new search bitwise the same.
-    """
-    scale = 2.0 * rho * degree
-    q = np.asarray(q, dtype=float).T.copy()
-    y = np.asarray(y, dtype=float).T.copy()
-    lo = -y.max(axis=0) - rho * degree
-    hi = -y.min(axis=0) + np.maximum(q.sum(axis=0), 1.0)
-    nu = 0.5 * (lo + hi)
-    if nu0 is not None:
-        nu = np.where((lo < nu0) & (nu0 < hi), nu0, nu)
-    phi_out, nu_out = np.empty_like(q), np.empty_like(nu)
-    fired = np.zeros(q.shape[1], dtype=bool)
-    rows = np.arange(q.shape[1])
-    for _ in range(300):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = y + nu
-            root = np.sqrt(z * z + 2.0 * scale * q)
-            phi = np.where(z > 0, 2.0 * q / (root + z), (root - z) / scale)
-            s = phi.sum(axis=0) - 1.0
-            step = nu + s / (phi / root).sum(axis=0)
-        above = s >= 0
-        lo, hi = np.where(above, nu, lo), np.where(above, hi, nu)
-        close = np.abs(s) <= 1e-12
-        collapsed = hi - lo <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(nu))
-        fired[rows[collapsed & ~close]] = True
-        frozen = close | collapsed
-        phi_out[:, rows[frozen]], nu_out[rows[frozen]] = phi[:, frozen], nu[frozen]
-        active = ~frozen
-        if not active.any():
-            break
-        rows, lo, hi, step, y, q = rows[active], lo[active], hi[active], step[active], y[:, active], q[:, active]
-        inside = (lo < step) & (step < hi)
-        fired[rows[~inside]] = True
-        nu = np.where(inside, step, 0.5 * (lo + hi))
-    else:
-        raise AssertionError("bracketed search ran out of passes")
-    return np.clip(phi_out, 0.0, 1.0).T, nu_out, fired
-
-
-def augmented_lagrangian(state, q: np.ndarray, graph, lam: float, rho: float) -> float:
-    """The penalty-split objective driving the vertex and edge sweeps.
-
-    For an ``admm.PhiStack`` of one member in the slot-major layout:
-    ``copies[0, j, v]`` is vertex v's copy on the edge to ``N[v, j]``
-    (``N = graph.neighbors``), so the other endpoint's copy on that edge is
-    ``copies[0, j, N[v, j]]``. ``q`` is the member's ``(V, r-1)`` table.
-    """
-    phi, copies, duals = state.phi[0], state.copies[0], state.duals[0]
-    mask = q > 0
-    vals = phi[mask]
-    if np.any(vals <= 0):
-        return np.inf
-    partner = copies[np.arange(graph.r - 1)[:, None], graph.neighbors.T]
-    total = -float((q[mask] * np.log(vals)).sum())
-    total += 0.5 * lam * float(((copies - partner) ** 2).sum())
-    total -= 0.5 * rho * float((duals**2).sum())
-    total += 0.5 * rho * float(((phi[None] - copies + duals) ** 2).sum())
-    return total
-
-
-def edge_update(a: np.ndarray, b: np.ndarray, lam: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize lam ||x - y||^2 + (rho / 2)(||a - x||^2 + ||b - y||^2) over (x, y).
-
-    Stationarity gives x + y = a + b and (4 lam + rho)(x - y) = rho (a - b),
-    so each copy is a convex combination of the two inputs.
-    """
-    weight = 0.5 * (1.0 + rho / (4.0 * lam + rho))
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return weight * a + (1.0 - weight) * b, weight * b + (1.0 - weight) * a
-
-
-def admm_reference(
-    q: np.ndarray,
-    graph,
-    lam: float,
-    rho: float,
-    phi0: np.ndarray,
-    eps_primal: float,
-    eps_dual: float,
-    max_iter: int,
-) -> tuple[np.ndarray, int, bool, float, float]:
-    """The edge-splitting ADMM loop written out over the edge list.
-
-    Each edge {u, v} of ``graph.edges`` holds a copy of both endpoints' rows
-    and a dual for each. An iteration solves every vertex by
-    :func:`vertex_update_bisection`, every edge by :func:`edge_update`, and
-    takes a dual ascent step. The primal residual is the norm of all
-    (row - copy) differences, the dual residual that of the change in the
-    copies; the run stops once both are below their thresholds, or at
-    ``max_iter`` with its last iterate. Returns ``(phi, iterations,
-    converged, res_primal, res_dual)``.
-    """
-    q = np.asarray(q, dtype=float)
-    edges = [(int(u), int(v)) for u, v in graph.edges]
-    degree = graph.r - 1
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(q))}
-    for e, (u, v) in enumerate(edges):
-        incident[u].append((e, 0))
-        incident[v].append((e, 1))
-    phi = np.array(phi0, dtype=float)
-    copies = np.stack([np.stack([phi[u], phi[v]]) for u, v in edges])  # (E, 2, r-1)
-    duals = np.zeros_like(copies)
-    res_p = res_d = np.inf
-    for it in range(1, max_iter + 1):
-        new_phi = np.empty_like(phi)
-        for v in range(len(q)):
-            y = rho * sum(duals[e, side] - copies[e, side] for e, side in incident[v])
-            new_phi[v] = vertex_update_bisection(q[v], y, rho, degree)[0]
-        phi = new_phi
-        old = copies.copy()
-        for e, (u, v) in enumerate(edges):
-            copies[e, 0], copies[e, 1] = edge_update(phi[u] + duals[e, 0], phi[v] + duals[e, 1], lam, rho)
-        gap = np.stack([phi[[u, v]] for u, v in edges]) - copies
-        duals += gap
-        res_p = math.sqrt(float((gap**2).sum()))
-        res_d = math.sqrt(float(((copies - old) ** 2).sum()))
-        if res_p < eps_primal and res_d < eps_dual:
-            return phi, it, True, res_p, res_d
-    return phi, max_iter, False, res_p, res_d
 
 
 def solve_phi_projected_gradient(
@@ -618,10 +436,7 @@ def em_run_reference(dataset, config, init_vertices, rng, mode: str, me_phi):
         if mode == "me":
             phi_new = phi
         elif lam > 0:
-            solved = admm.solve_phi(
-                resp.q_table, graph, lam, config.rho, phi0=phi.probs, eps_primal=config.admm_eps_primal,
-                eps_dual=config.admm_eps_dual, max_iter=config.admm_max_iter,
-            )
+            solved = admm.solve_phi(resp.q_table, graph, lam, phi0=phi.probs, max_iter=config.admm_max_iter)
             better = solved.objective <= admm.phi_objective(phi.probs, resp.q_table, graph, lam)
             phi_new = solved.phi if better else phi
         else:

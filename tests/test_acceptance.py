@@ -49,7 +49,7 @@ def test_criterion_1_admm_matches_projected_gradient_oracle():
     for _ in range(20):
         q = rng.random((6, 2)) * rng.uniform(1, 20)
         for lam in (0.0, 1.0, 10.0):
-            result = solve_phi(q, graph, lam, 1.0, eps_primal=1e-8, eps_dual=1e-8, max_iter=20000)
+            result = solve_phi(q, graph, lam)
             _, oracle_obj = solve_phi_projected_gradient(q, graph.edges, lam, tol=1e-10)
             worst = max(worst, abs(result.objective - oracle_obj))
     report(1, "oracle equivalence", worst <= 1e-4, f"worst objective gap {worst:.2e}")
@@ -66,7 +66,7 @@ def test_criterion_2_closed_form_limit_at_lambda_zero():
         q = rng.random((24, 3)) * 5
         q[rng.random((24, 3)) < 0.3] = 0.0  # sprinkle empty cells
         q[rng.integers(24)] = 0.0           # and one massless vertex
-        result = solve_phi(q, graph, 0.0, 1.0, eps_primal=1e-9, eps_dual=1e-9, max_iter=5000)
+        result = solve_phi(q, graph, 0.0)
         totals = q.sum(axis=1)
         positive = totals > 0
         closed = q[positive] / totals[positive, None]

@@ -596,6 +596,28 @@ class TestErrors:
         assert (err["error"], err["message"]) == ("DomainError", "entries must lie in [0, 1]")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "nan.json"]
 
+    def test_fit_file_whose_weights_do_not_sum_to_one_exits_5(self, tmp_path, table_inputs, capsys):
+        # a K = 2 file with both weights 0.3: checked as written, not renormalized
+        payload = json.loads((table_inputs / "fit.json").read_text())
+        component = payload["theta"]["components"][0]
+        payload["theta"]["components"] = [{**component, "w": 0.3}, {**component, "w": 0.3}]
+        bad = tmp_path / "weights.json"
+        bad.write_text(json.dumps(payload))
+        config = table_config("eval", table_inputs, tmp_path / "out")
+        config["inputs"] = [{"fit": str(bad)}]
+        assert run_cli(write_config(tmp_path, "config.json", config)) == 5
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "DomainError" and "weights must sum to 1" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "weights.json"]
+
+    @pytest.mark.parametrize("key", ["rho", "admm_eps_primal", "admm_eps_dual"])
+    def test_removed_admm_field_exits_2(self, tmp_path, capsys, key):
+        # the phi-step has no ADMM penalty or residual tolerances any more
+        assert run_cli(self.fit_config(tmp_path, fit={key: 1.0})) == 2
+        message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert message == f"unknown fit config fields: ['{key}']"
+        assert not (tmp_path / "o.json").exists()
+
 
 @pytest.fixture(scope="module")
 def table_inputs(tmp_path_factory):

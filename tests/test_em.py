@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import fit_sequential, per_observation, random_mixture
+from oracles import fit_sequential, per_observation, phi_step_bounds, random_mixture
 from partialrank import (
     Dataset,
     DegenerateClusterError,
@@ -29,6 +29,7 @@ from partialrank import (
     generate_dataset,
 )
 from partialrank import admm, em
+from partialrank.admm import GAP_TOL
 from partialrank.em import Responsibilities, load_fit_json, penalized_nll
 from partialrank.mallows import mixture_pmf
 from partialrank.perms import build_cayley_graph, compatible_set, distances_from, index_of, kendall_distance, unindex
@@ -200,7 +201,8 @@ class TestMStepTheta:
     @pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
     def test_concentration_solves_the_closed_form_moment_equation(self, r):
         # for a Mallows model E_c[d] has a closed form (Fligner & Verducci
-        # 1986); at an interior optimum c solves E_c[d] = the mean distance
+        # 1986); at an interior optimum c solves E_c[d] = the mean distance,
+        # to rounding
         rng = np.random.default_rng(600 + r)
         n_vertices = math.factorial(r)
         truth = MixtureParams.single(unindex(int(rng.integers(n_vertices)), r), 0.7)
@@ -210,8 +212,27 @@ class TestMStepTheta:
         assert 1e-4 < c < 20.0
         mean = float(mass[0] @ distances_from(r, index_of(component.sigma))) / float(mass.sum())
         j = np.arange(1, r)
-        moment = np.sum(np.exp(-c) / -np.expm1(-c) - (j + 1) * np.exp(-(j + 1) * c) / -np.expm1(-(j + 1) * c))
-        assert float(moment) == pytest.approx(mean, abs=1e-6)
+
+        def moment(c):
+            return float(np.sum(np.exp(-c) / -np.expm1(-c) - (j + 1) * np.exp(-(j + 1) * c) / -np.expm1(-(j + 1) * c)))
+
+        assert moment(c) == pytest.approx(mean, rel=1e-14)
+
+    @pytest.mark.parametrize("r", [3, 5, 7])
+    def test_concentration_clamps_at_both_bounds(self, r):
+        # mass at the location alone: E_c[d] = 0 has no finite root, so c_max;
+        # mass spread uniformly: the mean distance r(r-1)/4 is E_0[d], above
+        # every E_c[d] with c > 0, so c_min
+        n_vertices = math.factorial(r)
+        point = np.zeros((1, n_vertices))
+        point[0, 4] = 30.0
+        assert m_step_theta(make_resp(r, point), Dataset.from_rankings(r, []), c_max=15.0).components[0].c == 15.0
+        flat = np.full((1, n_vertices), 2.0)
+        assert m_step_theta(make_resp(r, flat), Dataset.from_rankings(r, []), c_min=0.01).components[0].c == 0.01
+        # mass from a Mallows model at c = 3: its root is c = 3, so a bound on either side of it is the answer
+        spread = mixture_pmf(MixtureParams.single(unindex(3, r), 3.0))[None, :] * 100.0
+        assert m_step_theta(make_resp(r, spread), Dataset.from_rankings(r, []), c_max=2.0).components[0].c == 2.0
+        assert m_step_theta(make_resp(r, spread), Dataset.from_rankings(r, []), c_min=4.0).components[0].c == 4.0
 
 
 class TestFit:
@@ -229,14 +250,7 @@ class TestFit:
         theta = MixtureParams.single(Permutation.identity(4), 1.0)
         mech = tilt_concentration_mechanism(1.0, 1.3, 0.7, Permutation.identity(4))
         ds = generate_dataset(theta, mech, 300, rng_seed=5)
-        config = FitConfig(
-            lam=1e6,
-            restarts=2,
-            seed=1,
-            admm_eps_primal=1e-6,
-            admm_eps_dual=1e-6,
-            admm_max_iter=3000,
-        )
+        config = FitConfig(lam=1e6, restarts=2, seed=1)
         result = fit(ds, config)
         rows = result.phi.probs
         spread = np.abs(rows[:, None, :] - rows[None, :, :]).max()
@@ -256,15 +270,7 @@ class TestFit:
         mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, Permutation.identity(4))
         ds = generate_dataset(theta, mech, 200, rng_seed=9)
         base = FitConfig(lam=0.0, restarts=2, seed=2, transition_iters=0)
-        tiny = FitConfig(
-            lam=1e-12,
-            restarts=2,
-            seed=2,
-            transition_iters=0,
-            admm_eps_primal=1e-9,
-            admm_eps_dual=1e-9,
-            admm_max_iter=5000,
-        )
+        tiny = FitConfig(lam=1e-12, restarts=2, seed=2, transition_iters=0)
         phi_zero = fit(ds, base).phi.probs
         phi_tiny = fit(ds, tiny).phi.probs
         assert np.abs(phi_zero - phi_tiny).max() < 1e-4
@@ -286,6 +292,17 @@ class TestFit:
         payload = json.loads(path_a.read_text())
         assert payload["config"]["lam"] == 1.0
         assert len(payload["trace"]) == len(a.trace)
+
+    def test_load_fit_json_checks_the_weights_as_written(self, tmp_path):
+        ds = Dataset.from_rankings(3, [TopTRanking((1, 2), 3), TopTRanking((2,), 3)] * 10)
+        path = tmp_path / "fit.json"
+        fit(ds, FitConfig(n_clusters=2, lam=0.0, restarts=1, seed=1)).save_json(path)
+        payload = json.loads(path.read_text())
+        for component in payload["theta"]["components"]:
+            component["w"] = 0.3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DomainError, match="weights must sum to 1"):
+            load_fit_json(path)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DomainError):
@@ -340,14 +357,14 @@ class TestFitConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             FitConfig(lam=-1.0)
-        with pytest.raises(DomainError):
-            FitConfig(rho=0.0)
+        with pytest.raises(TypeError):
+            FitConfig(rho=1.0)  # no ADMM penalty parameter any more
         with pytest.raises(DomainError):
             FitConfig(restarts=0)
         with pytest.raises(DomainError):
             FitConfig(em_tol=0.0)
 
-    @pytest.mark.parametrize("name", ["lam", "rho", "em_tol", "admm_eps_primal", "admm_eps_dual", "c_min", "c_max"])
+    @pytest.mark.parametrize("name", ["lam", "em_tol", "c_min", "c_max"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(DomainError):
@@ -430,7 +447,6 @@ def test_best_run_ending_at_zero_likelihood_raises(monkeypatch):
 
     def ended(dataset, config, init_vertices, rng, fixed_phi, job, restart):
         return uniform_theta(3, 1.0), phi, [np.inf], False
-        yield  # a generator that finishes on its first advance
 
     monkeypatch.setattr(em, "_run_em", ended)
     with pytest.raises(DegenerateLikelihoodError):
@@ -448,14 +464,15 @@ def _assert_same_fit(result, reference):
 
 
 class TestLockstep:
-    """Restarts run in lockstep give bitwise what runs one after another give."""
+    """Restarts and fold fits, which once ran in lockstep, run one after another:
+    every fit is bitwise what ``oracles.fit_sequential`` gives."""
 
     @pytest.fixture(scope="class")
     def datasets(self):
         mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, Permutation.identity(4))
         one = generate_dataset(MixtureParams.single(Permutation.identity(4), 1.0), mech, 150, rng_seed=30)
         two = generate_dataset(random_mixture(4, 2, np.random.default_rng(31)), mech, 150, rng_seed=32)
-        # every length occurs, so at r = 5 the phi-steps run on a full-width stack
+        # every length occurs, so at r = 5 the phi-steps run on every column
         every = MissingTable.homogeneous(5, [0.4, 0.3, 0.2, 0.1])
         full = generate_dataset(MixtureParams.single(Permutation.identity(5), 1.0), every, 200, rng_seed=33)
         return {1: one, 2: two, "full": full}
@@ -470,12 +487,13 @@ class TestLockstep:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("lam", [10.0, 0.7])
     def test_full_support_fit_matches_restarts_run_one_by_one(self, datasets, k, lam, monkeypatch):
-        widths, sweep = [], admm.vertex_sweep
-        monkeypatch.setattr(admm, "vertex_sweep", lambda stack: widths.append(stack.phi.shape) or sweep(stack))
+        observed, solve = [], admm.solve_phi
+        monkeypatch.setattr(admm, "solve_phi", lambda q, *args, **kw: observed.append(q.any(axis=0).sum())
+                            or solve(q, *args, **kw))
         config = FitConfig(n_clusters=k, lam=lam, restarts=4, seed=50 + k, em_max_iter=25)
         result = fit(datasets["full"], config)
         monkeypatch.undo()
-        assert widths and {shape[-1] for shape in widths} == {4} and max(shape[0] for shape in widths) > 1
+        assert observed and set(observed) == {4}
         _assert_same_fit(result, fit_sequential(datasets["full"], config, "regularized"))
 
     def test_me_fit_does_not_depend_on_lam(self, datasets):
@@ -488,28 +506,31 @@ class TestLockstep:
         assert np.array_equal(at_zero.posteriors, at_ten.posteriors)
         assert (at_zero.config.lam, at_ten.config.lam) == (0.0, 10.0)
 
-    # ADMM capped at 3 iterations: every phi-step stops unconverged and returns
-    # its last iterate, and once in this fit that iterate would raise the
-    # surrogate, so EM keeps the previous phi
-    unconverged = FitConfig(lam=10.0, restarts=3, seed=7, em_max_iter=10, admm_max_iter=3,
-                            admm_eps_primal=1e-9, admm_eps_dual=1e-9)
+    # one Newton step per phi-step: every phi-step stops uncertified and returns its last iterate
+    unconverged = FitConfig(lam=10.0, restarts=3, seed=7, em_max_iter=10, admm_max_iter=1)
 
     def test_unconverged_inner_solves_match(self, datasets):
         result = fit(datasets[1], self.unconverged)
         _assert_same_fit(result, fit_sequential(datasets[1], self.unconverged, "regularized"))
         assert np.diff(np.array(result.trace)).max() <= 1e-8
 
-    def test_unconverged_solves_and_kept_phi_are_logged(self, datasets, caplog):
+    def test_unconverged_solves_and_kept_phi_are_logged(self, datasets, caplog, monkeypatch):
         with caplog.at_level(logging.DEBUG, logger="partialrank.em"):
             fit(datasets[1], self.unconverged)
         messages = [record.getMessage() for record in caplog.records if record.name == "partialrank.em"]
-        unconverged = [m for m in messages if "phi-step unconverged after 3 ADMM iterations" in m]
-        kept = [m for m in messages if "kept the previous phi" in m]
-        assert unconverged and kept
-        assert len(unconverged) + len(kept) == len(messages)
-        # the 3 interleaved restarts each name themselves in their first line
-        first = [m for m in unconverged if "EM iteration 1:" in m]
+        assert messages and all("phi-step uncertified after 1 Newton steps" in m for m in messages)
+        # the restarts each name themselves in their first line
+        first = [m for m in messages if "EM iteration 1:" in m]
         assert sorted(m.split(",")[0] for m in first) == [f"job 0 restart {j}" for j in range(3)]
+        # a solve that reports a higher surrogate than the previous phi is never taken
+        caplog.clear()
+        solve = admm.solve_phi
+        monkeypatch.setattr(admm, "solve_phi", lambda *args, **kw: replace(solve(*args, **kw), objective=np.inf))
+        with caplog.at_level(logging.DEBUG, logger="partialrank.em"):
+            result = fit(datasets[1], FitConfig(lam=10.0, restarts=1, seed=7, em_max_iter=5))
+        kept = [r.getMessage() for r in caplog.records if "kept the previous phi" in r.getMessage()]
+        assert len(kept) == len(result.trace) - 1
+        assert np.array_equal(result.phi.probs, MissingTable.uniform(4).probs)
 
     shared = FitConfig(restarts=2, seed=1, em_max_iter=20)
 
@@ -523,109 +544,49 @@ class TestLockstep:
             assert batched.to_json_dict() == alone.to_json_dict()
             assert np.array_equal(batched.posteriors, alone.posteriors)
 
-    def test_finished_run_rejoins_before_the_slowest_member_leaves(self, datasets, monkeypatch):
-        # a run whose phi-step left the stack takes its E- and M-steps and its
-        # next request joins at the next step, while a slower member is still
-        # stacked; each member-iteration is one its own solve would make
-        requests, members, left = [], [], []
-        run_em, sweep, step = em._run_em, admm.vertex_sweep, admm.PhiStack.step
-
-        def recorded(*args):
-            run, solved = run_em(*args), None
-            while True:
-                try:
-                    request = run.send(solved)
-                except StopIteration as stop:
-                    return stop.value
-                requests.append((args[-2], request))
-                solved = yield request
-
-        def recording_step(stack):
-            done = step(stack)
-            left.append({tag for tag, _ in done})
-            return done
-
-        monkeypatch.setattr(em, "_run_em", recorded)
-        monkeypatch.setattr(admm, "vertex_sweep", lambda stack: members.append(set(stack.tags)) or sweep(stack))
-        monkeypatch.setattr(admm.PhiStack, "step", recording_step)
-        em._fit_batch(self.jobs(datasets), self.shared)
-        monkeypatch.undo()
-        assert len(members) == len(left)
-        assert {job for job, _ in requests} == {0, 1, 3}  # the lam = 0 job never yields
-        # at some step a run leaves and is back at the next one, beside a member that stayed
-        assert any(left[s] & members[s + 1] and members[s] - left[s] for s in range(len(members) - 1))
-        graph, shared = build_cayley_graph(4), self.shared
-        solo = [
-            admm.solve_phi(q_table, graph, lam, shared.rho, phi0, shared.admm_eps_primal, shared.admm_eps_dual,
-                           shared.admm_max_iter).iterations
-            for _, (q_table, phi0, lam) in requests
-        ]
-        assert sum(len(m) for m in members) == sum(solo)
-
-    def test_runs_finishing_out_of_order_match_runs_one_by_one(self, datasets, monkeypatch):
-        # restarts that need different numbers of EM iterations finish in
-        # another order than they started in
-        finished, run_em = [], em._run_em
-
-        def recorded(*args):
-            value = yield from run_em(*args)
-            finished.append(args[-1])
-            return value
-
-        monkeypatch.setattr(em, "_run_em", recorded)
-        config = FitConfig(n_clusters=2, lam=3.0, restarts=5, seed=12, em_max_iter=25)
-        result = fit(datasets[2], config)
-        assert sorted(finished) == list(range(5)) and finished != sorted(finished)
-        monkeypatch.undo()
-        _assert_same_fit(result, fit_sequential(datasets[2], config, "regularized"))
-
-    def test_lower_restart_wins_a_tie_it_finishes_second(self, datasets, monkeypatch):
-        # restart 2 ties restart 1 on the final objective but finishes a
-        # lockstep round earlier; runs made one after another keep restart 1
-        graph = build_cayley_graph(4)
+    def test_lower_restart_wins_a_tie(self, datasets, monkeypatch):
+        # restarts 1 and 2 tie on the final objective; the first one is kept
         theta = MixtureParams.single(Permutation.identity(4), 1.0)
         phi = MissingTable.uniform(4)
-        finals, delays = [5.0, 3.0, 3.0, 4.0], [0, 2, 1, 0]
-        calls = iter(range(4))
+        finals = iter([5.0, 3.0, 3.0, 4.0])
 
         def fake_run_em(dataset, config, init_vertices, rng, fixed_phi, job, restart):
-            j = next(calls)
-
-            def run():
-                for _ in range(delays[j]):
-                    yield np.ones((graph.n_vertices, 3)), phi.probs, 1.0
-                return theta, phi, [finals[j]], True
-
-            return run()
+            return theta, phi, [next(finals)], True
 
         monkeypatch.setattr(em, "_run_em", fake_run_em)
         result = fit(datasets[1], FitConfig(restarts=4))
         assert (result.restart, result.nll) == (1, 3.0)
 
-    def test_live_runs_capped_by_members_per_call(self, datasets, monkeypatch):
-        # with room for two members per solve, at most two runs are live and
-        # no solve stacks more; the fits do not change
-        jobs = [(datasets[1], 10.0), (datasets[2], 1.0)]
-        config = FitConfig(restarts=3, seed=5, em_max_iter=15)
-        sizes = []
-        step = admm.PhiStack.step
 
-        def recording(stack):
-            sizes.append(len(stack))
-            return step(stack)
+class TestCertifiedFits:
+    """Every phi-step of a regularized fit ends certified: the independent
+    ``oracles.phi_step_bounds`` reads a relative gap of at most ``GAP_TOL``."""
 
-        monkeypatch.setattr(admm.PhiStack, "step", recording)
-        wide = em._fit_batch(jobs, config)
-        assert max(sizes) == len(jobs) * config.restarts
-        sizes.clear()
-        graph = build_cayley_graph(4)
-        monkeypatch.setattr(admm, "_STATE_BYTES", 2 * 4 * graph.n_vertices * 3 * 3 * 8)
-        assert admm.members_per_call(graph) == 2
-        narrow = em._fit_batch(jobs, config)
-        assert max(sizes) == 2
-        for a, b in zip(wide, narrow):
-            assert a.to_json_dict() == b.to_json_dict()
-            assert np.array_equal(a.posteriors, b.posteriors)
+    @pytest.mark.parametrize("r,lam", [(5, 1.0), (5, 10.0), (5, 100.0), (7, 10.0)])
+    @pytest.mark.parametrize("data", ["binary", "general"])
+    def test_every_phi_step_is_certified(self, r, lam, data, monkeypatch):
+        sigma = Permutation.identity(r)
+        if data == "binary":  # the paper's generator: only lengths 1 and r-1 occur
+            mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, sigma)
+        else:  # every length occurs, weighted (r-1, ..., 1)
+            weights = np.arange(r - 1, 0, -1, dtype=float)
+            mech = MissingTable.homogeneous(r, weights / weights.sum())
+        ds = generate_dataset(MixtureParams.single(sigma, 1.0), mech, 1000 if r == 5 else 400, rng_seed=3)
+        requests, solve = [], admm.solve_phi
+
+        def recorded(q, graph, lam, **kw):
+            result = solve(q, graph, lam, **kw)
+            requests.append((q, graph, lam, result))
+            return result
+
+        monkeypatch.setattr(admm, "solve_phi", recorded)
+        fit(ds, FitConfig(lam=lam, restarts=1, seed=3, em_max_iter=8 if r == 5 else 3))
+        assert requests
+        for q, graph, lam, result in requests:
+            assert result.converged
+            primal, dual = phi_step_bounds(result.phi.probs, q, graph.edges, lam)
+            assert primal == pytest.approx(result.objective, rel=1e-12)
+            assert (primal - dual) / abs(primal) <= GAP_TOL
 
 
 class TestRelabeling:
@@ -707,14 +668,13 @@ class TestRelabeling:
 
     def test_fit_is_equivariant_at_r6(self, monkeypatch):
         # binary-generator data (lengths 1 and 5 only, so each phi-step runs
-        # on a stack that merges lengths 2-4) fitted, then its relabeling
-        # fitted from the relabeled initial locations: the transition
-        # proposals draw neighbor slots, which relabeling keeps, so the
-        # second fit is the relabeled first one. The golden section stops on
-        # an interval 1e-8 wide, where its comparisons are float noise, so a
-        # sum taken in another order can move c by up to 3e-8 relative, and
-        # EM carries that into phi at up to about 3e-7: the fits agree to
-        # those bounds, not to rounding
+        # on those two columns) fitted, then its relabeling fitted from the
+        # relabeled initial locations: the transition proposals draw neighbor
+        # slots, which relabeling keeps, so the second fit is the relabeled
+        # first one. Sums run in another order, so the fits agree to rounding:
+        # the concentration step solves its moment equation to rounding, and
+        # seven relabelings gave c within 1.1e-15, traces within 4.6e-16 and
+        # phi within 1.0e-14, relative
         r = 6
         rng = np.random.default_rng(306)
         g = rng.permutation(r) + 1
@@ -737,6 +697,6 @@ class TestRelabeling:
         moved = fit(moved_ds, config)
         assert len(moved.trace) == len(plain.trace) > 3 and moved.restart == plain.restart
         assert [c.sigma for c in moved.theta.components] == [move(c.sigma) for c in plain.theta.components]
-        assert [c.c for c in moved.theta.components] == pytest.approx([c.c for c in plain.theta.components], rel=1e-7)
-        assert moved.trace == pytest.approx(plain.trace, rel=1e-8)
-        assert np.allclose(moved.phi.probs[image], plain.phi.probs, rtol=1e-6, atol=0)
+        assert [c.c for c in moved.theta.components] == pytest.approx([c.c for c in plain.theta.components], rel=1e-12)
+        assert moved.trace == pytest.approx(plain.trace, rel=1e-12)
+        assert np.allclose(moved.phi.probs[image], plain.phi.probs, rtol=1e-11, atol=0)

@@ -228,7 +228,7 @@ class TestCrossValidate:
         assert min(result.scores.values()) == result.scores[result.best_lam]
 
     def test_matches_a_loop_of_fits(self, small_dataset):
-        # the fold fits run in one lockstep batch; fitting each on its own
+        # the fold fits run through one _fit_batch call; fitting each on its own
         # must give the same scores, winner and refit, bit for bit
         config = FitConfig(restarts=2, seed=3, em_max_iter=30)
         grid = [0.0, 1.0, 10.0]
