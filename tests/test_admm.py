@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import phi_step_bounds, solve_phi_projected_gradient
 from partialrank import (
@@ -112,15 +114,6 @@ class TestSolvePhi:
             with pytest.raises(DomainError):
                 solve_phi(np.ones((6, 2)), graph, 1.0, phi0=phi0)
 
-    def test_zero_entries_only_where_mass_is_zero(self):
-        graph = build_cayley_graph(3)
-        rng = np.random.default_rng(8)
-        q = rng.random((6, 2)) * 3
-        q[0, 1] = 0.0
-        result = solve_phi(q, graph, 1.0)
-        assert result.converged
-        assert np.all(result.phi.probs[q > 0] > 0)
-
     @pytest.mark.parametrize("lam", [1e6, 1e7])
     def test_large_lam_certifies(self, lam):
         # the rows end nearly equal, where x^T L x and (r-1) x minus the neighbor sum
@@ -177,6 +170,182 @@ class TestEmptyColumns:
                 if r <= 4:
                     _, oracle = solve_phi_projected_gradient(q, graph.edges, lam)
                     assert result.objective == pytest.approx(oracle, abs=1e-4)
+
+
+class TestSweepInvariants:
+    """What every Newton step keeps: each step sweeps all vertices' rows at once,
+    and applies the Laplacian through the slot-major neighbor table."""
+
+    def test_rows_on_simplex_after_every_vertex_sweep(self):
+        graph = build_cayley_graph(3)
+        rng = np.random.default_rng(6)
+        q = rng.random((6, 2)) * 3
+        q[1, 0] = 0.0
+        problem, _ = _reduced(q, graph, 1.0)
+        x = np.full((2, 6), 0.5)
+        f, lx = problem.value(x)
+        start, steps = f, 0
+        while (moved := problem.step(x, lx, f)) is not None and steps < 30:
+            x, lx, f_new, _ = moved
+            assert np.abs(x.sum(axis=0) - 1.0).max() <= 1e-12
+            assert x.min() >= 0.0 and np.all(x[problem.mass] > 0)
+            assert f_new <= f  # equal only once P is flat at float resolution
+            f, steps = f_new, steps + 1
+        assert steps >= 3 and f < start
+
+    def test_state_slot_shapes(self):
+        graph = build_cayley_graph(4)
+        q = np.random.default_rng(9).random((graph.n_vertices, 3))
+        q[:, 1] = 0.0
+        problem, columns = _reduced(q, graph, 1.0)
+        assert list(columns) == [0, 2] and problem.empty_columns
+        assert problem.q.shape == (2, graph.n_vertices) and problem.q.flags.c_contiguous
+        # slot-major: entry j * V + v is the j-th neighbor of v
+        assert problem.neighbors.shape == (graph.n_vertices * (graph.r - 1),)
+        assert np.array_equal(problem.neighbors.reshape(graph.r - 1, graph.n_vertices), graph.neighbors.T)
+        assert problem.heads.shape == problem.tails.shape == (len(graph.edges),)
+        assert problem.laplacian(np.ones((2, graph.n_vertices))).shape == (2, graph.n_vertices)
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_sweeps_match_per_edge_updates(self, r):
+        # the slot-major Laplacian and penalty against sums written out over the edge list
+        graph = build_cayley_graph(r)
+        rng = np.random.default_rng(60 + r)
+        q = rng.random((graph.n_vertices, r - 1)) * 3
+        q[rng.random(q.shape) < 0.3] = 0.0
+        problem, columns = _reduced(q, graph, 3.0)
+        x = rng.dirichlet(np.ones(columns.size), size=graph.n_vertices).T.copy()
+        expected = np.zeros_like(x)
+        for u, v in graph.edges:
+            expected[:, u] += x[:, u] - x[:, v]
+            expected[:, v] += x[:, v] - x[:, u]
+        assert np.abs(problem.laplacian(x) - expected).max() <= 1e-14
+        pairs = sum(float(((x[:, u] - x[:, v]) ** 2).sum()) for u, v in graph.edges)
+        assert problem.penalty(x) == pytest.approx(pairs, rel=1e-12)
+        full = np.zeros_like(q)
+        full[:, columns] = x.T
+        assert problem.value(x)[0] == pytest.approx(phi_objective(full, q, graph, 3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("lam", [0.5, 10.0])
+    @pytest.mark.parametrize("eps,max_iter", [(1e-3, 5000), (1e-12, 7)])
+    def test_solve_phi_matches_loop_reference(self, r, lam, eps, max_iter, monkeypatch):
+        # the whole solve and its stopping rule, with eps as its gap tolerance, against
+        # solve_phi_projected_gradient, a plain loop run to the optimum; (1e-12, 7)
+        # stops at max_iter with its last iterate
+        monkeypatch.setattr(admm, "GAP_TOL", eps)
+        graph = build_cayley_graph(r)
+        rng = np.random.default_rng(100 + r)
+        q = rng.random((graph.n_vertices, r - 1)) * 5
+        q[rng.random(q.shape) < 0.2] = 0.0
+        phi0 = rng.dirichlet(np.ones(r - 1), size=graph.n_vertices)
+        result = solve_phi(q, graph, lam, phi0=phi0, max_iter=max_iter)
+        optimum, best = solve_phi_projected_gradient(q, graph.edges, lam)
+        assert result.converged == (max_iter == 5000)
+        assert result.iterations == max_iter or (result.converged and result.iterations < 20)
+        primal, dual = phi_step_bounds(result.phi.probs, q, graph.edges, lam)
+        assert primal == pytest.approx(result.objective, rel=1e-12)
+        assert dual <= best + 1e-12 * abs(best) <= primal + 2e-12 * abs(best)
+        if result.converged:
+            assert primal - dual <= eps * abs(primal)
+        else:  # the last iterate is one Newton step short of a solve cut one step later
+            longer = solve_phi(q, graph, lam, phi0=phi0, max_iter=max_iter + 1)
+            assert longer.objective < result.objective
+
+    def test_zero_entries_only_where_mass_is_zero(self):
+        graph = build_cayley_graph(3)
+        rng = np.random.default_rng(8)
+        q = rng.random((6, 2)) * 3
+        q[0, 1] = 0.0
+        result = solve_phi(q, graph, 1.0)
+        assert result.converged
+        assert np.all(result.phi.probs[q > 0] > 0)
+
+
+def _reduced(q, graph, lam):
+    """The solve's problem on the observed columns of ``q``, and those columns."""
+    columns = np.flatnonzero(q.any(axis=0))
+    return admm._Problem(q[:, columns].T.copy(), graph, lam, columns.size < graph.r - 1), columns
+
+
+def _certificate_pair(q, x, graph, lam):
+    """The solve's certificate D at the reduced rows ``x`` (``(k, V)``), and the oracle's ``(P, D)``."""
+    problem, columns = _reduced(q, graph, lam)
+    full = np.zeros_like(q)
+    full[:, columns] = x.T
+    return problem.lower_bound(x), phi_step_bounds(full, q, graph.edges, lam)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+def test_batch_matches_scalar_bisection_oracle(r):
+    # the certificate's row-batched Newton search on the multipliers against the
+    # oracle's bisection on each row, at feasible rows that are no optimum: rows
+    # without mass, entries without mass at 0, and an empty column on odd trials
+    rng = np.random.default_rng(40 + r)
+    graph = build_cayley_graph(r)
+    n = graph.n_vertices
+    for trial in range(6):
+        q = rng.random((n, r - 1)) * 10 ** rng.uniform(-6, 2, size=(n, 1))
+        q[rng.random(q.shape) < 0.3] = 0.0
+        q[:3] = 0.0
+        if trial % 2 and r > 3:
+            q[:, rng.integers(0, r - 1)] = 0.0
+        lam = float(10 ** rng.uniform(-1, 2))
+        columns = np.flatnonzero(q.any(axis=0))
+        x = rng.dirichlet(np.ones(columns.size), size=n)
+        x[(rng.random(x.shape) < 0.2) & (q[:, columns] == 0)] = 0.0
+        x /= x.sum(axis=1, keepdims=True)
+        dual, (primal, expected) = _certificate_pair(q, x.T.copy(), graph, lam)
+        assert dual <= primal
+        assert abs(dual - expected) <= 1e-12 * abs(primal)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_cold_start_on_exact_zero_z(degree):
+    # at the uniform start g = 2 lam L phi is exactly 0, so on rows without mass
+    # the multiplier is 0 and z = g + nu is exactly 0 on every entry; the
+    # certificate must treat those rows as min g = 0, and the solve from there
+    # must still certify
+    r = degree + 1
+    graph = build_cayley_graph(r)
+    rng = np.random.default_rng(30 + degree)
+    q = rng.random((graph.n_vertices, degree)) * 4
+    q[rng.random(q.shape) < 0.3] = 0.0
+    q[rng.random(graph.n_vertices) < 0.2] = 0.0  # rows without mass
+    if degree > 2:
+        q[:, 1] = 0.0  # an empty column: the multipliers are also held >= 0
+    columns = np.flatnonzero(q.any(axis=0))
+    start = np.full((columns.size, graph.n_vertices), 1.0 / columns.size)
+    dual, (primal, expected) = _certificate_pair(q, start, graph, 1.0)
+    assert np.isfinite(dual) and dual <= primal
+    assert abs(dual - expected) <= 1e-12 * abs(primal)
+    result = solve_phi(q, graph, 1.0)
+    assert result.converged
+    gap, _ = _certificate(result.phi.probs, q, graph, 1.0)
+    assert gap <= GAP_TOL
+
+
+@given(st.integers(3, 4), st.data())
+def test_search_matches_bisection_from_any_start(r, data):
+    # the search starts each row at sum_t q_vt - x_v . g_v, which depends on the
+    # rows x; at any feasible x it must reach the oracle's root
+    graph = build_cayley_graph(r)
+    n, k = graph.n_vertices, r - 1
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 50)), min_size=n * k, max_size=n * k)
+    q = np.array(data.draw(entries)).reshape(n, k)
+    columns = np.flatnonzero(q.any(axis=0))
+    if columns.size < 2:
+        q[:, :2] += 1.0
+        columns = np.flatnonzero(q.any(axis=0))
+    weights = st.lists(st.floats(1e-3, 1.0), min_size=n * columns.size, max_size=n * columns.size)
+    x = np.array(data.draw(weights)).reshape(n, columns.size)
+    x[(q[:, columns] == 0) & data.draw(st.booleans())] = 0.0
+    x[x.sum(axis=1) == 0] = 1.0
+    x /= x.sum(axis=1, keepdims=True)
+    lam = data.draw(st.floats(0.05, 20))
+    dual, (primal, expected) = _certificate_pair(q, x.T.copy(), graph, lam)
+    assert dual <= primal + 1e-12 * abs(primal)
+    assert abs(dual - expected) <= 1e-12 * max(1.0, abs(primal))
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
