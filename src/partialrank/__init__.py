@@ -9,7 +9,6 @@ from .em import (
     fit,
     fit_me,
     m_step_theta,
-    penalized_nll,
 )
 from .errors import (
     CapacityError,
@@ -19,7 +18,6 @@ from .errors import (
     DegenerateLikelihoodError,
     DimensionError,
     DomainError,
-    NumericError,
     PartialRankError,
 )
 from .losses import (

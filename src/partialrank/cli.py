@@ -30,7 +30,6 @@ from .errors import (
     DegenerateLikelihoodError,
     DimensionError,
     DomainError,
-    NumericError,
 )
 from .experiments import ExperimentConfig, GeneratorSpec, build_truth, resample_splits, run_method
 from .losses import LossReport, classification_error, cross_validate, l_comp, l_par, l_par_empirical
@@ -48,7 +47,6 @@ EXIT_CODES = {
     CapacityError: 6,
     DegenerateLikelihoodError: 7,
     DegenerateClusterError: 7,
-    NumericError: 8,
     OSError: 9,
 }
 

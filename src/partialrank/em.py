@@ -18,9 +18,9 @@ reason.
 The E-step also yields the observable likelihood, so each accepted
 (theta, phi) pair is scored by the E-step that the next iteration uses.
 
-Restarts, and the fold fits of a cross-validation, run one after another:
-each graph-regularized missing-table step is one :func:`admm.solve_phi`
-call, certified to its duality-gap bound.
+Restarts run one after another, and each fold fit of a cross-validation is
+one :func:`fit` call. Each graph-regularized missing-table step is one
+:func:`admm.solve_phi` call, certified to its duality-gap bound.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +86,6 @@ class Responsibilities:
     """Posterior weights per observation plus the aggregates the M-steps use."""
 
     r: int
-    n: int
     n_clusters: int
     q_table: np.ndarray        # (V, r-1): sum over observations of length t
     cluster_vertex: np.ndarray  # (K, V): sum over observations per component
@@ -142,7 +141,6 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset) -> Respons
         first += block.counts.size
     return Responsibilities(
         r=dataset.r,
-        n=len(dataset),
         n_clusters=k,
         q_table=q_table,
         cluster_vertex=cluster_vertex,
@@ -260,11 +258,6 @@ def _scored(
     return resp, value
 
 
-def penalized_nll(theta: MixtureParams, phi: MissingTable, dataset: Dataset, lam: float) -> float:
-    """The estimation objective: observable NLL plus lam times the penalty."""
-    return _scored(theta, phi, dataset, lam)[1]
-
-
 # ---------------------------------------------------------------------------
 # Fit results.
 # ---------------------------------------------------------------------------
@@ -379,10 +372,9 @@ def _run_em(
     init_vertices: tuple[int, ...],
     rng: np.random.Generator,
     fixed_phi: MissingTable | None,
-    job: int,
     restart: int,
 ) -> tuple:
-    """One EM run from one set of initial locations, named in the log by ``job`` and ``restart``.
+    """One EM run from one set of initial locations, named in the log by ``restart``.
 
     A run with a ``fixed_phi`` (the ME baseline) keeps that missing table and
     scores the plain NLL, so its lam is 0; any other run starts from the
@@ -409,16 +401,16 @@ def _run_em(
         elif lam > 0:
             solved = admm.solve_phi(resp.q_table, graph, lam, phi0=phi.probs, max_iter=config.admm_max_iter)
             if not solved.converged:
-                logger.debug("job %d restart %d, EM iteration %d: phi-step uncertified after %d Newton steps",
-                             job, restart, m, solved.iterations)
+                logger.debug("restart %d, EM iteration %d: phi-step uncertified after %d Newton steps",
+                             restart, m, solved.iterations)
             # the solve starts from phi's observed columns, renormalized, which can
             # score above phi itself; the surrogate must never go uphill
             previous = admm.phi_objective(phi.probs, resp.q_table, graph, lam)
             if solved.objective <= previous:
                 phi_new = solved.phi
             else:
-                logger.debug("job %d restart %d, EM iteration %d: kept the previous phi, the solve would raise "
-                             "the surrogate from %.10g to %.10g", job, restart, m, previous, solved.objective)
+                logger.debug("restart %d, EM iteration %d: kept the previous phi, the solve would raise "
+                             "the surrogate from %.10g to %.10g", restart, m, previous, solved.objective)
                 phi_new = phi
         else:
             phi_new = MissingTable(r, closed_form_phi(resp.q_table))
@@ -440,48 +432,43 @@ def _run_em(
     return theta, phi, trace, converged
 
 
-def _fit_batch(jobs: list[tuple[Dataset, float]], config: FitConfig, me: bool = False) -> list[FitResult]:
-    """Fit every ``(dataset, lam)`` job under ``config`` at its lam, one restart after another.
+def _fit(dataset: Dataset, config: FitConfig, fixed_phi: MissingTable | None = None) -> FitResult:
+    """Fit ``dataset`` under ``config``, one restart after another, keeping the best.
 
-    The jobs share r and every config field but lam. With ``me`` each job's
-    missing table is held at its empirical length histogram (the ME
-    baseline). Each job keeps its best restart, the first one on ties.
+    A ``fixed_phi`` holds the missing table there (the ME baseline). The
+    first restart wins ties.
     """
-    if any(len(dataset) == 0 for dataset, _ in jobs):
-        raise DomainError("cannot fit an empty dataset")
-    n_vertices = build_cayley_graph(jobs[0][0].r).n_vertices
+    n_vertices = build_cayley_graph(dataset.r).n_vertices
     children = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
     inits = _initial_locations(np.random.default_rng(children[0]), n_vertices, config.n_clusters, config.restarts)
-    results = []
-    for job, (dataset, lam) in enumerate(jobs):
-        fixed_phi = None
-        if me:
-            counts = np.bincount(dataset.lengths, minlength=dataset.r)[1:]
-            fixed_phi = MissingTable.homogeneous(dataset.r, counts / counts.sum())
-        best = None  # (restart, theta, phi, trace, converged)
-        for j in range(config.restarts):
-            run = _run_em(dataset, replace(config, lam=lam), inits[j], np.random.default_rng(children[j + 1]),
-                          fixed_phi, job, j)
-            if best is None or run[2][-1] < best[3][-1]:
-                best = (j, *run)
-        restart, theta, phi, trace, converged = best
-        results.append(FitResult(
-            theta=theta,
-            phi=phi,
-            nll=trace[-1],
-            trace=trace,
-            restart=restart,
-            posteriors=e_step(theta, phi, dataset).posteriors(),  # raises DegenerateLikelihoodError
-            converged=converged,
-            method="ME" if me else f"R{lam:g}" if lam > 0 else "NR",
-            config=replace(config, lam=lam),
-        ))
-    return results
+    best = None  # (restart, theta, phi, trace, converged)
+    for j in range(config.restarts):
+        run = _run_em(dataset, config, inits[j], np.random.default_rng(children[j + 1]), fixed_phi, j)
+        if best is None or run[2][-1] < best[3][-1]:
+            best = (j, *run)
+    restart, theta, phi, trace, converged = best
+    return FitResult(
+        theta=theta,
+        phi=phi,
+        nll=trace[-1],
+        trace=trace,
+        restart=restart,
+        posteriors=e_step(theta, phi, dataset).posteriors(),  # raises DegenerateLikelihoodError
+        converged=converged,
+        method="ME" if fixed_phi is not None else f"R{config.lam:g}" if config.lam > 0 else "NR",
+        config=config,
+    )
+
+
+def _check_nonempty(dataset: Dataset) -> None:
+    if len(dataset) == 0:
+        raise DomainError("cannot fit an empty dataset")
 
 
 def fit(dataset: Dataset, config: FitConfig) -> FitResult:
     """The proposed estimator: graph-regularized when lam > 0, plain (NR) at lam = 0."""
-    return _fit_batch([(dataset, config.lam)], config)[0]
+    _check_nonempty(dataset)
+    return _fit(dataset, config)
 
 
 def fit_me(dataset: Dataset, config: FitConfig) -> FitResult:
@@ -491,4 +478,6 @@ def fit_me(dataset: Dataset, config: FitConfig) -> FitResult:
     missing table is the empirical length histogram copied to every vertex
     and EM only runs on the ranking mixture.
     """
-    return _fit_batch([(dataset, config.lam)], config, me=True)[0]
+    _check_nonempty(dataset)
+    counts = np.bincount(dataset.lengths, minlength=dataset.r)[1:]
+    return _fit(dataset, config, MissingTable.homogeneous(dataset.r, counts / counts.sum()))

@@ -29,10 +29,6 @@ class DegenerateClusterError(PartialRankError, RuntimeError):
     """A mixture component received no posterior mass."""
 
 
-class NumericError(PartialRankError, RuntimeError):
-    """A numerical routine failed to converge to its tolerance."""
-
-
 class DataFormatError(PartialRankError, ValueError):
     """A data file violates the documented format.
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .em import FitConfig, FitResult, _fit_batch, fit
+from .em import FitConfig, FitResult, fit
 from .errors import DimensionError, DomainError
 from .mallows import MixtureParams, mixture_pmf
 from .missing import Dataset, MissingTable, empirical_partial_counts, partial_prob_vector
@@ -102,9 +102,9 @@ def _cv_fold_score(fitted: FitResult, heldout: Dataset) -> float:
 def cross_validate(dataset: Dataset, lam_grid, config: FitConfig) -> CvResult:
     """Two-fold CV on the held-out partial-ranking loss; ties pick the smaller lam.
 
-    The split is a seeded half/half shuffle. Every (lam, fold) fit runs, one
-    after another, under ``config`` at that lam; the winner is refit on the
-    full dataset.
+    The split is a seeded half/half shuffle. Each (lam, fold) is one
+    :func:`fit` under ``config`` at that lam; the winner is refit on the full
+    dataset.
     """
     if len(dataset) < 2:
         raise DomainError("need at least two observations to form folds")
@@ -118,13 +118,12 @@ def cross_validate(dataset: Dataset, lam_grid, config: FitConfig) -> CvResult:
     order = rng.permutation(len(dataset))
     half = len(dataset) // 2
     folds = (dataset.subset(order[:half]), dataset.subset(order[half:]))
-    # per lam, train on each half
-    fitted = _fit_batch([(train, lam) for lam in grid for train in folds], config)
     scores: dict[float, float] = {}
-    for i, lam in enumerate(grid):
+    for lam in grid:
+        # train on each half, score on the other
         total = 0.0
-        for fitted_fold, test in zip(fitted[2 * i : 2 * i + 2], (folds[1], folds[0])):
-            total += _cv_fold_score(fitted_fold, test)
+        for train, test in zip(folds, (folds[1], folds[0])):
+            total += _cv_fold_score(fit(train, replace(config, lam=lam)), test)
         scores[lam] = total / 2.0
     best_lam = grid[int(np.argmin([scores[lam] for lam in grid]))]
     refit = fit(dataset, replace(config, lam=best_lam))

@@ -30,7 +30,7 @@ from partialrank import (
 )
 from partialrank import admm, em
 from partialrank.admm import GAP_TOL
-from partialrank.em import Responsibilities, load_fit_json, penalized_nll
+from partialrank.em import Responsibilities, load_fit_json
 from partialrank.mallows import mixture_pmf
 from partialrank.perms import build_cayley_graph, compatible_set, distances_from, index_of, kendall_distance, unindex
 
@@ -97,11 +97,10 @@ class TestEStep:
             e_step(uniform_theta(3, 1.0), phi, ds)
 
 
-def make_resp(r, cluster_vertex, n=1):
+def make_resp(r, cluster_vertex):
     cluster_vertex = np.asarray(cluster_vertex, dtype=float)
     return Responsibilities(
         r=r,
-        n=n,
         n_clusters=cluster_vertex.shape[0],
         q_table=np.zeros((cluster_vertex.shape[1], r - 1)),
         cluster_vertex=cluster_vertex,
@@ -308,6 +307,11 @@ class TestFit:
         with pytest.raises(DomainError):
             fit(Dataset.from_rankings(3, []), FitConfig())
 
+    @pytest.mark.parametrize("fitter", [fit, fit_me])
+    def test_empty_dataset_rejected_before_any_work(self, fitter):
+        with pytest.raises(DomainError, match="^cannot fit an empty dataset$"):
+            fitter(Dataset(3, []), FitConfig())
+
 
 class TestFitMe:
     def test_phi_is_empirical_length_histogram(self):
@@ -410,8 +414,8 @@ def test_penalized_nll_adds_edge_penalty():
     rng = np.random.default_rng(14)
     phi = MissingTable(3, rng.dirichlet(np.ones(2), size=6))
     base = e_step(theta, phi, ds).nll
-    assert penalized_nll(theta, phi, ds, 0.0) == base
-    assert penalized_nll(theta, phi, ds, 2.5) > base
+    assert em._scored(theta, phi, ds, 0.0)[1] == base
+    assert em._scored(theta, phi, ds, 2.5)[1] > base
 
 
 def test_e_step_nll_matches_brute_force():
@@ -432,7 +436,7 @@ def test_penalized_nll_is_infinite_at_zero_likelihood():
     probs = np.zeros((6, 2))
     probs[:, 1] = 1.0  # no vertex ever stops after one item
     phi = MissingTable(3, probs)
-    assert penalized_nll(uniform_theta(3, 1.0), phi, ds, 0.0) == np.inf
+    assert em._scored(uniform_theta(3, 1.0), phi, ds, 0.0)[1] == np.inf
     with pytest.raises(DegenerateLikelihoodError):
         e_step(uniform_theta(3, 1.0), phi, ds)
 
@@ -445,7 +449,7 @@ def test_best_run_ending_at_zero_likelihood_raises(monkeypatch):
     probs[:, 1] = 1.0
     phi = MissingTable(3, probs)
 
-    def ended(dataset, config, init_vertices, rng, fixed_phi, job, restart):
+    def ended(dataset, config, init_vertices, rng, fixed_phi, restart):
         return uniform_theta(3, 1.0), phi, [np.inf], False
 
     monkeypatch.setattr(em, "_run_em", ended)
@@ -521,7 +525,7 @@ class TestLockstep:
         assert messages and all("phi-step uncertified after 1 Newton steps" in m for m in messages)
         # the restarts each name themselves in their first line
         first = [m for m in messages if "EM iteration 1:" in m]
-        assert sorted(m.split(",")[0] for m in first) == [f"job 0 restart {j}" for j in range(3)]
+        assert sorted(m.split(",")[0] for m in first) == [f"restart {j}" for j in range(3)]
         # a solve that reports a higher surrogate than the previous phi is never taken
         caplog.clear()
         solve = admm.solve_phi
@@ -532,25 +536,13 @@ class TestLockstep:
         assert len(kept) == len(result.trace) - 1
         assert np.array_equal(result.phi.probs, MissingTable.uniform(4).probs)
 
-    shared = FitConfig(restarts=2, seed=1, em_max_iter=20)
-
-    def jobs(self, datasets):
-        return [(datasets[1], 10.0), (datasets[2], 1.0), (datasets[1], 0.0), (datasets[1], 100.0)]
-
-    def test_driver_jobs_match_separate_fits(self, datasets):
-        jobs = self.jobs(datasets)
-        for batched, (dataset, lam) in zip(em._fit_batch(jobs, self.shared), jobs):
-            alone = fit(dataset, replace(self.shared, lam=lam))
-            assert batched.to_json_dict() == alone.to_json_dict()
-            assert np.array_equal(batched.posteriors, alone.posteriors)
-
     def test_lower_restart_wins_a_tie(self, datasets, monkeypatch):
         # restarts 1 and 2 tie on the final objective; the first one is kept
         theta = MixtureParams.single(Permutation.identity(4), 1.0)
         phi = MissingTable.uniform(4)
         finals = iter([5.0, 3.0, 3.0, 4.0])
 
-        def fake_run_em(dataset, config, init_vertices, rng, fixed_phi, job, restart):
+        def fake_run_em(dataset, config, init_vertices, rng, fixed_phi, restart):
             return theta, phi, [next(finals)], True
 
         monkeypatch.setattr(em, "_run_em", fake_run_em)

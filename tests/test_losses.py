@@ -197,15 +197,10 @@ class TestCrossValidate:
     def test_duplicates_deduped(self, small_dataset, monkeypatch):
         calls = []
 
-        def fake_fit_batch(jobs, config):
-            calls.extend(lam for _, lam in jobs)
-            return ["fit"] * len(jobs)
-
         def fake_fit(dataset, config):
             calls.append(config.lam)
             return "fit"
 
-        monkeypatch.setattr(losses_mod, "_fit_batch", fake_fit_batch)
         monkeypatch.setattr(losses_mod, "fit", fake_fit)
         monkeypatch.setattr(losses_mod, "_cv_fold_score", lambda fitted, heldout: 1.0)
         result = cross_validate(small_dataset, [10, 10.0, 1, 1.0], FitConfig(restarts=1, seed=0))
@@ -228,8 +223,8 @@ class TestCrossValidate:
         assert min(result.scores.values()) == result.scores[result.best_lam]
 
     def test_matches_a_loop_of_fits(self, small_dataset):
-        # the fold fits run through one _fit_batch call; fitting each on its own
-        # must give the same scores, winner and refit, bit for bit
+        # each fold fit is a fit call; fitting each by hand must give the same
+        # scores, winner and refit, bit for bit
         config = FitConfig(restarts=2, seed=3, em_max_iter=30)
         grid = [0.0, 1.0, 10.0]
         result = cross_validate(small_dataset, grid, config)
