@@ -27,11 +27,14 @@ with q = 0 that sit within eps of 0 with a positive reduced gradient are held
 diagonally scaled gradient step, which the projection clips at 0. The other
 entries take a Jacobi-preconditioned conjugate-gradient step on the reduced
 Hessian E^T (diag(q / phi^2) + 2 lam L) E, stopped by an inexact-Newton
-forcing term. A projected Armijo search along the arc picks the step length:
-it rejects a negative pivot, and it keeps every entry with mass above a tenth
-of its value, as interior-point methods keep a fraction of the distance to
-the boundary, so that one row near its bound does not shorten the step of
-every other row. Every iterate is feasible and every step lowers P.
+forcing term. Its product gathers neighbors for k - 1 lengths only, exactly:
+E p puts minus the row's other entries at its pivot, so each vertex's entries
+of E p, and so of its neighbor sum, add to 0, and the last length's neighbor
+sum is minus the others'. A projected Armijo search along the arc picks the
+step length: it rejects a negative pivot, and it keeps every entry with mass
+above a tenth of its value, as interior-point methods keep a fraction of the
+distance to the boundary, so that one row near its bound does not shorten
+the step of every other row. Every iterate is feasible and every step lowers P.
 
 A solve stops on a duality-gap certificate. The penalty is convex, so it lies
 above its tangent at phi: lam pen(x) >= g . x - lam pen(phi). Hence
@@ -75,15 +78,17 @@ class AdmmResult:
     objective: float
 
 
-def edge_penalty(phi: np.ndarray, graph: CayleyGraph) -> float:
-    """Sum over graph edges of the squared row difference.
+def _squared_differences(x: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> float:
+    """Sum over the edges (heads, tails) of the squared column differences of the length-major x,
+    from the differences themselves: x^T L x cancels where rows nearly agree, as at large lam."""
+    diff = x.take(heads, axis=1)
+    diff -= x.take(tails, axis=1)
+    return float(np.vdot(diff, diff))
 
-    Each edge appears once from each endpoint's slot, hence the half.
-    """
-    # in place: at r = 7 each (V, r-1, r-1) temporary is a fresh 1.4 MB allocation
-    diff = np.take(phi, graph.neighbors, axis=0)
-    diff -= phi[:, None, :]
-    return 0.5 * float(np.square(diff, out=diff).sum())
+
+def edge_penalty(phi: np.ndarray, graph: CayleyGraph) -> float:
+    """Sum over graph edges of the squared row difference; an all-zero length column adds 0."""
+    return _squared_differences(phi.T[phi.any(axis=0)], *graph.edges.T)
 
 
 def phi_objective(phi: np.ndarray, q: np.ndarray, graph: CayleyGraph, lam: float) -> float:
@@ -120,6 +125,11 @@ class _Problem:
         self.q_positive = q.ravel()[self.positive]
         self.q_rows = q.sum(axis=0)
         self.vertices = np.arange(self.n)
+        # row s * (r-1) + j of near is s * V + N[:, j], for the first k - 1 lengths s; where each vertex's
+        # entries of x add to 0, spread @ x.take(near) is -2 lam times the neighbor sums of all k lengths
+        self.near = (self.neighbors + self.n * np.arange(self.k - 1)[:, None]).reshape(-1, self.n)
+        to_all = np.vstack([np.eye(self.k - 1), -np.ones(self.k - 1)])
+        self.spread = np.kron(to_all, np.full(self.degree, -2.0 * lam))
 
     def laplacian(self, x: np.ndarray) -> np.ndarray:
         """L x for a search direction x."""
@@ -128,11 +138,17 @@ class _Problem:
         return out
 
     def penalty(self, x: np.ndarray) -> float:
-        """Sum over edges of the squared row differences, taken from the differences themselves:
-        x^T L x cancels where the rows are nearly equal, as they are at large lam."""
-        diff = x.take(self.heads, axis=1)
-        diff -= x.take(self.tails, axis=1)
-        return float(np.vdot(diff, diff))
+        """Sum over edges of the squared row differences."""
+        return _squared_differences(x, self.heads, self.tails)
+
+    def hessian_product(self, p, at, on_pivot, coef, free) -> np.ndarray:
+        """E^T (C + 2 lam L) E p on the free entries, else 0, for p = 0 at the pivots; coef = C + 2 lam (r-1)."""
+        full = p - on_pivot * np.add.reduce(p, axis=0)  # np.add.reduce skips .sum's Python wrapper
+        h = coef * full
+        h += self.spread @ full.take(self.near)
+        h -= h.take(at)
+        h *= free
+        return h
 
     def value(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """P(x) and L x; P is inf where an entry with mass is not positive."""
@@ -183,6 +199,8 @@ class _Problem:
         held = ~mass & (x <= _EPS_ACTIVE) & (reduced > 0) & ~is_pivot
         free = ~(is_pivot | held)
         diag = curvature + curvature.take(at) + 4.0 * lam * self.degree
+        coef = curvature + 2.0 * lam * self.degree
+        on_pivot = is_pivot.astype(float)
         # Jacobi-preconditioned conjugate gradients on the free entries, stopped by a forcing term
         res = np.where(free, -reduced, 0.0)
         norm = float(np.sqrt(np.vdot(res, res)))
@@ -195,12 +213,7 @@ class _Problem:
         for _ in range(free.size):
             if not rz > 0:
                 break
-            full = p.copy()  # E p: the pivot takes minus the row's other entries
-            full.ravel()[at] = -p.sum(axis=0)
-            hp = curvature * full
-            hp += 2.0 * lam * self.laplacian(full)
-            hp -= hp.take(at)
-            hp *= free
+            hp = self.hessian_product(p, at, on_pivot, coef, free)
             scale = rz / float(np.vdot(p, hp))
             d += scale * p
             res -= scale * hp

@@ -113,16 +113,16 @@ def e_step(theta: MixtureParams, phi: MissingTable, dataset: Dataset) -> Respons
     n_vertices = perm_table(dataset.r).n_vertices
     k = theta.n_clusters
     log_comp = component_log_pmf(theta) + np.log(theta.weights)[:, None]
-    with np.errstate(divide="ignore"):
-        log_phi = np.log(phi.probs)
+    with np.errstate(divide="ignore"):  # only the entries of phi that a block reads
+        log_phis = [np.log(phi.probs[block.members, block.t - 1]) for block in groups.blocks]
 
     q_table = np.zeros((n_vertices, dataset.r - 1))
     cluster_vertex = np.zeros((k, n_vertices))
     block_weights: list[np.ndarray] = []
     nll = 0.0
     first = 0  # group number of the block's first group
-    for block in groups.blocks:
-        logits = log_comp[:, block.members] + log_phi[block.members, block.t - 1][None, :, :]
+    for block, log_phi in zip(groups.blocks, log_phis):
+        logits = log_comp[:, block.members] + log_phi[None, :, :]
         top = logits.max(axis=(0, 2))
         if np.any(np.isneginf(top)):
             bad = int(np.argmax(groups.obs_group == first + np.argmax(np.isneginf(top))))
@@ -211,7 +211,8 @@ def m_step_theta(
 
     Expected distances come from per-pair masses: with ``m[p]`` the mass on
     rankings that put pair p in ascending order, a candidate that does too
-    disagrees with mass ``total - m[p]`` on that pair, otherwise with ``m[p]``.
+    disagrees with mass ``total - m[p]`` on that pair, otherwise with ``m[p]``:
+    all scores are ``pair_order @ (total - 2 m) + sum(m)``.
     """
     if n_clusters is not None and n_clusters != q.n_clusters:
         raise DimensionError(f"responsibilities carry K={q.n_clusters}, requested {n_clusters}")
@@ -225,7 +226,7 @@ def m_step_theta(
         if mass <= 0:
             raise DegenerateClusterError(f"component {k} received no posterior mass")
         pair_mass = q.cluster_vertex[k] @ pair_order
-        scores = np.where(pair_order, mass - pair_mass, pair_mass).sum(axis=1)
+        scores = pair_order @ (mass - 2.0 * pair_mass) + pair_mass.sum()
         sigma_idx = int(np.argmin(scores))
         expected_dist = float(scores[sigma_idx])
         c_hat = _concentration(expected_dist, mass, q.r, c_min, c_max)

@@ -6,9 +6,10 @@ sequence among all permutations of ``(1, ..., r)``, so ``index_of(identity)``
 is 0 and ``unindex(factorial(r) - 1, r)`` is the full reversal.
 
 Two cached per-r tables hold the Kendall structure of S_r that the estimator
-uses. ``PermTable.pair_order`` records, per vertex and item pair, which item
-ranks ahead; Kendall distance counts the pairs where two rows disagree
-(Fligner & Verducci 1986), so distances come from it without a V x V matrix.
+uses. ``PermTable.pair_order`` holds, per vertex and item pair, float 1 where
+the first item ranks ahead, else 0. Kendall distance counts the pairs where two
+rows a, b disagree (Fligner & Verducci 1986), sum_p b_p + sum_p a_p (1 - 2 b_p),
+so distances and expected distances are products with it, without a V x V matrix.
 ``CayleyGraph.neighbors`` lists the distance-1 neighbors by swapped position.
 A third, :func:`prefix_tables`, owns the one numbering of the top-t rankings
 (t ascending, then prefixes in lexicographic order) that datasets store, with
@@ -154,7 +155,7 @@ class PermTable:
     r: int
     ranks: np.ndarray       # (V, r) int16, lexicographic order
     orderings: np.ndarray   # (V, r) int16, items by rank (the inverses)
-    pair_order: np.ndarray  # (V, r(r-1)/2) bool, ranks[v, i] < ranks[v, j] for item pairs i < j
+    pair_order: np.ndarray  # (V, r(r-1)/2) float64 0/1 (sums of it are exact), ranks[v, i] < ranks[v, j], i < j
 
     @property
     def n_vertices(self) -> int:
@@ -188,7 +189,7 @@ def perm_table(r: int) -> PermTable:
     ranks = np.array(list(itertools.permutations(range(1, r + 1))), dtype=np.int16)
     orderings = np.argsort(ranks, axis=1).astype(np.int16) + 1
     first, second = np.triu_indices(r, k=1)
-    pair_order = ranks[:, first] < ranks[:, second]
+    pair_order = (ranks[:, first] < ranks[:, second]).astype(np.float64)
     for arr in (ranks, orderings, pair_order):
         arr.flags.writeable = False
     return PermTable(r, ranks, orderings, pair_order)
@@ -223,9 +224,12 @@ def prefix_tables(r: int) -> PrefixTable:
 
 
 def distances_from(r: int, vertex: int) -> np.ndarray:
-    """Kendall distances from one vertex to every vertex, shape (V,)."""
+    """Kendall distances from one vertex to every vertex, shape (V,), int64."""
     pair_order = perm_table(r).pair_order
-    return (pair_order != pair_order[vertex]).sum(axis=1)
+    if isinstance(vertex, bool) or not isinstance(vertex, (int, np.integer)) or not 0 <= vertex < len(pair_order):
+        raise DomainError(f"vertex {vertex!r} is not an integer in 0..{len(pair_order) - 1}")
+    row = pair_order[vertex]
+    return (pair_order @ (1.0 - 2.0 * row) + row.sum()).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

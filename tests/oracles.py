@@ -65,6 +65,15 @@ def discordant_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     )
 
 
+def brute_force_scores(r: int, weights) -> np.ndarray:
+    """Expected Kendall distance to every candidate location: entry s is
+    sum_v weights[v] d(v, s), with vertices numbered by the lexicographic
+    order of their rank tuples."""
+    ranks = list(itertools.permutations(range(1, r + 1)))
+    support = [(w, a) for w, a in zip(weights, ranks) if w != 0]
+    return np.array([sum(w * discordant_pairs(a, b) for w, a in support) for b in ranks], dtype=float)
+
+
 def brute_log_normalizer(c: float, r: int) -> float:
     """log of the exhaustive sum of exp(-c d(pi, identity)) over S_r."""
     identity = tuple(range(1, r + 1))

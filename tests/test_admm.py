@@ -356,6 +356,50 @@ def test_slot_penalty_matches_edge_list_sum(r):
     assert edge_penalty(phi, graph) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [4, 5])
+def test_edge_penalty_on_all_zero_columns_matches_edge_loop(r):
+    # the paper's binary tables: only lengths 1 and r - 1 are nonzero
+    graph = build_cayley_graph(r)
+    phi = np.zeros((graph.n_vertices, r - 1))
+    phi[:, [0, r - 2]] = np.random.default_rng(r + 10).dirichlet(np.ones(2), size=graph.n_vertices)
+    expected = sum(float(((phi[u] - phi[v]) ** 2).sum()) for u, v in graph.edges)
+    assert edge_penalty(phi, graph) == pytest.approx(expected, rel=1e-12)
+    assert edge_penalty(np.zeros_like(phi), graph) == 0.0
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_hessian_product_matches_dense_reduced_hessian(r):
+    # the conjugate-gradient product against E^T (C + 2 lam L) E written out as
+    # dense matrices over the flattened (k, V) entries, for every count of
+    # observed columns, with random pivots and held entries
+    graph = build_cayley_graph(r)
+    n = graph.n_vertices
+    rng = np.random.default_rng(90 + r)
+    laplacian = np.zeros((n, n))
+    for u, v in graph.edges:
+        laplacian[[u, v], [u, v]] += 1.0
+        laplacian[[u, v], [v, u]] -= 1.0
+    for k in range(2, r):
+        q = np.zeros((n, r - 1))
+        q[:, np.sort(rng.choice(r - 1, size=k, replace=False))] = rng.random((n, k))
+        lam = float(10 ** rng.uniform(-2, 2))
+        problem, _ = _reduced(q, graph, lam)
+        pivot = rng.integers(k, size=n)
+        at = pivot * n + np.arange(n)
+        is_pivot = pivot == np.arange(k)[:, None]
+        free = ~is_pivot & (rng.random((k, n)) > 0.2)  # the rest are held
+        curvature = rng.random((k, n)) * 10
+        # E keeps each non-pivot entry and puts minus their sum at the row's pivot
+        e = np.diag((~is_pivot).ravel() * 1.0)
+        for j in np.flatnonzero(~is_pivot.ravel()):
+            e[at[j % n], j] = -1.0
+        dense = e.T @ (np.diag(curvature.ravel()) + 2.0 * lam * np.kron(np.eye(k), laplacian)) @ e
+        p = np.where(free, rng.standard_normal((k, n)), 0.0)
+        expected = np.where(free.ravel(), dense @ p.ravel(), 0.0).reshape(k, n)
+        got = problem.hessian_product(p, at, is_pivot * 1.0, curvature + 2.0 * lam * (r - 1), free)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_phi_objective_zero_log_zero_convention():
     graph = build_cayley_graph(3)
     q = np.zeros((6, 2))

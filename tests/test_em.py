@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import fit_sequential, per_observation, phi_step_bounds, random_mixture
+from oracles import brute_force_scores, fit_sequential, per_observation, phi_step_bounds, random_mixture
 from partialrank import (
     Dataset,
     DegenerateClusterError,
@@ -32,7 +32,7 @@ from partialrank import admm, em
 from partialrank.admm import GAP_TOL
 from partialrank.em import Responsibilities, load_fit_json
 from partialrank.mallows import mixture_pmf
-from partialrank.perms import build_cayley_graph, compatible_set, distances_from, index_of, kendall_distance, unindex
+from partialrank.perms import build_cayley_graph, compatible_set, distances_from, index_of, unindex
 
 
 def uniform_theta(r, c=1e-12):
@@ -111,14 +111,6 @@ def make_resp(r, cluster_vertex):
     )
 
 
-def brute_force_scores(r, weights):
-    """Expected Kendall distance to every candidate location, by the scalar distance."""
-    perms = [unindex(v, r) for v in range(len(weights))]
-    return np.array(
-        [sum(w * kendall_distance(p, sigma) for w, p in zip(weights, perms)) for sigma in perms]
-    )
-
-
 class TestMStepTheta:
     def test_point_mass_hits_concentration_cap(self):
         target = Permutation((2, 1, 3))
@@ -177,6 +169,28 @@ class TestMStepTheta:
             assert scores[u] == scores[v] == scores.min() == 1.0
             params = m_step_theta(make_resp(4, mass), Dataset.from_rankings(4, []))
             assert index_of(params.components[0].sigma) == min(u, v)
+
+    @pytest.mark.parametrize("r", [5, 6, 7])
+    def test_location_and_expected_distance_match_a_reference(self, r, monkeypatch):
+        # the pair-order product against the brute-force oracle at r = 5, and
+        # against a loop over distances_from (checked against the scalar
+        # distance in test_perms) at r = 6 and 7; the expected distance is the
+        # one m_step_theta hands to the concentration step
+        seen = []
+        concentration = em._concentration
+        monkeypatch.setattr(em, "_concentration", lambda d, *rest: seen.append(d) or concentration(d, *rest))
+        rng = np.random.default_rng(80 + r)
+        n_vertices = math.factorial(r)
+        for _ in range(2):
+            mass = rng.random((1, n_vertices)) * (rng.random((1, n_vertices)) < 0.3)
+            mass[0, rng.integers(n_vertices)] += 1.0
+            params = m_step_theta(make_resp(r, mass), Dataset.from_rankings(r, []))
+            if r == 5:
+                scores = brute_force_scores(r, mass[0])
+            else:
+                scores = np.array([mass[0] @ distances_from(r, v) for v in range(n_vertices)])
+            assert index_of(params.components[0].sigma) == int(np.argmin(scores))
+            assert seen[-1] == pytest.approx(scores.min(), rel=1e-12)
 
     def test_concentration_is_an_interior_stationary_point(self):
         from partialrank.mallows import log_normalizer

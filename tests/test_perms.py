@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bfs_distance, cayley_graph_loop, discordant_pairs, lex_orderings
+from oracles import bfs_distance, brute_force_scores, cayley_graph_loop, discordant_pairs, lex_orderings
 import partialrank
 from partialrank import (
     CapacityError,
@@ -218,8 +218,26 @@ class TestVectorizedHelpers:
     def test_distances_from_matches_oracle_for_every_pair(self):
         for i in range(24):
             row = distances_from(4, i)
+            assert np.array_equal(row, brute_force_scores(4, np.eye(24)[i]))
             for j in range(24):
                 assert row[j] == discordant_pairs(unindex(i, 4).ranks, unindex(j, 4).ranks)
+
+    @pytest.mark.parametrize("r", [5, 6, 7])
+    def test_distances_from_is_exact_on_sampled_pairs(self, r):
+        rng = np.random.default_rng(70 + r)
+        n_vertices = math.factorial(r)
+        for u in rng.choice(n_vertices, size=6, replace=False).tolist():
+            row = distances_from(r, u)
+            assert row.dtype == np.int64 and row.shape == (n_vertices,)
+            base = unindex(u, r)
+            for v in [u] + rng.choice(n_vertices, size=40, replace=False).tolist():
+                assert row[v] == kendall_distance(base, unindex(v, r))
+
+    @pytest.mark.parametrize("vertex", [-1, 24, True, 1.0])
+    def test_distances_from_rejects_a_vertex_outside_s_r(self, vertex):
+        # a bool would index the table as a mask, a float not at all
+        with pytest.raises(DomainError, match=r"is not an integer in 0\.\.23"):
+            distances_from(4, vertex)
 
     @pytest.mark.parametrize("r", range(2, 8))
     def test_prefix_tables_match_itertools(self, r):
