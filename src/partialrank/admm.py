@@ -60,6 +60,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .missing import MissingTable
 from .perms import CayleyGraph
+from .util import check_integer
 
 GAP_TOL = 1e-6       # relative duality gap at which a solve stops
 _EPS_ACTIVE = 1e-9   # an entry without mass this close to 0 is held when pushed outward
@@ -250,8 +251,7 @@ def _checked(q_table, graph: CayleyGraph, lam, phi0, max_iter) -> tuple[np.ndarr
         raise DomainError(f"lam must be a real number, got {lam!r}") from None
     if not (np.isfinite(lam) and lam >= 0):
         raise DomainError(f"need a finite lam >= 0, got {lam!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    check_integer(max_iter, "max_iter", 1)
     q = np.asarray(q_table, dtype=float)
     shape = (graph.n_vertices, graph.r - 1)
     if q.shape != shape:

@@ -70,14 +70,17 @@ def _known(block: dict, allowed, where: str) -> dict:
     return block
 
 
+# the FitConfig fields a ``fit`` object sets: ``K``, ``seed`` and the method's lam own the others
+_FIT_FIELDS = tuple(f.name for f in fields(FitConfig) if f.name not in ("n_clusters", "seed", "lam"))
+
+
 def _fit_config(config: dict) -> FitConfig:
-    block = _known(field(config, "fit", dict, {}), [f.name for f in fields(FitConfig)], "fit")
-    top_level = {"n_clusters": "K", "seed": "seed"}
-    values = {}
-    for f in fields(FitConfig):
-        default = field(config, top_level[f.name], int, f.default) if f.name in top_level else f.default
-        values[f.name] = field(block, f.name, int if isinstance(f.default, int) else numbers.Real, default)
-    return FitConfig(**values)
+    """Each fit setting from its one field; lam keeps its default for the method to replace."""
+    block = _known(field(config, "fit", dict, {}), _FIT_FIELDS, "fit")
+    values = {f.name: field(block, f.name, int if isinstance(f.default, int) else numbers.Real, f.default)
+              for f in fields(FitConfig) if f.name in _FIT_FIELDS}
+    return FitConfig(n_clusters=field(config, "K", int, FitConfig.n_clusters),
+                     seed=field(config, "seed", int, FitConfig.seed), **values)
 
 
 def _generator_spec(gen: dict, r: int) -> GeneratorSpec:
@@ -138,7 +141,7 @@ def _cmd_simulate(config: dict) -> None:
 def _cmd_fit(config: dict) -> None:
     source, out = _input_and_out(config)
     r, fit_cfg = field(config, "r", int), _fit_config(config)
-    method = _method(field(config, "method", dict, {"name": "R", "lam": fit_cfg.lam}))
+    method = _method(field(config, "method", dict, {"name": "R", "lam": FitConfig.lam}))
     result = run_method(method, Dataset.load_csv(source, r), fit_cfg)
     result.save_json(out)
     logger.info("wrote fit (%s, nll=%.6g) to %s", result.method, result.nll, out)

@@ -16,7 +16,8 @@ inexact inner solve would increase its surrogate objective, for the same
 reason.
 
 The E-step also yields the observable likelihood, so each accepted
-(theta, phi) pair is scored by the E-step that the next iteration uses.
+(theta, phi) pair is scored by the E-step that the next iteration uses, and
+the best restart's last E-step gives the fit's posteriors.
 
 Restarts run one after another, and each fold fit of a cross-validation is
 one :func:`fit` call. Each graph-regularized missing-table step is one
@@ -196,13 +197,7 @@ def _concentration(distance: float, mass: float, r: int, c_min: float, c_max: fl
     return c
 
 
-def m_step_theta(
-    q: Responsibilities,
-    dataset: Dataset,
-    n_clusters: int | None = None,
-    c_min: float = 1e-4,
-    c_max: float = 20.0,
-) -> MixtureParams:
+def m_step_theta(q: Responsibilities, *, c_min: float = 1e-4, c_max: float = 20.0) -> MixtureParams:
     """Exact per-component minimizers given the aggregated responsibilities.
 
     The location is the exhaustive minimizer of the expected distance
@@ -214,10 +209,6 @@ def m_step_theta(
     disagrees with mass ``total - m[p]`` on that pair, otherwise with ``m[p]``:
     all scores are ``pair_order @ (total - 2 m) + sum(m)``.
     """
-    if n_clusters is not None and n_clusters != q.n_clusters:
-        raise DimensionError(f"responsibilities carry K={q.n_clusters}, requested {n_clusters}")
-    if dataset.r != q.r:
-        raise DimensionError("responsibilities and data disagree on item count")
     pair_order = perm_table(q.r).pair_order
     components = []
     total = q.cluster_mass.sum()
@@ -380,7 +371,8 @@ def _run_em(
     A run with a ``fixed_phi`` (the ME baseline) keeps that missing table and
     scores the plain NLL, so its lam is 0; any other run starts from the
     uniform table at ``config.lam``. Each graph-regularized phi-step is one
-    :func:`admm.solve_phi` call. Returns ``(theta, phi, trace, converged)``.
+    :func:`admm.solve_phi` call. Returns ``(theta, phi, trace, converged, resp)``,
+    where ``resp`` is the E-step at the final pair, None if it has zero likelihood.
     """
     r = dataset.r
     graph = build_cayley_graph(r)
@@ -415,7 +407,7 @@ def _run_em(
                 phi_new = phi
         else:
             phi_new = MissingTable(r, closed_form_phi(resp.q_table))
-        theta_new = m_step_theta(resp, dataset, config.n_clusters, config.c_min, config.c_max)
+        theta_new = m_step_theta(resp, c_min=config.c_min, c_max=config.c_max)
         resp_new, value = _scored(theta_new, phi_new, dataset, lam)
         if m <= config.transition_iters:
             proposal = _propose_transition(theta_new, rng, graph)
@@ -430,7 +422,7 @@ def _run_em(
             converged = True
             break
         current = value
-    return theta, phi, trace, converged
+    return theta, phi, trace, converged, resp
 
 
 def _fit(dataset: Dataset, config: FitConfig, fixed_phi: MissingTable | None = None) -> FitResult:
@@ -442,19 +434,21 @@ def _fit(dataset: Dataset, config: FitConfig, fixed_phi: MissingTable | None = N
     n_vertices = build_cayley_graph(dataset.r).n_vertices
     children = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
     inits = _initial_locations(np.random.default_rng(children[0]), n_vertices, config.n_clusters, config.restarts)
-    best = None  # (restart, theta, phi, trace, converged)
+    best = None  # (restart, theta, phi, trace, converged, resp)
     for j in range(config.restarts):
         run = _run_em(dataset, config, inits[j], np.random.default_rng(children[j + 1]), fixed_phi, j)
         if best is None or run[2][-1] < best[3][-1]:
             best = (j, *run)
-    restart, theta, phi, trace, converged = best
+    restart, theta, phi, trace, converged, resp = best
+    if resp is None:  # only when every restart ends at infinity
+        raise DegenerateLikelihoodError("every restart ended where some observation has zero likelihood")
     return FitResult(
         theta=theta,
         phi=phi,
         nll=trace[-1],
         trace=trace,
         restart=restart,
-        posteriors=e_step(theta, phi, dataset).posteriors(),  # raises DegenerateLikelihoodError
+        posteriors=resp.posteriors(),
         converged=converged,
         method="ME" if fixed_phi is not None else f"R{config.lam:g}" if config.lam > 0 else "NR",
         config=config,

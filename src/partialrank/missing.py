@@ -144,7 +144,7 @@ class Dataset:
     obs: np.ndarray                           # (n,) partial-ranking indices
     true_vertices: np.ndarray | None = None   # (n,) vertex indices
     true_clusters: np.ndarray | None = None   # (n,) 0-based component ids
-    _groups: ObservationGroups | None = field(default=None, repr=False)
+    _groups: ObservationGroups | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.r = operator.index(self.r)  # a Python int, whatever integer type r came as

@@ -450,7 +450,7 @@ def em_run_reference(dataset, config, init_vertices, rng, mode: str, me_phi):
             phi_new = solved.phi if better else phi
         else:
             phi_new = MissingTable(r, em.closed_form_phi(resp.q_table))
-        theta_new = em.m_step_theta(resp, dataset, config.n_clusters, config.c_min, config.c_max)
+        theta_new = em.m_step_theta(resp, c_min=config.c_min, c_max=config.c_max)
         value = score(theta_new, phi_new)
         if m <= config.transition_iters:
             proposal = em._propose_transition(theta_new, rng, graph)

@@ -18,7 +18,7 @@ from partialrank import (
     l_comp,
     tilt_concentration_mechanism,
 )
-from partialrank import experiments
+from partialrank import cli, em, experiments
 from partialrank.cli import main
 from partialrank.em import load_fit_json
 from partialrank.errors import DomainError
@@ -713,10 +713,67 @@ class TestConfigTable:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+def record_fit_seeds(monkeypatch) -> list[int]:
+    """The seed of every fit the fit driver runs from here on, in order."""
+    seeds, driver = [], em._fit
+
+    def recorded(dataset, config, *args):
+        seeds.append(config.seed)
+        return driver(dataset, config, *args)
+
+    monkeypatch.setattr(em, "_fit", recorded)
+    return seeds
+
+
+class TestOneFieldPerFitSetting:
+    """``K``, the seed and lam each have one config field, outside the ``fit`` object."""
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "experiment"])
+    @pytest.mark.parametrize("key", ["n_clusters", "seed", "lam"])
+    def test_fit_field_owned_elsewhere_exits_2(self, tmp_path, table_inputs, capsys, command, key):
+        config = table_config(command, table_inputs, tmp_path / "out")
+        config["fit"] = {**config["fit"], key: 1}
+        assert run_cli(write_config(tmp_path, "config.json", config)) == 2
+        message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert message == f"unknown fit config fields: ['{key}']"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("method", [{"name": "R", "lam": 1}, {"name": "NR"}, {"name": "ME"}, None])
+    def test_seed_override_seeds_the_fit(self, tmp_path, table_inputs, monkeypatch, method):
+        out = tmp_path / "fit.json"
+        config = table_config("fit", table_inputs, out) | {"seed": 1, "method": method}
+        if method is None:
+            del config["method"]
+        seeds = record_fit_seeds(monkeypatch)
+        assert run_cli(write_config(tmp_path, "config.json", config), "--seed", "7") == 0
+        assert seeds == [7]
+        assert json.loads(out.read_text())["config"]["seed"] == 7
+
+    def test_seed_override_seeds_every_cv_fit(self, tmp_path, table_inputs, monkeypatch):
+        out = tmp_path / "cv"
+        config = table_config("cv", table_inputs, out) | {"seed": 1}
+        seeds = record_fit_seeds(monkeypatch)
+        assert run_cli(write_config(tmp_path, "config.json", config), "--seed", "7") == 0
+        assert seeds == [7] * 5  # each grid value's two folds, then the refit
+        assert json.loads((out / "refit.json").read_text())["config"]["seed"] == 7
+
+    def test_fit_without_method_is_r_at_the_default_lam(self, tmp_path, table_inputs):
+        out = tmp_path / "fit.json"
+        config = table_config("fit", table_inputs, out) | {"K": 2}
+        del config["method"]
+        assert run_cli(write_config(tmp_path, "config.json", config)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["method"] == f"R{FitConfig.lam:g}" == "R10"
+        assert (payload["config"]["lam"], payload["config"]["n_clusters"]) == (10.0, 2)
+        assert len(payload["theta"]["components"]) == 2
+
+
 def test_readme_lists_every_fit_field():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    listed = re.search(r"any `FitConfig` field: ([^)]*)\)", readme).group(1)
-    assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(FitConfig)]
+    listed = re.search(r"`fit` \(an object\s+setting[^:]*: ([^)]*)\)", readme).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(cli._FIT_FIELDS)
+    owned = {"n_clusters", "seed", "lam"}
+    assert sorted(cli._FIT_FIELDS + tuple(owned)) == sorted(f.name for f in dataclasses.fields(FitConfig))
 
 
 

@@ -285,6 +285,12 @@ class TestConstruction:
         with pytest.raises(DomainError):
             Dataset(4, [0], [0], [-1])
 
+    def test_groups_cache_is_not_a_constructor_argument(self):
+        # a caller-supplied cache would score the observations it leaves out as NLL 0
+        with pytest.raises(TypeError):
+            Dataset(4, [0, 1], None, None, missing.ObservationGroups([], np.zeros(0, np.int64)))
+        assert sum(int(block.counts.sum()) for block in Dataset(4, [0, 1]).groups().blocks) == 2
+
     def test_numpy_integer_r_shares_the_per_r_tables(self):
         obs = [0, 5, 20]
         plain = Dataset(4, obs)

@@ -116,14 +116,14 @@ class TestMStepTheta:
         target = Permutation((2, 1, 3))
         mass = np.zeros((1, 6))
         mass[0, index_of(target)] = 5.0
-        params = m_step_theta(make_resp(3, mass), Dataset.from_rankings(3, []), c_max=20.0)
+        params = m_step_theta(make_resp(3, mass), c_max=20.0)
         assert params.components[0].sigma == target
         assert params.components[0].c == pytest.approx(20.0, abs=1e-6)
 
     def test_recovers_generating_concentration(self):
         theta0 = MixtureParams.single(Permutation((2, 3, 1, 4)), 1.0)
         mass = mixture_pmf(theta0)[None, :] * 50.0
-        params = m_step_theta(make_resp(4, mass), Dataset.from_rankings(4, []))
+        params = m_step_theta(make_resp(4, mass))
         assert params.components[0].sigma == theta0.components[0].sigma
         assert params.components[0].c == pytest.approx(1.0, abs=1e-6)
 
@@ -133,7 +133,7 @@ class TestMStepTheta:
         mass = np.zeros((1, 6))
         mass[0, index_of(n1)] = 0.5
         mass[0, index_of(n2)] = 0.5
-        params = m_step_theta(make_resp(3, mass), Dataset.from_rankings(3, []))
+        params = m_step_theta(make_resp(3, mass))
         # identity, n1, n2 all score 1; the smallest rank sequence wins
         assert params.components[0].sigma == Permutation.identity(3)
 
@@ -141,21 +141,21 @@ class TestMStepTheta:
         mass = np.zeros((2, 6))
         mass[0, 0] = 3.0
         mass[1, 5] = 1.0
-        params = m_step_theta(make_resp(3, mass), Dataset.from_rankings(3, []))
+        params = m_step_theta(make_resp(3, mass))
         assert params.weights == pytest.approx((0.75, 0.25), abs=1e-12)
 
     def test_empty_cluster_raises(self):
         mass = np.zeros((2, 6))
         mass[0, 0] = 1.0
         with pytest.raises(DegenerateClusterError):
-            m_step_theta(make_resp(3, mass), Dataset.from_rankings(3, []))
+            m_step_theta(make_resp(3, mass))
 
     def test_location_minimizes_brute_force_expected_distance(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             mass = rng.random((1, 24)) * rng.integers(0, 2, size=(1, 24))
             mass[0, rng.integers(24)] += 1.0
-            params = m_step_theta(make_resp(4, mass), Dataset.from_rankings(4, []))
+            params = m_step_theta(make_resp(4, mass))
             scores = brute_force_scores(4, mass[0])
             assert index_of(params.components[0].sigma) == int(np.argmin(scores))
 
@@ -167,7 +167,7 @@ class TestMStepTheta:
             mass[0, [u, v]] = 1.0
             scores = brute_force_scores(4, mass[0])
             assert scores[u] == scores[v] == scores.min() == 1.0
-            params = m_step_theta(make_resp(4, mass), Dataset.from_rankings(4, []))
+            params = m_step_theta(make_resp(4, mass))
             assert index_of(params.components[0].sigma) == min(u, v)
 
     @pytest.mark.parametrize("r", [5, 6, 7])
@@ -184,7 +184,7 @@ class TestMStepTheta:
         for _ in range(2):
             mass = rng.random((1, n_vertices)) * (rng.random((1, n_vertices)) < 0.3)
             mass[0, rng.integers(n_vertices)] += 1.0
-            params = m_step_theta(make_resp(r, mass), Dataset.from_rankings(r, []))
+            params = m_step_theta(make_resp(r, mass))
             if r == 5:
                 scores = brute_force_scores(r, mass[0])
             else:
@@ -197,7 +197,7 @@ class TestMStepTheta:
 
         rng = np.random.default_rng(20)
         mass = rng.random((1, 24)) * 4
-        params = m_step_theta(make_resp(4, mass), Dataset.from_rankings(4, []))
+        params = m_step_theta(make_resp(4, mass))
         c_hat = params.components[0].c
         assert 1e-4 < c_hat < 20.0
         expected_dist = brute_force_scores(4, mass[0]).min()
@@ -220,7 +220,7 @@ class TestMStepTheta:
         n_vertices = math.factorial(r)
         truth = MixtureParams.single(unindex(int(rng.integers(n_vertices)), r), 0.7)
         mass = mixture_pmf(truth)[None, :] * rng.uniform(50.0, 150.0, size=(1, n_vertices))
-        component = m_step_theta(make_resp(r, mass), Dataset.from_rankings(r, [])).components[0]
+        component = m_step_theta(make_resp(r, mass)).components[0]
         c = component.c
         assert 1e-4 < c < 20.0
         mean = float(mass[0] @ distances_from(r, index_of(component.sigma))) / float(mass.sum())
@@ -239,13 +239,13 @@ class TestMStepTheta:
         n_vertices = math.factorial(r)
         point = np.zeros((1, n_vertices))
         point[0, 4] = 30.0
-        assert m_step_theta(make_resp(r, point), Dataset.from_rankings(r, []), c_max=15.0).components[0].c == 15.0
+        assert m_step_theta(make_resp(r, point), c_max=15.0).components[0].c == 15.0
         flat = np.full((1, n_vertices), 2.0)
-        assert m_step_theta(make_resp(r, flat), Dataset.from_rankings(r, []), c_min=0.01).components[0].c == 0.01
+        assert m_step_theta(make_resp(r, flat), c_min=0.01).components[0].c == 0.01
         # mass from a Mallows model at c = 3: its root is c = 3, so a bound on either side of it is the answer
         spread = mixture_pmf(MixtureParams.single(unindex(3, r), 3.0))[None, :] * 100.0
-        assert m_step_theta(make_resp(r, spread), Dataset.from_rankings(r, []), c_max=2.0).components[0].c == 2.0
-        assert m_step_theta(make_resp(r, spread), Dataset.from_rankings(r, []), c_min=4.0).components[0].c == 4.0
+        assert m_step_theta(make_resp(r, spread), c_max=2.0).components[0].c == 2.0
+        assert m_step_theta(make_resp(r, spread), c_min=4.0).components[0].c == 4.0
 
 
 class TestFit:
@@ -456,15 +456,15 @@ def test_penalized_nll_is_infinite_at_zero_likelihood():
 
 
 def test_best_run_ending_at_zero_likelihood_raises(monkeypatch):
-    # a run whose last pair has zero likelihood returns no E-step; the fit
-    # takes the posteriors from a fresh one, which must raise
+    # a run whose last pair has zero likelihood returns no E-step, and a fit
+    # whose best run is such a run has no posteriors to give
     ds = Dataset.from_rankings(3, [TopTRanking((1,), 3)] * 4)
     probs = np.zeros((6, 2))
     probs[:, 1] = 1.0
     phi = MissingTable(3, probs)
 
     def ended(dataset, config, init_vertices, rng, fixed_phi, restart):
-        return uniform_theta(3, 1.0), phi, [np.inf], False
+        return uniform_theta(3, 1.0), phi, [np.inf], False, None
 
     monkeypatch.setattr(em, "_run_em", ended)
     with pytest.raises(DegenerateLikelihoodError):
@@ -557,7 +557,7 @@ class TestLockstep:
         finals = iter([5.0, 3.0, 3.0, 4.0])
 
         def fake_run_em(dataset, config, init_vertices, rng, fixed_phi, restart):
-            return theta, phi, [next(finals)], True
+            return theta, phi, [next(finals)], True, e_step(theta, phi, dataset)
 
         monkeypatch.setattr(em, "_run_em", fake_run_em)
         result = fit(datasets[1], FitConfig(restarts=4))
@@ -659,7 +659,7 @@ class TestRelabeling:
     def test_m_step_theta_location_is_equivariant(self, r):
         plain, moved, image, ranks = self.relabeled_pair(r)
         a, b = e_step(*plain), e_step(*moved)
-        theta_a, theta_b = m_step_theta(a, plain[2], 2), m_step_theta(b, moved[2], 2)
+        theta_a, theta_b = m_step_theta(a), m_step_theta(b)
         # expected distances by pair masses: a location that puts item i ahead
         # of item j disagrees with the mass that puts j ahead of i
         ahead = ranks[:, :, None] < ranks[:, None, :]
