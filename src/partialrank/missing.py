@@ -211,7 +211,11 @@ class Dataset:
         return [shared[v] for v in self.true_vertices.tolist()]
 
     def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.int64)
+        """The observations at ``indices``, integers in 0..n-1 (repeats allowed), in that order."""
+        indices = np.asarray(indices)
+        if indices.size and not (indices.dtype.kind in "iu" and 0 <= indices.min() and indices.max() < len(self)):
+            raise DomainError(f"subset indices must be integers in 0..{len(self) - 1}")
+        indices = indices.astype(np.int64)
         truth = (None if a is None else a[indices] for a in (self.true_vertices, self.true_clusters))
         return Dataset(self.r, self.obs[indices], *truth)
 

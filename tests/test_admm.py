@@ -88,6 +88,43 @@ class TestSolvePhi:
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert values[-1] < values[0]
 
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["binary", "general"])
+    @pytest.mark.parametrize("max_iter", [1, 100])
+    def test_solve_from_an_em_start_never_raises_the_surrogate(self, r, kind, max_iter):
+        # what EM's phi-step needs: the solve ends at or below the surrogate of the table
+        # it starts from, the uniform one first and then each previous solve's output;
+        # the E-step gives q > 0 only where that table is positive
+        sigma = Permutation.identity(r)
+        observed = [0, r - 2] if kind == "binary" else list(range(r - 1))
+        if kind == "binary":  # only lengths 1 and r - 1 occur
+            mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, sigma)
+        else:
+            mech = MissingTable.homogeneous(r, np.arange(r - 1, 0, -1) / (r * (r - 1) / 2))
+        ds = generate_dataset(MixtureParams.single(sigma, 1.0), mech, 300, rng_seed=r)
+        graph = build_cayley_graph(r)
+        rng = np.random.default_rng(10 * r + max_iter)
+
+        def descends(q, phi):
+            solved = solve_phi(q, graph, lam, phi0=phi, max_iter=max_iter)
+            assert solved.objective <= phi_objective(phi.probs, q, graph, lam)
+            return solved.phi
+
+        for lam in (0.1, 1.0, 10.0, 100.0):
+            phi = MissingTable.uniform(r)
+            for _ in range(3):
+                theta = MixtureParams.single(unindex(int(rng.integers(graph.n_vertices)), r), rng.uniform(0.3, 2.0))
+                phi = descends(e_step(theta, phi, ds).q_table, phi)
+            # a previous solve whose equal rows hold 0.05 of the first length, then that
+            # share halved: a full Newton step overshoots toward 0 there and would raise P
+            row = np.zeros(r - 1)
+            row[observed] = 0.95 / (len(observed) - 1)
+            row[0] = 0.05
+            q = np.tile(row, (graph.n_vertices, 1)) * 100.0
+            start = solve_phi(q, graph, lam).phi
+            q[:, 0] *= 0.5
+            descends(q, start)
+
     def test_input_validation(self, monkeypatch):
         # every check runs before any work
         monkeypatch.setattr(admm, "_Problem", None)
@@ -183,10 +220,10 @@ class TestSweepInvariants:
         q[1, 0] = 0.0
         problem, _ = _reduced(q, graph, 1.0)
         x = np.full((2, 6), 0.5)
-        f, lx = problem.value(x)
+        f, lx, _ = problem.value(x)
         start, steps = f, 0
         while (moved := problem.step(x, lx, f)) is not None and steps < 30:
-            x, lx, f_new, _ = moved
+            x, lx, _, f_new, _ = moved
             assert np.abs(x.sum(axis=0) - 1.0).max() <= 1e-12
             assert x.min() >= 0.0 and np.all(x[problem.mass] > 0)
             assert f_new <= f  # equal only once P is flat at float resolution
@@ -203,12 +240,12 @@ class TestSweepInvariants:
         # slot-major: entry j * V + v is the j-th neighbor of v
         assert problem.neighbors.shape == (graph.n_vertices * (graph.r - 1),)
         assert np.array_equal(problem.neighbors.reshape(graph.r - 1, graph.n_vertices), graph.neighbors.T)
-        assert problem.heads.shape == problem.tails.shape == (len(graph.edges),)
-        assert problem.laplacian(np.ones((2, graph.n_vertices))).shape == (2, graph.n_vertices)
+        _, lx, pen = problem.value(np.full((2, graph.n_vertices), 0.5))
+        assert lx.shape == (2, graph.n_vertices) and not lx.any() and pen == 0.0
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_sweeps_match_per_edge_updates(self, r):
-        # the slot-major Laplacian and penalty against sums written out over the edge list
+        # L x and the penalty from the slot-major row differences, against sums written out over the edge list
         graph = build_cayley_graph(r)
         rng = np.random.default_rng(60 + r)
         q = rng.random((graph.n_vertices, r - 1)) * 3
@@ -219,26 +256,33 @@ class TestSweepInvariants:
         for u, v in graph.edges:
             expected[:, u] += x[:, u] - x[:, v]
             expected[:, v] += x[:, v] - x[:, u]
-        assert np.abs(problem.laplacian(x) - expected).max() <= 1e-14
+        value, lx, pen = problem.value(x)
+        assert np.abs(lx - expected).max() <= 1e-14
         pairs = sum(float(((x[:, u] - x[:, v]) ** 2).sum()) for u, v in graph.edges)
-        assert problem.penalty(x) == pytest.approx(pairs, rel=1e-12)
+        assert pen == pytest.approx(pairs, rel=1e-12)
         full = np.zeros_like(q)
         full[:, columns] = x.T
-        assert problem.value(x)[0] == pytest.approx(phi_objective(full, q, graph, 3.0), rel=1e-12)
+        assert value == pytest.approx(phi_objective(full, q, graph, 3.0), rel=1e-12)
+        # the certificate takes the L x and penalty that value computed at x
+        assert problem.lower_bound(x, lx, pen) == pytest.approx(phi_step_bounds(full, q, graph.edges, 3.0)[1],
+                                                                rel=1e-12)
 
     @pytest.mark.parametrize("r", [3, 4])
     @pytest.mark.parametrize("lam", [0.5, 10.0])
     @pytest.mark.parametrize("eps,max_iter", [(1e-3, 5000), (1e-12, 7)])
     def test_solve_phi_matches_loop_reference(self, r, lam, eps, max_iter, monkeypatch):
         # the whole solve and its stopping rule, with eps as its gap tolerance, against
-        # solve_phi_projected_gradient, a plain loop run to the optimum; (1e-12, 7)
-        # stops at max_iter with its last iterate
+        # solve_phi_projected_gradient, a plain loop run to the optimum; (1e-12, 7) stops
+        # at max_iter with its last iterate, cut at most 7 and at least 2 steps short of
+        # the full solve, so that its objective still sits above the float floor
         monkeypatch.setattr(admm, "GAP_TOL", eps)
         graph = build_cayley_graph(r)
         rng = np.random.default_rng(100 + r)
         q = rng.random((graph.n_vertices, r - 1)) * 5
         q[rng.random(q.shape) < 0.2] = 0.0
         phi0 = rng.dirichlet(np.ones(r - 1), size=graph.n_vertices)
+        if max_iter < 5000:
+            max_iter = min(max_iter, solve_phi(q, graph, lam, phi0=phi0, max_iter=5000).iterations - 2)
         result = solve_phi(q, graph, lam, phi0=phi0, max_iter=max_iter)
         optimum, best = solve_phi_projected_gradient(q, graph.edges, lam)
         assert result.converged == (max_iter == 5000)
@@ -273,7 +317,7 @@ def _certificate_pair(q, x, graph, lam):
     problem, columns = _reduced(q, graph, lam)
     full = np.zeros_like(q)
     full[:, columns] = x.T
-    return problem.lower_bound(x), phi_step_bounds(full, q, graph.edges, lam)
+    return problem.lower_bound(x, *problem.value(x)[1:]), phi_step_bounds(full, q, graph.edges, lam)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5, 6, 7])

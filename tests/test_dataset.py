@@ -319,6 +319,15 @@ class TestConstruction:
         assert sub.rankings == [rankings[i] for i in idx]
         assert sub.true_perms == [perms[i] for i in idx]
         assert sub.true_clusters.tolist() == [clusters[i] for i in idx]
+        assert len(ds.subset([])) == 0
+
+    @pytest.mark.parametrize("indices", [[True, False, True, False], [1.7], [-1], [4], [0, 7]],
+                             ids=["mask", "float", "negative", "n", "past-n"])
+    def test_subset_takes_only_integer_indices_in_range(self, indices):
+        # a mask would be read as indices 0/1, 1.7 truncated to 1 and -1 wrapped to the last row
+        with pytest.raises(DomainError, match="0..3"):
+            Dataset(3, [0, 1, 2, 3]).subset(indices)
+        assert Dataset(3, [0, 1, 2, 3]).subset(np.array([3, 0], dtype=np.uint8)).obs.tolist() == [3, 0]
 
 
 def test_load_csv_refuses_r_above_the_cap(tmp_path):
