@@ -78,6 +78,7 @@ class AdmmResult:
     converged: bool
     iterations: int  # Newton steps taken
     objective: float
+    penalty: float  # lam times the edge penalty at phi, the last term of objective
 
 
 def _laplacian_and_penalty(x: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, float]:
@@ -89,21 +90,6 @@ def _laplacian_and_penalty(x: np.ndarray, neighbors: np.ndarray) -> tuple[np.nda
     diff = x.take(neighbors, axis=1).reshape(k, neighbors.size // n, n)
     np.subtract(x[:, None, :], diff, out=diff)
     return diff.sum(axis=1), 0.5 * float(np.vdot(diff, diff))
-
-
-def edge_penalty(phi: np.ndarray, graph: CayleyGraph) -> float:
-    """Sum over graph edges of the squared row difference; an all-zero length column adds 0."""
-    return _laplacian_and_penalty(phi.T[phi.any(axis=0)], graph.neighbors.T.ravel())[1]
-
-
-def phi_objective(phi: np.ndarray, q: np.ndarray, graph: CayleyGraph, lam: float) -> float:
-    """-sum q log phi (0 log 0 = 0) plus the edge penalty."""
-    mask = q > 0
-    vals = phi[mask]
-    if np.any(vals <= 0):
-        return np.inf
-    nll = -float((q[mask] * np.log(vals)).sum())
-    return nll + lam * edge_penalty(phi, graph)
 
 
 def closed_form_phi(q_table: np.ndarray) -> np.ndarray:
@@ -145,15 +131,16 @@ class _Problem:
         return h
 
     def value(self, x: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """P(x), L x and the penalty at x; P is inf where an entry with mass is not positive."""
+        """P(x), L x and lam times the penalty at x; P is inf where an entry with mass is not positive."""
         lx, pen = _laplacian_and_penalty(x, self.neighbors)
+        pen *= self.lam
         vals = x.ravel().take(self.positive)
         if not vals.min(initial=np.inf) > 0:
             return np.inf, lx, pen
-        return self.lam * pen - float(np.vdot(self.q_positive, np.log(vals))), lx, pen
+        return pen - float(np.vdot(self.q_positive, np.log(vals))), lx, pen
 
     def lower_bound(self, x: np.ndarray, lx: np.ndarray, pen: float) -> float:
-        """The duality-gap certificate's D at the feasible x, whose L x and penalty are ``lx`` and ``pen``."""
+        """The duality-gap certificate's D at the feasible x, with ``lx`` and ``pen`` as :meth:`value` gives them."""
         q, mass = self.q, self.mass
         g = 2.0 * self.lam * lx
         inf = np.inf
@@ -176,7 +163,7 @@ class _Problem:
             nu = np.where(has_mass, np.fmax(nu, floor), floor)
             logs = np.log(np.where(mass, (g + nu) / q, 1.0))
         rows = float(np.vdot(q, logs)) + float(self.q_rows.sum()) - float(nu.sum())
-        return rows - self.lam * pen
+        return rows - pen
 
     def step(self, x: np.ndarray, lx: np.ndarray, f: float):
         """One projected-Newton step from x: ``(x, lx, pen, f, decrement)``, or None when the arc search fails."""
@@ -288,14 +275,19 @@ def solve_phi(
     Stops once the relative duality gap is at most ``GAP_TOL``, else after
     ``max_iter`` Newton steps with ``converged=False`` and its last iterate.
     At lam = 0 the rows are :func:`closed_form_phi`'s, and with at most one
-    observed length they are that length's indicator; both are exact.
+    observed length they are that length's indicator; both are exact, with
+    penalty 0. ``penalty`` is lam times the edge penalty at the returned rows,
+    the last term of ``objective``; EM adds it to the E-step's NLL.
     """
     q, phi0, lam = _checked(q_table, graph, lam, phi0, max_iter)
     r = graph.r
     columns = np.flatnonzero(q.any(axis=0))
-    if lam == 0 or columns.size <= 1:
+    if lam == 0 or columns.size <= 1:  # lam = 0, or every row is the same: the penalty is 0
         phi = closed_form_phi(q) if lam == 0 or columns.size == 0 else np.tile(q.any(axis=0), (len(q), 1)) * 1.0
-        return AdmmResult(MissingTable(r, phi), True, 0, phi_objective(phi, q, graph, lam))
+        mass = q > 0
+        with np.errstate(divide="ignore"):  # a row entry that underflows to 0 gives inf
+            objective = -float((q[mass] * np.log(phi[mass])).sum())
+        return AdmmResult(MissingTable(r, phi), True, 0, objective, 0.0)
     problem = _Problem(q[:, columns].T.copy(), graph, lam, columns.size < r - 1)
     x = _start(phi0, columns, problem.mass)
     f, lx, pen = problem.value(x)
@@ -314,4 +306,4 @@ def solve_phi(
         x, lx, pen, f, decrement = moved
     phi = np.zeros_like(q)
     phi[:, columns] = x.T
-    return AdmmResult(MissingTable(r, phi), converged, steps, f)
+    return AdmmResult(MissingTable(r, phi), converged, steps, f, pen)

@@ -14,8 +14,9 @@ increase the penalized objective, which keeps every recorded trace
 non-increasing.
 
 The E-step also yields the observable likelihood, so each accepted
-(theta, phi) pair is scored by the E-step that the next iteration uses, and
-the best restart's last E-step gives the fit's posteriors.
+(theta, phi) pair is scored by the E-step that the next iteration uses, plus
+the lam-scaled edge penalty that the phi-step reported for phi, and the best
+restart's last E-step gives the fit's posteriors.
 
 Restarts run one after another, and each fold fit of a cross-validation is
 one :func:`fit` call. Each graph-regularized missing-table step is one
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -70,8 +72,10 @@ class FitConfig:
             check_integer(getattr(self, name), name, low)
             # a Python int, so the config echo in the fit JSON can be written
             object.__setattr__(self, name, int(getattr(self, name)))
-        if not all(math.isfinite(x) for x in (self.lam, self.em_tol, self.c_min, self.c_max)):
-            raise DomainError("lam, em_tol and concentration bounds must be finite")
+        for name in ("lam", "em_tol", "c_min", "c_max"):  # kept as written: the fit JSON echoes them
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise DomainError(f"{name} must be a finite real number, got {value!r}")
         if self.lam < 0:
             raise DomainError("need lam >= 0")
         if self.em_tol <= 0:
@@ -232,9 +236,9 @@ def m_step_theta(q: Responsibilities, *, c_min: float = 1e-4, c_max: float = 20.
 
 
 def _scored(
-    theta: MixtureParams, phi: MissingTable, dataset: Dataset, lam: float
+    theta: MixtureParams, phi: MissingTable, dataset: Dataset, penalty: float
 ) -> tuple[Responsibilities | None, float]:
-    """The E-step at (theta, phi) and the penalized NLL it gives.
+    """The E-step at (theta, phi) and the penalized NLL, its NLL plus ``penalty`` (lam times phi's edge penalty).
 
     ``(None, inf)`` when some observation has zero likelihood.
     """
@@ -242,10 +246,7 @@ def _scored(
         resp = e_step(theta, phi, dataset)
     except DegenerateLikelihoodError:
         return None, np.inf
-    value = resp.nll
-    if lam > 0:
-        value += lam * admm.edge_penalty(phi.probs, build_cayley_graph(dataset.r))
-    return resp, value
+    return resp, resp.nll + penalty
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +381,9 @@ def _run_em(
         tuple(1.0 / config.n_clusters for _ in range(config.n_clusters)),
     )
     phi = MissingTable.uniform(r) if fixed_phi is None else fixed_phi
+    penalty = 0.0  # lam times phi's edge penalty: 0 at equal rows, and at lam = 0
     # each accepted pair's E-step scores it and serves the next iteration
-    resp, current = _scored(theta, phi, dataset, lam)
+    resp, current = _scored(theta, phi, dataset, penalty)
     trace = [current]
     converged = False
     for m in range(1, config.em_max_iter + 1):
@@ -396,15 +398,15 @@ def _run_em(
                              restart, m, solved.iterations)
             # the solve starts at phi (its observed columns, renormalized) and no step raises
             # its surrogate, so the phi-step is a generalized-EM step
-            phi_new = solved.phi
+            phi_new, penalty = solved.phi, solved.penalty
         else:
             phi_new = MissingTable(r, closed_form_phi(resp.q_table))
         theta_new = m_step_theta(resp, c_min=config.c_min, c_max=config.c_max)
-        resp_new, value = _scored(theta_new, phi_new, dataset, lam)
+        resp_new, value = _scored(theta_new, phi_new, dataset, penalty)
         if m <= config.transition_iters:
             proposal = _propose_transition(theta_new, rng, graph)
             if proposal is not None:
-                alt_resp, alt = _scored(proposal, phi_new, dataset, lam)
+                alt_resp, alt = _scored(proposal, phi_new, dataset, penalty)
                 if alt <= value:
                     theta_new, resp_new, value = proposal, alt_resp, alt
         theta, phi, resp = theta_new, phi_new, resp_new

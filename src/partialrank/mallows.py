@@ -40,8 +40,8 @@ class MallowsParams:
     c: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise DomainError(f"concentration must be positive, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise DomainError(f"concentration must be finite and positive, got {self.c}")
 
     @property
     def r(self) -> int:

@@ -327,12 +327,15 @@ def _records(lines: list[str], linenos: list[int]):
 
 
 def _frozen_ids(values) -> np.ndarray | None:
-    """A read-only int64 copy of a 1-d index sequence; None stays None."""
+    """A read-only int64 copy of a 1-d sequence of integers; None stays None."""
     if values is None:
         return None
-    arr = np.array(values, dtype=np.int64)
+    arr = np.array(values)
     if arr.ndim != 1:
         raise DimensionError(f"expected a 1-d index array, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DomainError(f"indices must be integers, got {arr.dtype} values")
+    arr = arr.astype(np.int64, copy=False)
     arr.flags.writeable = False
     return arr
 
@@ -467,8 +470,8 @@ def tilt_concentration_mechanism(c: float, c_star: float, big_r: float, sigma0: 
     so when the min never binds the t = r-1 marginal, renormalized, is the
     single-component model with concentration c_star.
     """
-    if not (c > 0 and c_star > 0):
-        raise DomainError("concentrations must be positive")
+    if not (0 < c < np.inf and 0 < c_star < np.inf):
+        raise DomainError(f"concentrations c and c_star must be finite and positive, got {c} and {c_star}")
     if not 0 <= big_r <= 1:
         raise DomainError(f"R must lie in [0, 1], got {big_r}")
     r = sigma0.r

@@ -163,6 +163,29 @@ def solve_phi_projected_gradient(
     return phi, objective(phi)
 
 
+def edge_penalty_loop(phi: np.ndarray, edges: np.ndarray) -> float:
+    """Sum over the edges {u, v} of ||phi_u - phi_v||^2, one edge at a time."""
+    return sum(float(((phi[u] - phi[v]) ** 2).sum()) for u, v in edges)
+
+
+def edge_penalty_slots(phi: np.ndarray, neighbors: np.ndarray) -> float:
+    """The same sum in the order the package's phi-step adds it, so that an EM run can match it
+    bitwise: over the nonzero length columns, length-major, each vertex's differences to its
+    neighbors slot by slot (``neighbors`` is ``(V, r-1)``), every edge seen from both ends, halved."""
+    x = phi.T[phi.any(axis=0)]
+    diff = x[:, None, :] - x[:, neighbors.T]
+    return 0.5 * float(np.vdot(diff, diff))
+
+
+def phi_objective(phi: np.ndarray, q: np.ndarray, edges: np.ndarray, lam: float, penalty=edge_penalty_loop) -> float:
+    """-sum q log phi (0 log 0 = 0, inf where q > 0 meets phi = 0) plus lam times ``penalty(phi, edges)``."""
+    mass = q > 0
+    vals = phi[mass]
+    if np.any(vals <= 0):
+        return np.inf
+    return -float((q[mass] * np.log(vals)).sum()) + lam * penalty(phi, edges)
+
+
 def phi_step_bounds(phi: np.ndarray, q: np.ndarray, edges: np.ndarray, lam: float) -> tuple[float, float]:
     """The phi-step objective at a feasible ``phi`` and a lower bound on its minimum.
 
@@ -414,10 +437,10 @@ def em_run_reference(dataset, config, init_vertices, rng, mode: str, me_phi):
 
     A fresh E-step at the start of every iteration, each phi-step solved by
     its own ``solve_phi`` call, and every candidate pair scored by
-    :func:`observable_nll` plus the edge penalty. ``partialrank.em._run_em``
-    carries the E-step of each accepted pair into the next iteration and
-    scores with it; both must give the same run. Returns
-    ``(theta, phi, trace, converged)``.
+    :func:`observable_nll` plus lam times :func:`edge_penalty_slots` at its
+    phi. ``partialrank.em._run_em`` carries the E-step of each accepted pair
+    into the next iteration and scores with it, and takes the penalty from the
+    phi-step; both must give the same run. Returns ``(theta, phi, trace, converged)``.
     """
     from partialrank import admm, em
     from partialrank.mallows import MallowsParams, MixtureParams
@@ -430,7 +453,7 @@ def em_run_reference(dataset, config, init_vertices, rng, mode: str, me_phi):
 
     def score(theta, phi):
         value = observable_nll(theta, phi, dataset)
-        return value + lam * admm.edge_penalty(phi.probs, graph) if lam > 0 else value
+        return value + lam * edge_penalty_slots(phi.probs, graph.neighbors) if lam > 0 else value
 
     theta = MixtureParams(
         tuple(MallowsParams(unindex(v, r), 1.0) for v in init_vertices),
@@ -446,7 +469,8 @@ def em_run_reference(dataset, config, init_vertices, rng, mode: str, me_phi):
             phi_new = phi
         elif lam > 0:
             solved = admm.solve_phi(resp.q_table, graph, lam, phi0=phi.probs, max_iter=config.admm_max_iter)
-            better = solved.objective <= admm.phi_objective(phi.probs, resp.q_table, graph, lam)
+            start = phi_objective(phi.probs, resp.q_table, graph.neighbors, lam, edge_penalty_slots)
+            better = solved.objective <= start
             phi_new = solved.phi if better else phi
         else:
             phi_new = MissingTable(r, em.closed_form_phi(resp.q_table))

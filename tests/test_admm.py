@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import phi_step_bounds, solve_phi_projected_gradient
+from oracles import edge_penalty_loop, phi_objective, phi_step_bounds, solve_phi_projected_gradient
 from partialrank import (
     DomainError,
     MissingTable,
@@ -15,7 +15,7 @@ from partialrank import (
     tilt_concentration_mechanism,
 )
 from partialrank import admm
-from partialrank.admm import GAP_TOL, closed_form_phi, edge_penalty, phi_objective, solve_phi
+from partialrank.admm import GAP_TOL, closed_form_phi, solve_phi
 from partialrank.errors import DimensionError
 from partialrank.perms import index_of, unindex
 
@@ -71,7 +71,7 @@ class TestSolvePhi:
         assert not result.converged
         assert result.iterations == 1
         assert np.abs(result.phi.probs.sum(axis=1) - 1.0).max() <= 1e-10
-        assert result.objective == pytest.approx(phi_objective(result.phi.probs, q, graph, 10.0), rel=1e-12)
+        assert result.objective == pytest.approx(phi_objective(result.phi.probs, q, graph.edges, 10.0), rel=1e-12)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_every_step_lowers_the_objective(self, r):
@@ -82,7 +82,7 @@ class TestSolvePhi:
         q = rng.gamma(0.5, 2.0, size=(graph.n_vertices, r - 1))
         q[rng.random(q.shape) < 0.3] = 0.0
         start = MissingTable.uniform(r).probs
-        values = [phi_objective(start, q, graph, 10.0)]
+        values = [phi_objective(start, q, graph.edges, 10.0)]
         for steps in range(1, 6):
             values.append(solve_phi(q, graph, 10.0, max_iter=steps).objective)
         assert all(b <= a for a, b in zip(values, values[1:]))
@@ -107,7 +107,7 @@ class TestSolvePhi:
 
         def descends(q, phi):
             solved = solve_phi(q, graph, lam, phi0=phi, max_iter=max_iter)
-            assert solved.objective <= phi_objective(phi.probs, q, graph, lam)
+            assert solved.objective <= phi_objective(phi.probs, q, graph.edges, lam)
             return solved.phi
 
         for lam in (0.1, 1.0, 10.0, 100.0):
@@ -245,7 +245,7 @@ class TestSweepInvariants:
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_sweeps_match_per_edge_updates(self, r):
-        # L x and the penalty from the slot-major row differences, against sums written out over the edge list
+        # L x and lam times the penalty from the slot-major row differences, against sums over the edge list
         graph = build_cayley_graph(r)
         rng = np.random.default_rng(60 + r)
         q = rng.random((graph.n_vertices, r - 1)) * 3
@@ -258,11 +258,10 @@ class TestSweepInvariants:
             expected[:, v] += x[:, v] - x[:, u]
         value, lx, pen = problem.value(x)
         assert np.abs(lx - expected).max() <= 1e-14
-        pairs = sum(float(((x[:, u] - x[:, v]) ** 2).sum()) for u, v in graph.edges)
-        assert pen == pytest.approx(pairs, rel=1e-12)
+        assert pen == pytest.approx(3.0 * edge_penalty_loop(x.T, graph.edges), rel=1e-12)
         full = np.zeros_like(q)
         full[:, columns] = x.T
-        assert value == pytest.approx(phi_objective(full, q, graph, 3.0), rel=1e-12)
+        assert value == pytest.approx(phi_objective(full, q, graph.edges, 3.0), rel=1e-12)
         # the certificate takes the L x and penalty that value computed at x
         assert problem.lower_bound(x, lx, pen) == pytest.approx(phi_step_bounds(full, q, graph.edges, 3.0)[1],
                                                                 rel=1e-12)
@@ -394,21 +393,26 @@ def test_search_matches_bisection_from_any_start(r, data):
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_slot_penalty_matches_edge_list_sum(r):
+    # every length observed: the penalty the solve reports is lam times the per-edge sum at its phi
     graph = build_cayley_graph(r)
-    phi = np.random.default_rng(r).dirichlet(np.ones(r - 1), size=graph.n_vertices)
-    expected = sum(float(((phi[u] - phi[v]) ** 2).sum()) for u, v in graph.edges)
-    assert edge_penalty(phi, graph) == pytest.approx(expected, rel=1e-12)
+    rng = np.random.default_rng(r)
+    q = rng.random((graph.n_vertices, r - 1)) * 4
+    for lam in (0.5, 10.0):
+        result = solve_phi(q, graph, lam)
+        assert result.penalty == pytest.approx(lam * edge_penalty_loop(result.phi.probs, graph.edges), rel=1e-12)
+        assert result.objective == pytest.approx(phi_objective(result.phi.probs, q, graph.edges, lam), rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [4, 5])
 def test_edge_penalty_on_all_zero_columns_matches_edge_loop(r):
-    # the paper's binary tables: only lengths 1 and r - 1 are nonzero
+    # the paper's binary tables: only lengths 1 and r - 1 carry q, and the other columns of phi are 0
     graph = build_cayley_graph(r)
-    phi = np.zeros((graph.n_vertices, r - 1))
-    phi[:, [0, r - 2]] = np.random.default_rng(r + 10).dirichlet(np.ones(2), size=graph.n_vertices)
-    expected = sum(float(((phi[u] - phi[v]) ** 2).sum()) for u, v in graph.edges)
-    assert edge_penalty(phi, graph) == pytest.approx(expected, rel=1e-12)
-    assert edge_penalty(np.zeros_like(phi), graph) == 0.0
+    q = np.zeros((graph.n_vertices, r - 1))
+    q[:, [0, r - 2]] = np.random.default_rng(r + 10).random((graph.n_vertices, 2)) * 4
+    result = solve_phi(q, graph, 3.0, max_iter=3)
+    assert not result.phi.probs[:, 1 : r - 2].any()
+    assert result.penalty > 0
+    assert result.penalty == pytest.approx(3.0 * edge_penalty_loop(result.phi.probs, graph.edges), rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -446,12 +450,13 @@ def test_hessian_product_matches_dense_reduced_hessian(r):
 
 def test_phi_objective_zero_log_zero_convention():
     graph = build_cayley_graph(3)
-    q = np.zeros((6, 2))
-    q[:, 0] = 1.0
-    phi = np.zeros((6, 2))
-    phi[:, 0] = 1.0
-    assert phi_objective(phi, q, graph, lam=1.0) == 0.0  # 0*log(0) contributes nothing
-    assert phi_objective(1.0 - phi, q, graph, lam=1.0) == np.inf
+    q = np.random.default_rng(5).random((6, 2)) * 3
+    q[::2, 1] = 0.0
+    for lam, table in ((0.0, q), (1.0, q * [1.0, 0.0]), (1.0, np.zeros_like(q))):
+        # lam = 0 with zero entries, one observed length, no mass at all
+        result = solve_phi(table, graph, lam)
+        assert np.isfinite(result.objective) and result.penalty == 0.0
+        assert result.objective == pytest.approx(phi_objective(result.phi.probs, table, graph.edges, lam), rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [6, 7])

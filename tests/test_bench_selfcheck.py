@@ -32,6 +32,8 @@ GONE = {
     ("admm", "dual_sweep"),
     # the one-line objective wrapper; em._scored gives the same value
     ("em", "penalized_nll"),
+    # the phi-step objective outside the solve; solve_phi reports it, and lam times the penalty
+    ("admm", "phi_objective"),
 }
 
 

@@ -451,6 +451,28 @@ class TestErrors:
         assert run_cli(cfg) == 5
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {**GENERATOR, "c": math.inf},
+            {**GENERATOR, "c_star": math.inf},
+            {"kind": "tilt_mixture", "sigmas": [[1, 2, 3], [3, 2, 1]], "cs": [math.inf, 1.0], "w": [0.5, 0.5],
+             "w_star": [0.6, 0.4], "R": 0.5},
+        ],
+        ids=["c", "c_star", "cs"],
+    )
+    def test_infinite_concentration_exits_5_naming_it(self, tmp_path, generator, capsys):
+        # once a RuntimeWarning and the message that entries must lie in [0, 1]
+        out = tmp_path / "sim"
+        cfg = write_config(
+            tmp_path, "s.json", {"command": "simulate", "r": 3, "n": 10, "generator": generator, "out": str(out)}
+        )
+        assert "Infinity" in cfg.read_text()  # Python's JSON reader accepts it
+        assert run_cli(cfg) == 5
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "DomainError" and "concentration" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("fields", [{"fit": {"restarts": 2.5}}, {"seed": -1}, {"K": 1.5}])
     def test_non_integer_or_negative_count_exits_5(self, tmp_path, fields):
         assert run_cli(self.fit_config(tmp_path, **fields)) == 5

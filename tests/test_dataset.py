@@ -285,6 +285,15 @@ class TestConstruction:
         with pytest.raises(DomainError):
             Dataset(4, [0], [0], [-1])
 
+    @pytest.mark.parametrize("args", [([0.5],), ([True, False],), ([0], [0.2]), ([0], None, [1.7])],
+                             ids=["obs float", "obs mask", "vertex float", "cluster float"])
+    def test_indices_must_be_integers(self, args):
+        # each would be truncated to an integer index, the mask read as 1 and 0
+        with pytest.raises(DomainError, match="integers"):
+            Dataset(3, *args)
+        assert len(Dataset(3, [])) == 0  # what load_csv gives for a file of no rows
+        assert Dataset(3, np.array([1, 0], dtype=np.uint8), None, [0, 1]).obs.tolist() == [1, 0]
+
     def test_groups_cache_is_not_a_constructor_argument(self):
         # a caller-supplied cache would score the observations it leaves out as NLL 0
         with pytest.raises(TypeError):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_force_scores, fit_sequential, per_observation, phi_step_bounds, random_mixture
+from oracles import (
+    brute_force_scores,
+    edge_penalty_loop,
+    fit_sequential,
+    per_observation,
+    phi_step_bounds,
+    random_mixture,
+)
 from partialrank import (
     Dataset,
     DegenerateClusterError,
@@ -388,6 +395,17 @@ class TestFitConfig:
         with pytest.raises(DomainError):
             FitConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["lam", "em_tol", "c_min", "c_max"])
+    @pytest.mark.parametrize("value", ["10", None, [1.0], True, np.bool_(True)])
+    def test_non_real_or_bool_settings_rejected(self, name, value):
+        # a bool would be echoed as true in the fit JSON, and FitConfig(lam=True) labelled R1
+        with pytest.raises(DomainError, match=name):
+            FitConfig(**{name: value})
+
+    def test_real_settings_kept_as_written(self):
+        config = FitConfig(lam=10, em_tol=np.float64(0.5), c_min=1, c_max=20)
+        assert (type(config.lam), type(config.em_tol), type(config.c_min)) == (int, np.float64, int)
+
     @pytest.mark.parametrize(
         "name", ["n_clusters", "em_max_iter", "admm_max_iter", "restarts", "transition_iters", "seed"]
     )
@@ -422,14 +440,21 @@ class TestFitConfig:
 
 
 def test_penalized_nll_adds_edge_penalty():
-    theta = MixtureParams.single(Permutation.identity(3), 1.0)
-    mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, Permutation.identity(3))
-    ds = generate_dataset(theta, mech, 40, rng_seed=13)
-    rng = np.random.default_rng(14)
-    phi = MissingTable(3, rng.dirichlet(np.ones(2), size=6))
+    # a regularized fit scores its last pair by the E-step's NLL plus lam times the edge penalty
+    # at its phi, which EM takes from the phi-step's report
+    theta = MixtureParams.single(Permutation.identity(4), 1.0)
+    mech = tilt_concentration_mechanism(1.0, 1.2, 0.7, Permutation.identity(4))
+    ds = generate_dataset(theta, mech, 60, rng_seed=13)
+    edges = build_cayley_graph(4).edges
+    for lam in (0.5, 2.5, 10.0):
+        result = fit(ds, FitConfig(lam=lam, restarts=2, seed=14))
+        penalty = lam * edge_penalty_loop(result.phi.probs, edges)
+        assert penalty > 0
+        assert result.trace[-1] == pytest.approx(e_step(result.theta, result.phi, ds).nll + penalty, rel=1e-12)
+    phi = MissingTable(4, np.random.default_rng(14).dirichlet(np.ones(3), size=24))
     base = e_step(theta, phi, ds).nll
     assert em._scored(theta, phi, ds, 0.0)[1] == base
-    assert em._scored(theta, phi, ds, 2.5)[1] > base
+    assert em._scored(theta, phi, ds, 2.5)[1] == base + 2.5
 
 
 def test_e_step_nll_matches_brute_force():

@@ -47,6 +47,12 @@ class TestMixtureParams:
         with pytest.raises(DomainError):
             MallowsParams(Permutation.identity(3), 0.0)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_concentration_must_be_finite(self, c):
+        # an infinite c once made complete_pmf return nan
+        with pytest.raises(DomainError, match="concentration"):
+            MallowsParams(Permutation.identity(3), c)
+
 
 class TestCompletePmf:
     def test_mode_is_maximal(self):

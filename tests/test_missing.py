@@ -136,6 +136,9 @@ class TestTiltConcentration:
             tilt_concentration_mechanism(1.0, 1.0, 1.5, Permutation.identity(4))
         with pytest.raises(DomainError):
             tilt_concentration_mechanism(-1.0, 1.0, 0.5, Permutation.identity(4))
+        for c, c_star in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(DomainError, match="concentration"):
+                tilt_concentration_mechanism(c, c_star, 0.5, Permutation.identity(4))
 
     def test_renormalized_complete_marginal_is_tilted_model(self):
         # the non-binding regime reshapes the complete-observation slice into
