@@ -61,7 +61,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .missing import MissingTable
 from .perms import CayleyGraph
-from .util import check_integer
+from .util import check_integer, check_real
 
 GAP_TOL = 1e-6       # relative duality gap at which a solve stops
 _EPS_ACTIVE = 1e-9   # an entry without mass this close to 0 is held when pushed outward
@@ -79,17 +79,6 @@ class AdmmResult:
     iterations: int  # Newton steps taken
     objective: float
     penalty: float  # lam times the edge penalty at phi, the last term of objective
-
-
-def _laplacian_and_penalty(x: np.ndarray, neighbors: np.ndarray) -> tuple[np.ndarray, float]:
-    """L x and the sum over edges of the squared row differences, for the length-major x and the
-    slot-major ``neighbors`` (entry j*V + v is N[v, j]). Both come from the differences themselves:
-    (r-1) x minus the neighbor sum, and x^T L x, cancel where rows nearly agree, as at large lam.
-    Each edge is seen from both of its ends, hence the half."""
-    k, n = x.shape
-    diff = x.take(neighbors, axis=1).reshape(k, neighbors.size // n, n)
-    np.subtract(x[:, None, :], diff, out=diff)
-    return diff.sum(axis=1), 0.5 * float(np.vdot(diff, diff))
 
 
 def closed_form_phi(q_table: np.ndarray) -> np.ndarray:
@@ -131,9 +120,14 @@ class _Problem:
         return h
 
     def value(self, x: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """P(x), L x and lam times the penalty at x; P is inf where an entry with mass is not positive."""
-        lx, pen = _laplacian_and_penalty(x, self.neighbors)
-        pen *= self.lam
+        """P(x), L x and lam times the penalty at x; P is inf where an entry with mass is not positive.
+
+        L x and the penalty (the sum over edges of the squared row differences) both come from the
+        differences themselves: (r-1) x minus the neighbor sum, and x^T L x, cancel where rows nearly
+        agree, as at large lam. Each edge is seen from both of its ends, hence the half."""
+        diff = x.take(self.neighbors, axis=1).reshape(-1, self.degree, self.n)
+        np.subtract(x[:, None, :], diff, out=diff)
+        lx, pen = diff.sum(axis=1), 0.5 * float(np.vdot(diff, diff)) * self.lam
         vals = x.ravel().take(self.positive)
         if not vals.min(initial=np.inf) > 0:
             return np.inf, lx, pen
@@ -223,12 +217,10 @@ class _Problem:
 
 def _checked(q_table, graph: CayleyGraph, lam, phi0, max_iter) -> tuple[np.ndarray, np.ndarray | None, float]:
     """The solve's inputs as float arrays, or a typed error before any work."""
-    try:
-        lam = float(lam)
-    except (TypeError, ValueError):
-        raise DomainError(f"lam must be a real number, got {lam!r}") from None
-    if not (np.isfinite(lam) and lam >= 0):
-        raise DomainError(f"need a finite lam >= 0, got {lam!r}")
+    check_real(lam, "lam")
+    lam = float(lam)
+    if lam < 0:
+        raise DomainError(f"need lam >= 0, got {lam!r}")
     check_integer(max_iter, "max_iter", 1)
     q = np.asarray(q_table, dtype=float)
     shape = (graph.n_vertices, graph.r - 1)

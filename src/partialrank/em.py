@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -46,7 +45,7 @@ from .errors import (
 from .mallows import MallowsParams, MixtureParams, component_log_pmf
 from .missing import Dataset, MissingTable, ObservationGroups
 from .perms import Permutation, build_cayley_graph, index_of, perm_table, unindex
-from .util import check_integer, write_json
+from .util import check_integer, check_real, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -73,9 +72,7 @@ class FitConfig:
             # a Python int, so the config echo in the fit JSON can be written
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("lam", "em_tol", "c_min", "c_max"):  # kept as written: the fit JSON echoes them
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise DomainError(f"{name} must be a finite real number, got {value!r}")
+            check_real(getattr(self, name), name)
         if self.lam < 0:
             raise DomainError("need lam >= 0")
         if self.em_tol <= 0:
@@ -199,7 +196,9 @@ def _concentration(distance: float, mass: float, r: int, c_min: float, c_max: fl
     return c
 
 
-def m_step_theta(q: Responsibilities, *, c_min: float = 1e-4, c_max: float = 20.0) -> MixtureParams:
+def m_step_theta(
+    q: Responsibilities, *, c_min: float = FitConfig.c_min, c_max: float = FitConfig.c_max
+) -> MixtureParams:
     """Exact per-component minimizers given the aggregated responsibilities.
 
     The location is the exhaustive minimizer of the expected distance

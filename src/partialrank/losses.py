@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,6 +11,7 @@ from .em import FitConfig, FitResult, fit
 from .errors import DimensionError, DomainError
 from .mallows import MixtureParams, mixture_pmf
 from .missing import Dataset, MissingTable, empirical_partial_counts, partial_prob_vector
+from .util import check_real
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ def cross_validate(dataset: Dataset, lam_grid, config: FitConfig) -> CvResult:
     if len(dataset) < 2:
         raise DomainError("need at least two observations to form folds")
     lam_grid = list(lam_grid)
-    if any(isinstance(lam, bool) or not isinstance(lam, numbers.Real) for lam in lam_grid):
-        raise DomainError(f"grid entries must be real numbers, got {lam_grid!r}")
+    for lam in lam_grid:
+        check_real(lam, "grid entries")
     grid = sorted({float(lam) for lam in lam_grid})
     if not grid:
         raise DomainError("empty candidate grid")

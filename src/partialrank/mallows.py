@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .perms import Permutation, distances_from, index_of, kendall_distance, perm_table, unindex
+from .util import check_real
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -40,8 +41,9 @@ class MallowsParams:
     c: float
 
     def __post_init__(self):
-        if not 0 < self.c < math.inf:
-            raise DomainError(f"concentration must be finite and positive, got {self.c}")
+        check_real(self.c, "concentration")
+        if not self.c > 0:
+            raise DomainError(f"concentration must be positive, got {self.c}")
 
     @property
     def r(self) -> int:
@@ -82,6 +84,7 @@ class MixtureParams:
 
 def log_normalizer(c: float, r: int) -> float:
     """log Z(c) by the closed product form; the uniform limit c=0 gives log r!."""
+    check_real(c, "concentration")
     if c < 0:
         raise DomainError(f"concentration must be nonnegative, got {c}")
     if c == 0:

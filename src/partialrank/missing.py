@@ -36,7 +36,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,17 +51,22 @@ from .perms import (
     perm_table,
     prefix_tables,
 )
-from .util import atomic_open, cache_per_r, check_integer
+from .util import atomic_open, cache_per_r, check_integer, check_real
 
 logger = logging.getLogger(__name__)
 
 ROW_SUM_TOL = 1e-10
 
 
-def _freeze_simplex_rows(rows: np.ndarray) -> None:
-    """Check that every row lies on the simplex, then make the array read-only."""
+def _frozen_simplex_rows(rows, n_rows: int | None, r: int) -> np.ndarray:
+    """A read-only float64 copy of ``rows`` (the caller's array stays as it was), once it holds
+    ``n_rows`` rows (any number for None) of r - 1 entries and every row lies on the simplex."""
+    rows = np.array(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != r - 1 or n_rows not in (None, len(rows)):
+        raise DimensionError(f"expected ({n_rows or 'K'}, {r - 1}) rows, got shape {rows.shape}")
     check_simplex(rows, ROW_SUM_TOL, "rows must sum to 1", "entries must lie in [0, 1]")
     rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,10 @@ class MissingTable:
     """Per-vertex length distributions: ``probs[v, t-1] = P(t | pi_v)``."""
 
     r: int
-    probs: np.ndarray  # (r!, r-1) rows on the simplex
+    probs: np.ndarray  # (r!, r-1) rows on the simplex, a read-only float64 copy
 
     def __post_init__(self):
-        expected = (math.factorial(self.r), self.r - 1)
-        if self.probs.shape != expected:
-            raise DimensionError(f"expected shape {expected}, got {self.probs.shape}")
-        _freeze_simplex_rows(self.probs)
+        object.__setattr__(self, "probs", _frozen_simplex_rows(self.probs, math.factorial(self.r), self.r))
 
     @classmethod
     def uniform(cls, r: int) -> "MissingTable":
@@ -96,12 +97,10 @@ class ClusterMissingSpec:
     """Generator-side mechanism where t depends on the mixture component."""
 
     r: int
-    rows: np.ndarray  # (K, r-1) rows on the simplex
+    rows: np.ndarray  # (K, r-1) rows on the simplex, a read-only float64 copy
 
     def __post_init__(self):
-        if self.rows.ndim != 2 or self.rows.shape[1] != self.r - 1:
-            raise DimensionError(f"expected (K, {self.r - 1}), got {self.rows.shape}")
-        _freeze_simplex_rows(self.rows)
+        object.__setattr__(self, "rows", _frozen_simplex_rows(self.rows, None, self.r))
 
     @property
     def n_clusters(self) -> int:
@@ -147,7 +146,8 @@ class Dataset:
     _groups: ObservationGroups | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.r = operator.index(self.r)  # a Python int, whatever integer type r came as
+        check_integer(self.r, "r")
+        self.r = int(self.r)  # a Python int, whatever integer type r came as
         self.obs = _frozen_ids(self.obs)
         self.true_vertices = _frozen_ids(self.true_vertices)
         self.true_clusters = _frozen_ids(self.true_clusters)
@@ -470,8 +470,10 @@ def tilt_concentration_mechanism(c: float, c_star: float, big_r: float, sigma0: 
     so when the min never binds the t = r-1 marginal, renormalized, is the
     single-component model with concentration c_star.
     """
-    if not (0 < c < np.inf and 0 < c_star < np.inf):
-        raise DomainError(f"concentrations c and c_star must be finite and positive, got {c} and {c_star}")
+    for value, name in ((c, "concentration c"), (c_star, "concentration c_star"), (big_r, "R")):
+        check_real(value, name)
+    if not (c > 0 and c_star > 0):
+        raise DomainError(f"concentrations c and c_star must be positive, got {c} and {c_star}")
     if not 0 <= big_r <= 1:
         raise DomainError(f"R must lie in [0, 1], got {big_r}")
     r = sigma0.r
@@ -496,6 +498,7 @@ def tilt_mixture_mechanism(w, w_star, big_r: float, r: int) -> ClusterMissingSpe
         check_simplex(vec, 1e-12, f"{name} must lie on the simplex")
     if not np.all(w > 0):
         raise DomainError("w entries must be positive")
+    check_real(big_r, "R")
     if not 0 <= big_r <= 1:
         raise DomainError(f"R must lie in [0, 1], got {big_r}")
     if r < 3:

@@ -10,7 +10,8 @@ uses. ``PermTable.pair_order`` holds, per vertex and item pair, float 1 where
 the first item ranks ahead, else 0. Kendall distance counts the pairs where two
 rows a, b disagree (Fligner & Verducci 1986), sum_p b_p + sum_p a_p (1 - 2 b_p),
 so distances and expected distances are products with it, without a V x V matrix.
-``CayleyGraph.neighbors`` lists the distance-1 neighbors by swapped position.
+``CayleyGraph.neighbors`` lists the distance-1 neighbors by swapped position;
+it is the graph's one layout, and :func:`write_edge_csv` derives the edge list.
 A third, :func:`prefix_tables`, owns the one numbering of the top-t rankings
 (t ascending, then prefixes in lexicographic order) that datasets store, with
 each vertex's prefixes and each prefix's compatible vertices.
@@ -24,7 +25,6 @@ so that a numpy integer r shares the table of the equal int.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -242,8 +242,7 @@ class CayleyGraph:
     """S_r with an edge wherever two permutations differ by one adjacent swap."""
 
     r: int
-    edges: np.ndarray      # (E, 2) int32, u < v, lexicographically ordered rows
-    neighbors: np.ndarray  # (V, r-1) int32, slot j swaps the items at positions j and j+1
+    neighbors: np.ndarray  # (V, r-1) int32, slot j swaps the items at positions j and j+1; an edge fills two slots
 
     @property
     def n_vertices(self) -> int:
@@ -251,7 +250,7 @@ class CayleyGraph:
 
     @property
     def n_edges(self) -> int:
-        return self.edges.shape[0]
+        return self.neighbors.size // 2
 
 
 @cache_per_r
@@ -260,32 +259,24 @@ def build_cayley_graph(r: int) -> CayleyGraph:
     if r < 2:
         raise DomainError("need r >= 2")
     orderings = perm_table(r).orderings.astype(np.int64) - 1
-    v_count = orderings.shape[0]
     # each ordering coded in mixed radix r, as in prefix_tables; a swap of
     # adjacent positions is a column swap, looked up among the sorted codes
     place = r ** np.arange(r - 1, -1, -1, dtype=np.int64)
     codes = orderings @ place
     by_code = np.argsort(codes)
     sorted_codes = codes[by_code]
-    neighbors = np.empty((v_count, r - 1), dtype=np.int32)
+    neighbors = np.empty((len(orderings), r - 1), dtype=np.int32)
     for j in range(r - 1):
         swapped = orderings.copy()
         swapped[:, [j, j + 1]] = orderings[:, [j + 1, j]]
         neighbors[:, j] = by_code[np.searchsorted(sorted_codes, swapped @ place)]
-    us = np.repeat(np.arange(v_count, dtype=np.int32), r - 1)
-    vs = neighbors.reshape(-1)
-    keep = us < vs
-    edges = np.stack([us[keep], vs[keep]], axis=1)
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    edges.flags.writeable = False
     neighbors.flags.writeable = False
-    return CayleyGraph(r, edges, neighbors)
+    return CayleyGraph(r, neighbors)
 
 
 def write_edge_csv(graph: CayleyGraph, path: str | Path) -> None:
-    """Edge list as CSV with header ``src,dst``, one edge per line."""
+    """Edge list as CSV with header ``src,dst``: each edge once as u < v, in lexicographic order."""
+    rows = np.sort(graph.neighbors, axis=1).tolist()
     with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["src", "dst"])
-        for u, v in graph.edges:
-            writer.writerow([int(u), int(v)])
+        fh.write("src,dst\n")
+        fh.writelines(f"{u},{v}\n" for u, row in enumerate(rows) for v in row if v > u)

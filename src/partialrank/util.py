@@ -7,6 +7,7 @@ import json
 import numbers
 import operator
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -79,6 +80,8 @@ def _checked(value, key: str, kind):
             raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
         if kind is int:
             check_integer(value, f"config field {key!r}")
+        elif isinstance(value, int):  # must fit a float; JSON Infinity and NaN are left to the domain checks
+            check_real(value, f"config field {key!r}")
         return float(value) if kind is float else value
     if not isinstance(value, kind):
         raise ConfigError(f"config field {key!r} must be a {kind.__name__}, got {value!r}")
@@ -89,3 +92,9 @@ def check_integer(value, name: str, low: int = 0) -> None:
     """A :class:`DomainError` unless ``value`` is an integer (not a bool) of at least ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(value, name: str) -> None:
+    """A :class:`DomainError` unless ``value`` is a real number (not a bool) in the finite float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise DomainError(f"{name} must be a finite real number, got {value!r}")

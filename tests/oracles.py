@@ -7,6 +7,7 @@ implementations under test.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from collections import deque
@@ -408,6 +409,14 @@ def cayley_graph_loop(r: int):
             neighbors[v, j] = vertex_of[tuple(swapped)]
     edges = sorted({(min(v, int(u)), max(v, int(u))) for v in range(len(rank_tuples)) for u in neighbors[v]})
     return neighbors, np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+@functools.cache
+def cayley_edges(r: int) -> np.ndarray:
+    """:func:`cayley_graph_loop`'s edge list, built once per r and read-only."""
+    edges = cayley_graph_loop(r)[1]
+    edges.flags.writeable = False
+    return edges
 
 
 def observable_nll(theta, phi, dataset) -> float:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import edge_penalty_loop, phi_objective, phi_step_bounds, solve_phi_projected_gradient
+from oracles import cayley_edges, edge_penalty_loop, phi_objective, phi_step_bounds, solve_phi_projected_gradient
 from partialrank import (
     DomainError,
     MissingTable,
@@ -21,7 +21,7 @@ from partialrank.perms import index_of, unindex
 
 
 def _certificate(phi, q, graph, lam):
-    primal, dual = phi_step_bounds(phi, q, graph.edges, lam)
+    primal, dual = phi_step_bounds(phi, q, cayley_edges(graph.r), lam)
     return (primal - dual) / abs(primal), primal
 
 
@@ -50,7 +50,7 @@ class TestSolvePhi:
         for _ in range(5):
             q = rng.random((6, 2)) * 10
             result = solve_phi(q, graph, lam)
-            _, oracle_obj = solve_phi_projected_gradient(q, graph.edges, lam)
+            _, oracle_obj = solve_phi_projected_gradient(q, cayley_edges(graph.r), lam)
             assert result.objective == pytest.approx(oracle_obj, abs=1e-4)
 
     def test_residuals_fall_fast_on_small_instances(self):
@@ -71,7 +71,7 @@ class TestSolvePhi:
         assert not result.converged
         assert result.iterations == 1
         assert np.abs(result.phi.probs.sum(axis=1) - 1.0).max() <= 1e-10
-        assert result.objective == pytest.approx(phi_objective(result.phi.probs, q, graph.edges, 10.0), rel=1e-12)
+        assert result.objective == pytest.approx(phi_objective(result.phi.probs, q, cayley_edges(graph.r), 10.0), rel=1e-12)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_every_step_lowers_the_objective(self, r):
@@ -82,7 +82,7 @@ class TestSolvePhi:
         q = rng.gamma(0.5, 2.0, size=(graph.n_vertices, r - 1))
         q[rng.random(q.shape) < 0.3] = 0.0
         start = MissingTable.uniform(r).probs
-        values = [phi_objective(start, q, graph.edges, 10.0)]
+        values = [phi_objective(start, q, cayley_edges(graph.r), 10.0)]
         for steps in range(1, 6):
             values.append(solve_phi(q, graph, 10.0, max_iter=steps).objective)
         assert all(b <= a for a, b in zip(values, values[1:]))
@@ -107,7 +107,7 @@ class TestSolvePhi:
 
         def descends(q, phi):
             solved = solve_phi(q, graph, lam, phi0=phi, max_iter=max_iter)
-            assert solved.objective <= phi_objective(phi.probs, q, graph.edges, lam)
+            assert solved.objective <= phi_objective(phi.probs, q, cayley_edges(graph.r), lam)
             return solved.phi
 
         for lam in (0.1, 1.0, 10.0, 100.0):
@@ -133,8 +133,9 @@ class TestSolvePhi:
             solve_phi(np.zeros((5, 2)), graph, 1.0)
         with pytest.raises(DomainError):
             solve_phi(-np.ones((6, 2)), graph, 1.0)
-        for lam in (-1.0, np.nan, np.inf, "ten"):
-            with pytest.raises(DomainError):
+        # float() raised OverflowError on 10**400, and read True as 1 and "1.5" as 1.5
+        for lam in (-1.0, np.nan, np.inf, "ten", 10**400, True, "1.5"):
+            with pytest.raises(DomainError, match="lam"):
                 solve_phi(np.ones((6, 2)), graph, lam)
         with pytest.raises(DimensionError):
             solve_phi(np.ones((6, 2)), graph, 1.0, phi0=np.full((5, 2), 0.5))
@@ -199,13 +200,13 @@ class TestEmptyColumns:
                 phi = result.phi.probs
                 assert result.converged
                 assert np.all(phi[:, empty] == 0.0)
-                primal, dual = phi_step_bounds(phi, q, graph.edges, lam)
+                primal, dual = phi_step_bounds(phi, q, cayley_edges(graph.r), lam)
                 assert primal - dual <= GAP_TOL * abs(primal) + 1e-12  # P = 0 with one observed column
                 g = 2.0 * lam * (graph.r - 1) * phi - 2.0 * lam * phi[graph.neighbors].sum(axis=1)
                 multipliers = q.sum(axis=1) - (phi * g).sum(axis=1)
                 assert multipliers.min() >= -1e-6 * max(1.0, float(q.sum()))
                 if r <= 4:
-                    _, oracle = solve_phi_projected_gradient(q, graph.edges, lam)
+                    _, oracle = solve_phi_projected_gradient(q, cayley_edges(graph.r), lam)
                     assert result.objective == pytest.approx(oracle, abs=1e-4)
 
 
@@ -253,17 +254,17 @@ class TestSweepInvariants:
         problem, columns = _reduced(q, graph, 3.0)
         x = rng.dirichlet(np.ones(columns.size), size=graph.n_vertices).T.copy()
         expected = np.zeros_like(x)
-        for u, v in graph.edges:
+        for u, v in cayley_edges(graph.r):
             expected[:, u] += x[:, u] - x[:, v]
             expected[:, v] += x[:, v] - x[:, u]
         value, lx, pen = problem.value(x)
         assert np.abs(lx - expected).max() <= 1e-14
-        assert pen == pytest.approx(3.0 * edge_penalty_loop(x.T, graph.edges), rel=1e-12)
+        assert pen == pytest.approx(3.0 * edge_penalty_loop(x.T, cayley_edges(graph.r)), rel=1e-12)
         full = np.zeros_like(q)
         full[:, columns] = x.T
-        assert value == pytest.approx(phi_objective(full, q, graph.edges, 3.0), rel=1e-12)
+        assert value == pytest.approx(phi_objective(full, q, cayley_edges(graph.r), 3.0), rel=1e-12)
         # the certificate takes the L x and penalty that value computed at x
-        assert problem.lower_bound(x, lx, pen) == pytest.approx(phi_step_bounds(full, q, graph.edges, 3.0)[1],
+        assert problem.lower_bound(x, lx, pen) == pytest.approx(phi_step_bounds(full, q, cayley_edges(graph.r), 3.0)[1],
                                                                 rel=1e-12)
 
     @pytest.mark.parametrize("r", [3, 4])
@@ -283,10 +284,10 @@ class TestSweepInvariants:
         if max_iter < 5000:
             max_iter = min(max_iter, solve_phi(q, graph, lam, phi0=phi0, max_iter=5000).iterations - 2)
         result = solve_phi(q, graph, lam, phi0=phi0, max_iter=max_iter)
-        optimum, best = solve_phi_projected_gradient(q, graph.edges, lam)
+        optimum, best = solve_phi_projected_gradient(q, cayley_edges(graph.r), lam)
         assert result.converged == (max_iter == 5000)
         assert result.iterations == max_iter or (result.converged and result.iterations < 20)
-        primal, dual = phi_step_bounds(result.phi.probs, q, graph.edges, lam)
+        primal, dual = phi_step_bounds(result.phi.probs, q, cayley_edges(graph.r), lam)
         assert primal == pytest.approx(result.objective, rel=1e-12)
         assert dual <= best + 1e-12 * abs(best) <= primal + 2e-12 * abs(best)
         if result.converged:
@@ -316,7 +317,7 @@ def _certificate_pair(q, x, graph, lam):
     problem, columns = _reduced(q, graph, lam)
     full = np.zeros_like(q)
     full[:, columns] = x.T
-    return problem.lower_bound(x, *problem.value(x)[1:]), phi_step_bounds(full, q, graph.edges, lam)
+    return problem.lower_bound(x, *problem.value(x)[1:]), phi_step_bounds(full, q, cayley_edges(graph.r), lam)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
@@ -399,8 +400,8 @@ def test_slot_penalty_matches_edge_list_sum(r):
     q = rng.random((graph.n_vertices, r - 1)) * 4
     for lam in (0.5, 10.0):
         result = solve_phi(q, graph, lam)
-        assert result.penalty == pytest.approx(lam * edge_penalty_loop(result.phi.probs, graph.edges), rel=1e-12)
-        assert result.objective == pytest.approx(phi_objective(result.phi.probs, q, graph.edges, lam), rel=1e-12)
+        assert result.penalty == pytest.approx(lam * edge_penalty_loop(result.phi.probs, cayley_edges(graph.r)), rel=1e-12)
+        assert result.objective == pytest.approx(phi_objective(result.phi.probs, q, cayley_edges(graph.r), lam), rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [4, 5])
@@ -412,7 +413,7 @@ def test_edge_penalty_on_all_zero_columns_matches_edge_loop(r):
     result = solve_phi(q, graph, 3.0, max_iter=3)
     assert not result.phi.probs[:, 1 : r - 2].any()
     assert result.penalty > 0
-    assert result.penalty == pytest.approx(3.0 * edge_penalty_loop(result.phi.probs, graph.edges), rel=1e-12)
+    assert result.penalty == pytest.approx(3.0 * edge_penalty_loop(result.phi.probs, cayley_edges(graph.r)), rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -424,7 +425,7 @@ def test_hessian_product_matches_dense_reduced_hessian(r):
     n = graph.n_vertices
     rng = np.random.default_rng(90 + r)
     laplacian = np.zeros((n, n))
-    for u, v in graph.edges:
+    for u, v in cayley_edges(graph.r):
         laplacian[[u, v], [u, v]] += 1.0
         laplacian[[u, v], [v, u]] -= 1.0
     for k in range(2, r):
@@ -456,7 +457,8 @@ def test_phi_objective_zero_log_zero_convention():
         # lam = 0 with zero entries, one observed length, no mass at all
         result = solve_phi(table, graph, lam)
         assert np.isfinite(result.objective) and result.penalty == 0.0
-        assert result.objective == pytest.approx(phi_objective(result.phi.probs, table, graph.edges, lam), rel=1e-12)
+        expected = phi_objective(result.phi.probs, table, cayley_edges(graph.r), lam)
+        assert result.objective == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [6, 7])
@@ -496,9 +498,9 @@ class TestDualityGap:
         q[rng.random(q.shape) < 0.3] = 0.0
         loose = solve_phi(q, graph, lam, max_iter=1)  # one Newton step, short of the optimum
         assert not loose.converged
-        primal, dual = phi_step_bounds(loose.phi.probs, q, graph.edges, lam)
+        primal, dual = phi_step_bounds(loose.phi.probs, q, cayley_edges(graph.r), lam)
         assert primal == pytest.approx(loose.objective, rel=1e-12)
-        optimum, best = solve_phi_projected_gradient(q, graph.edges, lam)
+        optimum, best = solve_phi_projected_gradient(q, cayley_edges(graph.r), lam)
         assert primal - best > 0
         assert primal - dual >= primal - best  # the certificate is at least the true gap
         at_optimum, _ = _certificate(optimum, q, graph, lam)

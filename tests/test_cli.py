@@ -473,6 +473,25 @@ class TestErrors:
         assert err["error"] == "DomainError" and "concentration" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, fields",
+        [("simulate", {"generator": {**GENERATOR, "c": 10**400}}), ("fit", {"fit": {"em_tol": 10**400}}),
+         ("fit", {"method": {"name": "R", "lam": 10**400}})],
+        ids=["simulate c", "fit em_tol", "fit lam"],
+    )
+    def test_integer_too_large_for_a_float_exits_5(self, tmp_path, command, fields, capsys):
+        # a 401-digit JSON integer once raised OverflowError, which exited 1
+        if command == "simulate":
+            payload = {"command": "simulate", "r": 3, "n": 10, "out": str(tmp_path / "o.json"), **fields}
+            cfg = write_config(tmp_path, "s.json", payload)
+        else:
+            cfg = self.fit_config(tmp_path, **fields)
+        assert str(10**400) in cfg.read_text()
+        assert run_cli(cfg) == 5
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "DomainError"
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize("fields", [{"fit": {"restarts": 2.5}}, {"seed": -1}, {"K": 1.5}])
     def test_non_integer_or_negative_count_exits_5(self, tmp_path, fields):
         assert run_cli(self.fit_config(tmp_path, **fields)) == 5

@@ -294,6 +294,12 @@ class TestConstruction:
         assert len(Dataset(3, [])) == 0  # what load_csv gives for a file of no rows
         assert Dataset(3, np.array([1, 0], dtype=np.uint8), None, [0, 1]).obs.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("r", [4.0, "4", True], ids=["float", "str", "bool"])
+    def test_r_must_be_an_integer(self, r):
+        # operator.index raised a bare TypeError on the float and the str, and read True as 1
+        with pytest.raises(DomainError, match="r must be an integer"):
+            Dataset(r, [0])
+
     def test_groups_cache_is_not_a_constructor_argument(self):
         # a caller-supplied cache would score the observations it leaves out as NLL 0
         with pytest.raises(TypeError):

@@ -214,6 +214,11 @@ class TestCrossValidate:
         with pytest.raises(DomainError, match="grid entries"):
             cross_validate(small_dataset, grid, FitConfig(restarts=1, seed=0))
 
+    def test_grid_entry_too_large_for_a_float_rejected(self, small_dataset):
+        # float() raised OverflowError on it
+        with pytest.raises(DomainError, match="grid entries"):
+            cross_validate(small_dataset, [1.0, 10**400], FitConfig(restarts=1, seed=0))
+
     def test_paper_grid_runs(self, small_dataset):
         config = FitConfig(restarts=1, seed=1, em_max_iter=30)
         result = cross_validate(small_dataset, [1.0, 10.0, 100.0], config)

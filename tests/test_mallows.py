@@ -31,6 +31,12 @@ class TestLogNormalizer:
         with pytest.raises(DomainError):
             log_normalizer(-0.5, 4)
 
+    @pytest.mark.parametrize("c", [10**400, True, "1.5", math.inf, math.nan], ids=["huge int", "bool", "str", "inf", "nan"])
+    def test_concentration_must_be_a_finite_real_number(self, c):
+        # the int overflowed, True was read as 1, the str raised TypeError, inf gave 0 and nan gave nan
+        with pytest.raises(DomainError, match="concentration"):
+            log_normalizer(c, 4)
+
 
 class TestMixtureParams:
     def test_weights_must_sum_to_one(self):
@@ -50,6 +56,12 @@ class TestMixtureParams:
     @pytest.mark.parametrize("c", [math.inf, math.nan])
     def test_concentration_must_be_finite(self, c):
         # an infinite c once made complete_pmf return nan
+        with pytest.raises(DomainError, match="concentration"):
+            MallowsParams(Permutation.identity(3), c)
+
+    @pytest.mark.parametrize("c", [10**400, True, "1.5"], ids=["huge int", "bool", "str"])
+    def test_concentration_must_be_a_real_number_in_float_range(self, c):
+        # the int and True were accepted, the str raised a bare TypeError
         with pytest.raises(DomainError, match="concentration"):
             MallowsParams(Permutation.identity(3), c)
 

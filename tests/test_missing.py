@@ -44,6 +44,17 @@ class TestMissingTable:
         with pytest.raises(DomainError):
             MissingTable(3, negative)
 
+    def test_keeps_a_read_only_float64_copy(self):
+        # the caller's array was frozen in place, float32 rows stayed float32, and a list raised AttributeError
+        rows = np.full((6, 2), 0.5)
+        made = [MissingTable(3, rows).probs, MissingTable(3, rows.astype(np.float32)).probs,
+                MissingTable(3, rows.tolist()).probs, ClusterMissingSpec(3, rows[:2]).rows,
+                ClusterMissingSpec(3, [[0.5, 0.5]]).rows]
+        rows[0, 0] = 1.0
+        for kept in made:
+            assert kept.dtype == np.float64 and not kept.flags.writeable
+            assert np.all(kept == 0.5)
+
     def test_uniform(self):
         table = MissingTable.uniform(4)
         assert table.probs.shape == (24, 3)
@@ -97,6 +108,18 @@ class TestPartialPmf:
         assert probs.shape == (40,)  # 4 + 12 + 24 partial rankings
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_vector_matches_scalar_reference_entry_by_entry(self, r, k):
+        rng = np.random.default_rng(40 + 10 * r + k)
+        theta = random_mixture(r, k, rng)
+        phi = random_table(r, rng)  # a different row at every vertex
+        probs = partial_prob_vector(theta, phi)
+        rankings = enumerate_partial_rankings(r)
+        assert probs.shape == (len(rankings),)
+        for tau, value in zip(rankings, probs):
+            assert value == pytest.approx(partial_pmf(tau, theta, phi), rel=1e-12)
+
     def test_uniform_top1_value(self):
         # near-uniform ranking model and uniform mechanism rows at r=3
         theta = MixtureParams.single(Permutation.identity(3), 1e-9)
@@ -136,9 +159,13 @@ class TestTiltConcentration:
             tilt_concentration_mechanism(1.0, 1.0, 1.5, Permutation.identity(4))
         with pytest.raises(DomainError):
             tilt_concentration_mechanism(-1.0, 1.0, 0.5, Permutation.identity(4))
-        for c, c_star in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        # 10**400 overflowed in log_normalizer, "1.5" raised a bare TypeError, and True was read as 1
+        for c, c_star in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (10**400, 1.2), (1.0, 10**400),
+                          ("1.5", 1.2), (True, 1.2)):
             with pytest.raises(DomainError, match="concentration"):
                 tilt_concentration_mechanism(c, c_star, 0.5, Permutation.identity(4))
+        with pytest.raises(DomainError, match="R"):
+            tilt_concentration_mechanism(1.0, 1.2, True, Permutation.identity(4))
 
     def test_renormalized_complete_marginal_is_tilted_model(self):
         # the non-binding regime reshapes the complete-observation slice into
@@ -170,6 +197,12 @@ class TestTiltMixture:
     def test_rate_above_one_rejected(self):
         with pytest.raises(DomainError):
             tilt_mixture_mechanism([0.1, 0.9], [0.9, 0.1], 0.5, 4)
+
+    @pytest.mark.parametrize("big_r", [True, "0.5"], ids=["bool", "str"])
+    def test_r_must_be_a_real_number(self, big_r):
+        # True was read as 1 and the str raised a bare TypeError
+        with pytest.raises(DomainError, match="R"):
+            tilt_mixture_mechanism([0.5, 0.5], [0.5, 0.5], big_r, 4)
 
     def test_induced_table_homogeneous_under_mar(self):
         rng = np.random.default_rng(4)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import json
@@ -145,16 +146,26 @@ class TestCompatibleSet:
             TopTRanking((1, 1), r=4)
 
 
+def _csv_edges(graph, tmp_path) -> np.ndarray:
+    """The edge list :func:`write_edge_csv` writes for ``graph``, as an (E, 2) array."""
+    path = tmp_path / "edges.csv"
+    write_edge_csv(graph, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "src,dst"
+    return np.array([[int(x) for x in line.split(",")] for line in lines[1:]], dtype=np.int64).reshape(-1, 2)
+
+
 class TestCayleyGraph:
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
-    def test_matches_loop_reference(self, r):
+    def test_matches_loop_reference(self, r, tmp_path):
         graph = build_cayley_graph(r)
         neighbors, edges = cayley_graph_loop(r)
         assert np.array_equal(graph.neighbors, neighbors)
-        assert np.array_equal(graph.edges, edges)
-        assert graph.neighbors.dtype == graph.edges.dtype == np.int32
+        assert graph.neighbors.dtype == np.int32
+        assert np.array_equal(_csv_edges(graph, tmp_path), edges)
+        assert graph.n_edges == len(edges)
 
-    def test_r3_matches_enumerated_pairs(self):
+    def test_r3_matches_enumerated_pairs(self, tmp_path):
         graph = build_cayley_graph(3)
         perms = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
         expected = {
@@ -163,25 +174,23 @@ class TestCayleyGraph:
             for j, b in enumerate(perms)
             if i != j and kendall_distance(a, b) == 1
         }
-        got = {(int(u), int(v)) for u, v in graph.edges}
+        got = {(int(u), int(v)) for u, v in _csv_edges(graph, tmp_path)}
         assert got == expected
         assert graph.n_vertices == 6 and graph.n_edges == 6
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
-    def test_counts_and_degrees(self, r):
+    def test_counts_and_degrees(self, r, tmp_path):
         graph = build_cayley_graph(r)
         v = math.factorial(r)
         assert graph.n_vertices == v
         assert graph.n_edges == v * (r - 1) // 2
-        degrees = np.zeros(v, dtype=int)
-        for u, w in graph.edges:
-            degrees[u] += 1
-            degrees[w] += 1
-        assert np.all(degrees == r - 1)
+        edges = _csv_edges(graph, tmp_path)
+        assert len(edges) == graph.n_edges
+        assert np.all(np.bincount(edges.ravel(), minlength=v) == r - 1)
 
-    def test_edges_are_adjacent_transpositions(self):
+    def test_edges_are_adjacent_transpositions(self, tmp_path):
         graph = build_cayley_graph(4)
-        for u, v in graph.edges:
+        for u, v in _csv_edges(graph, tmp_path):
             assert kendall_distance(unindex(int(u), 4), unindex(int(v), 4)) == 1
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
@@ -202,10 +211,15 @@ class TestCayleyGraph:
         graph = build_cayley_graph(3)
         path = tmp_path / "edges.csv"
         write_edge_csv(graph, path)
-        lines = path.read_text().splitlines()
+        text = path.read_text()
+        assert text.endswith("\n") and "\r" not in text
+        lines = text.splitlines()
         assert lines[0] == "src,dst"
         assert len(lines) == 1 + graph.n_edges
         assert all(len(line.split(",")) == 2 for line in lines[1:])
+
+    def test_graph_holds_only_its_neighbor_slots(self):
+        assert [f.name for f in dataclasses.fields(build_cayley_graph(3))] == ["r", "neighbors"]
 
 
 class TestVectorizedHelpers:
